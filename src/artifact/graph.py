@@ -8,6 +8,7 @@ connections between alert artifacts, not network topology.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -88,23 +89,35 @@ class GraphSummary(NamedTuple):
     layer_counts: dict[str, int]
 
 
-def build_graph(records: Iterable[AlertRecord]) -> ArtifactGraph:
-    """Build the co-occurrence graph for one window of normalized records.
+FieldTuple = tuple[tuple[str, str], ...]  # an alert's (key, value) pairs, in order
+
+
+def build_weighted_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> ArtifactGraph:
+    """Build the co-occurrence graph of one window from its distinct field
+    tuples and how many alerts carry each.
 
     Every field value becomes a vertex in its canonical layer. Every unordered
-    pair of distinct field keys whose values map to distinct vertices adds +1
-    to that vertex pair's edge weight; pairs that collapse to the same vertex
-    (e.g. src_ip == dst_ip) are skipped rather than forming self-loops.
+    pair of distinct field keys whose values map to distinct vertices adds the
+    tuple's count to that vertex pair's edge weight; pairs that collapse to the
+    same vertex (e.g. src_ip == dst_ip) are skipped rather than forming
+    self-loops. Given in first-seen order, the tuples insert vertices and
+    neighbors in the order one alert at a time would, which the neighbor sums
+    of the recursive features depend on.
     """
     g = ArtifactGraph()
-    for record in records:
-        vertices = [
-            g.add_vertex(layer_for(key), value) for key, value in record.fields.items()
-        ]
+    for fields, count in field_counts:
+        vertices = [g.add_vertex(layer_for(key), value) for key, value in fields]
         for u, v in itertools.combinations(vertices, 2):
             if u != v:
-                g.add_cooccurrence(u, v)
+                g.add_cooccurrence(u, v, count)
     return g
+
+
+def build_graph(records: Iterable[AlertRecord]) -> ArtifactGraph:
+    """Build the co-occurrence graph for one window of normalized records."""
+    return build_weighted_graph(
+        Counter(tuple(record.fields.items()) for record in records).items()
+    )
 
 
 def graph_summary(g: ArtifactGraph) -> GraphSummary:

@@ -21,6 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +36,15 @@ from artifact.dynamics import (
     write_score_csv,
 )
 from artifact.features import FeatureSchema, apply_schema, fit_schema
-from artifact.graph import ArtifactGraph, build_graph, graph_summary
+from artifact.graph import (
+    ArtifactGraph,
+    FieldTuple,
+    build_weighted_graph,
+    graph_summary,
+)
 from artifact.ingest import (
     AlertRecord,
-    HostMap,
+    KeyedAlerts,
     LAYER_BY_FIELD,
     ParseStats,
     WindowSpec,
@@ -48,8 +54,13 @@ from artifact.ingest import (
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
-    window_partition,
+    window_slices,
 )
+
+# Per-record stages that train and score no longer call. The stage tracer in
+# perfbench/spans.py still looks them up on this module.
+from artifact.graph import build_graph  # noqa: F401
+from artifact.ingest import window_partition  # noqa: F401
 from artifact.roles import (
     RoleModel,
     memberships_fixed_F,
@@ -184,44 +195,136 @@ def load_pipeline_config(path: Path | str) -> PipelineConfig:
 # -- input loading ---------------------------------------------------------------
 
 
-def load_records(cfg: PipelineConfig) -> tuple[list[AlertRecord], ParseStats]:
-    """Read, normalize, filter, and time-sort every configured input file."""
+@dataclass
+class Alerts:
+    """Normalized, source-filtered alerts in time order: per alert a
+    timestamp and the id of its distinct normalized (source, fields) tuple."""
+
+    times: np.ndarray  # float64, ascending
+    ids: np.ndarray  # int64 indices into `tuples`
+    tuples: list[tuple[str, FieldTuple]]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def before(self, ts: float) -> int:
+        """How many alerts come before `ts`; they are a prefix."""
+        return int(np.searchsorted(self.times, ts))
+
+    def field_counts(self, start: int, stop: int) -> list[tuple[FieldTuple, int]]:
+        """The distinct field tuples of alerts start..stop-1 with their
+        counts, in the order of each tuple's first alert."""
+        ids, first, counts = np.unique(
+            self.ids[start:stop], return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        return [
+            (self.tuples[k][1], n)
+            for k, n in zip(ids[order].tolist(), counts[order].tolist())
+        ]
+
+    def records(self) -> list[AlertRecord]:
+        return [
+            AlertRecord(self.tuples[k][0], t, dict(self.tuples[k][1]))
+            for t, k in zip(self.times.tolist(), self.ids.tolist())
+        ]
+
+
+def read_alerts(cfg: PipelineConfig) -> tuple[Alerts, ParseStats]:
+    """Read every configured input file in one pass each, normalize each
+    distinct alert key once, filter by source and sort by time.
+
+    The sort is stable, so alerts with equal timestamps keep file order.
+    """
     cfg.validate()
     stats = ParseStats()
-    hostmap: HostMap | None = None
-    if cfg.hostmap_path is not None:
-        hostmap = load_hostmap(cfg.hostmap_path)
-    records: list[AlertRecord] = []
+    hostmap = load_hostmap(cfg.hostmap_path) if cfg.hostmap_path is not None else None
+    raw = KeyedAlerts()
     for fmt, path in cfg.input_paths():
         if fmt == "snort":
-            raw = read_snort_file(path, cfg.snort_year, stats)
+            read_snort_file(path, cfg.snort_year, stats, raw)
         elif fmt == "ossec":
-            raw = read_ossec_file(path, stats)
+            read_ossec_file(path, stats, raw)
         else:
-            raw = read_jsonl_file(path, stats)
-        records.extend(normalize_record(r, hostmap, stats) for r in raw)
-        logger.info("read %s (%s): %d records so far", path, fmt, len(records))
+            read_jsonl_file(path, stats, raw)
+        logger.info("read %s (%s): %d records so far", path, fmt, len(raw))
+
+    raw_ids = np.frombuffer(raw.ids, dtype=np.int64)
+    occurrences = np.bincount(raw_ids, minlength=len(raw.keys)).tolist()
+    normalized = np.full(len(raw.keys), -1, dtype=np.int64)  # -1: filtered out
+    tuples: list[tuple[str, FieldTuple]] = []
+    tuple_ids: dict[tuple[str, FieldTuple], int] = {}
+    for kid, ((source, fields), n) in enumerate(zip(raw.keys, occurrences)):
+        # Normalization reads no timestamp. It counts hostname problems per
+        # call, and the key stands for n alerts.
+        key_stats = ParseStats()
+        record = normalize_record(AlertRecord(source, 0.0, fields), hostmap, key_stats)
+        stats.unresolved_hostnames += n * key_stats.unresolved_hostnames
+        stats.hostname_collisions += n * key_stats.hostname_collisions
+        if cfg.source is not None and record.source != cfg.source:
+            continue
+        key = (record.source, tuple(record.fields.items()))
+        if key not in tuple_ids:
+            tuple_ids[key] = len(tuples)
+            tuples.append(key)
+        normalized[kid] = tuple_ids[key]
+
+    ids = normalized[raw_ids]
+    times = np.frombuffer(raw.times, dtype=np.float64)
     if cfg.source is not None:
-        records = [r for r in records if r.source == cfg.source]
-    records.sort(key=lambda r: r.timestamp)
-    return records, stats
+        kept = ids >= 0
+        ids, times = ids[kept], times[kept]
+    order = np.argsort(times, kind="stable")
+    return Alerts(times[order], ids[order], tuples), stats
 
 
-def derive_window_spec(cfg: PipelineConfig, records: list[AlertRecord]) -> WindowSpec:
+def load_records(cfg: PipelineConfig) -> tuple[list[AlertRecord], ParseStats]:
+    """Every alert of `read_alerts` as a normalized record, time-sorted."""
+    alerts, stats = read_alerts(cfg)
+    return alerts.records(), stats
+
+
+def derive_window_spec(cfg: PipelineConfig, timestamps: Sequence[float]) -> WindowSpec:
     """Anchor the window grid: an explicit origin wins, otherwise the first
-    record's timestamp floored to a whole window (epoch-aligned)."""
+    timestamp floored to a whole window (epoch-aligned)."""
     if cfg.origin is not None:
         origin = cfg.origin
     else:
-        if not records:
+        if len(timestamps) == 0:
             raise PipelineError("cannot derive a window origin from empty input")
-        first = min(r.timestamp for r in records)
+        first = float(np.min(timestamps))
         origin = (first // cfg.window_length) * cfg.window_length
     return WindowSpec(
         origin=origin,
         length=cfg.window_length,
         training_cutoff=origin + cfg.training_days * 86400.0,
     )
+
+
+def training_graph(
+    alerts: Alerts, spec: WindowSpec, stats: ParseStats
+) -> tuple[NodeRegistry, ArtifactGraph]:
+    """Register the training span's nodes window by window, in order of first
+    appearance, and build the span's co-occurrence graph. Alerts before the
+    origin are counted and left out of the registry, not out of the graph."""
+    n_training = alerts.before(spec.training_cutoff)
+    registry = NodeRegistry()
+    for window, start, stop in window_slices(alerts.times[:n_training], spec, stats):
+        for fields, _ in alerts.field_counts(start, stop):
+            for key, value in fields:
+                registry.get_or_add((layer_for(key), value), window=window)
+    return registry, build_weighted_graph(alerts.field_counts(0, n_training))
+
+
+def scoring_graphs(
+    alerts: Alerts, spec: WindowSpec
+) -> Iterator[tuple[int, int, ArtifactGraph]]:
+    """(window, alert count, graph) for every occupied window after the
+    training cutoff, in window order."""
+    first = alerts.before(spec.training_cutoff)
+    for window, start, stop in window_slices(alerts.times[first:], spec):
+        counts = alerts.field_counts(first + start, first + stop)
+        yield window, stop - start, build_weighted_graph(counts)
 
 
 # -- training -----------------------------------------------------------------
@@ -272,21 +375,15 @@ def _read_metadata(path: Path) -> dict[str, str]:
 def train(cfg: PipelineConfig) -> TrainResult:
     """Fit the feature schema and role model on the training span and persist
     the bundle under out_dir/model."""
-    records, stats = load_records(cfg)
-    if not records:
+    alerts, stats = read_alerts(cfg)
+    if not len(alerts):
         raise PipelineError("no records parsed from the configured inputs")
-    spec = derive_window_spec(cfg, records)
-    training = [r for r in records if r.timestamp < spec.training_cutoff]
-    if not training:
+    spec = derive_window_spec(cfg, alerts.times)
+    n_training = alerts.before(spec.training_cutoff)
+    if not n_training:
         raise PipelineError("no records fall inside the training span")
 
-    registry = NodeRegistry()
-    for window, bucket in window_partition(training, spec, stats):
-        for record in bucket:
-            for key, value in record.fields.items():
-                registry.get_or_add((layer_for(key), value), window=window)
-
-    graph = build_graph(training)
+    registry, graph = training_graph(alerts, spec, stats)
     summary = graph_summary(graph)
     schema, fm = fit_schema(
         graph, max_depth=cfg.max_depth, prune_tolerance=cfg.prune_tolerance
@@ -331,7 +428,7 @@ def train(cfg: PipelineConfig) -> TrainResult:
         f"records parsed: {stats.parsed} (skipped {stats.skipped} of {stats.lines} lines)",
         f"unresolved hostnames: {stats.unresolved_hostnames}",
         f"hostname collisions: {stats.hostname_collisions}",
-        f"records in training span: {len(training)}",
+        f"records in training span: {n_training}",
         f"training windows: {spec.training_windows}",
         f"graph: {summary.node_count} nodes, {summary.edge_count} edges, "
         f"total weight {summary.total_weight}",
@@ -398,28 +495,25 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     after the training cutoff yields a header-only CSV.
     """
     model, schema, registry, meta = load_bundle(bundle_dir)
-    records, stats = load_records(cfg)
+    alerts, stats = read_alerts(cfg)
     spec = WindowSpec(
         origin=float(meta["origin"]),
         length=float(meta["window_length"]),
         training_cutoff=float(meta["training_cutoff"]),
     )
-    scorable = [r for r in records if r.timestamp >= spec.training_cutoff]
+    first = alerts.before(spec.training_cutoff)
     logger.info(
         "scoring %d post-training records (%d dropped as training-span)",
-        len(scorable), len(records) - len(scorable),
+        len(alerts) - first, first,
     )
 
     series = MembershipSeries(registry)
     alert_counts: dict[int, int] = {}
-    for window, bucket in window_partition(scorable, spec, stats):
-        if not bucket:
-            continue
-        graph = build_graph(bucket)
+    for window, count, graph in scoring_graphs(alerts, spec):
         fm = apply_schema(graph, schema, registry=registry)
         membership = memberships_fixed_F(fm, model)
         series = update_series(series, window, membership)
-        alert_counts[window] = len(bucket)
+        alert_counts[window] = count
 
     scores = score_windows(series, layer=cfg.layer)
     report = detect_anomalies(scores, cfg.threshold)

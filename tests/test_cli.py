@@ -73,7 +73,7 @@ def training_only_jsonl(small_streams, tmp_path_factory) -> Path:
     cutoff = SMALL_ORIGIN + 86400.0
     records = [
         r
-        for r in read_jsonl_file(small_streams["full"], ParseStats())
+        for r in read_jsonl_file(small_streams["full"], ParseStats()).records()
         if r.timestamp < cutoff
     ]
     path = tmp_path_factory.mktemp("empty") / "training_only.jsonl"

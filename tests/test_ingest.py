@@ -167,7 +167,7 @@ def test_parse_snort_icmp_without_ports():
 def test_snort_corpus_matches_reference(data_dir):
     path = data_dir / "snort_fast_sample.txt"
     stats = ParseStats()
-    records = read_snort_file(path, YEAR, stats)
+    records = read_snort_file(path, YEAR, stats).records()
 
     lines = [l for l in path.read_text().splitlines() if l.strip()]
     expected = [ref_parse_snort(l, YEAR) for l in lines]
@@ -177,6 +177,21 @@ def test_snort_corpus_matches_reference(data_dir):
     assert stats.parsed + stats.skipped == stats.lines
     assert stats.parsed == len(good)
     assert [(r.timestamp, r.fields) for r in records] == good
+
+
+@pytest.mark.parametrize("anchor, skipped", [(b"MSG", 0), (b"10.10.255.77", 1)])
+def test_snort_undecodable_byte_parses_or_skips(tmp_path, data_dir, anchor, skipped):
+    """A 0xff byte in the first line's message leaves it parsed; in its
+    source address it makes the line a counted skip."""
+    clean = (data_dir / "snort_fast_sample.txt").read_bytes()
+    path = tmp_path / "alert"
+    path.write_bytes(clean.replace(anchor, anchor[:2] + b"\xff" + anchor[2:], 1))
+    expected, stats = ParseStats(), ParseStats()
+    read_snort_file(data_dir / "snort_fast_sample.txt", YEAR, expected)
+    read_snort_file(path, YEAR, stats)
+    assert stats.lines == expected.lines
+    assert stats.parsed == expected.parsed - skipped
+    assert stats.skipped == expected.skipped + skipped
 
 
 # --- ossec ------------------------------------------------------------------
@@ -227,7 +242,7 @@ def test_two_concatenated_blocks_split_cleanly():
 def test_ossec_corpus_matches_reference(data_dir):
     path = data_dir / "ossec_alerts_sample.log"
     stats = ParseStats()
-    records = read_ossec_file(path, stats)
+    records = read_ossec_file(path, stats).records()
 
     blocks = list(iter_ossec_blocks(path.read_text()))
     expected = [ref_parse_ossec(b) for b in blocks]
@@ -239,6 +254,23 @@ def test_ossec_corpus_matches_reference(data_dir):
     # the remote-agent form keeps the parenthesized name as the hostname
     remote = [r for r in records if r.fields.get("logfile") == "/var/log/secure"]
     assert remote and remote[0].fields["hostname"] == "web1"
+
+
+@pytest.mark.parametrize("anchor", [b"User: root", b"host1->", b"Rule: 5503"])
+def test_ossec_undecodable_byte_parses_or_skips(tmp_path, anchor):
+    path = tmp_path / "alerts.log"
+    damaged = anchor[:2] + b"\xff" + anchor[2:]
+    path.write_bytes(OSSEC_BLOCK.encode().replace(anchor, damaged) + b"\n" + OSSEC_BLOCK.encode())
+    stats = ParseStats()
+    records = read_ossec_file(path, stats).records()
+    assert stats.lines == 2
+    if anchor == b"Rule: 5503":  # the block loses its Rule line
+        assert (stats.parsed, stats.skipped) == (1, 1)
+    else:
+        assert (stats.parsed, stats.skipped) == (2, 0)
+        assert records[0].fields["rule_id"] == "5503"
+    if anchor == b"host1->":
+        assert records[0].fields["hostname"] == "ho\ufffdst1"
 
 
 # --- normalize ---------------------------------------------------------------
@@ -410,7 +442,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_jsonl(records, path)
     stats = ParseStats()
-    back = read_jsonl_file(path, stats)
+    back = read_jsonl_file(path, stats).records()
     assert back == records
     assert stats.parsed == 3 and stats.skipped == 0
 
@@ -422,11 +454,14 @@ def test_jsonl_skips_malformed_lines(tmp_path):
         "not json at all\n"
         '{"source":"snort","ts":-1.0,"fields":{"sig_id":"1"}}\n'
         '{"source":"snort","ts":5.0,"fields":{}}\n'
+        '{"source":"snort","ts":NaN,"fields":{"sig_id":"1"}}\n'
+        '{"source":"snort","ts":Infinity,"fields":{"sig_id":"1"}}\n'
+        '{"source":"snort","ts":-Infinity,"fields":{"sig_id":"1"}}\n'
     )
     stats = ParseStats()
-    records = read_jsonl_file(path, stats)
+    records = read_jsonl_file(path, stats).records()
     assert len(records) == 1
-    assert stats.parsed == 1 and stats.skipped == 3
+    assert stats.parsed == 1 and stats.skipped == 6
     assert stats.parsed + stats.skipped == stats.lines
 
 

@@ -244,7 +244,7 @@ def test_empty_post_training_input_yields_header_only_csv(
     cutoff = SMALL_ORIGIN + 2 * 86400.0
     training_only = [
         r
-        for r in read_jsonl_file(small_streams["full"], ParseStats())
+        for r in read_jsonl_file(small_streams["full"], ParseStats()).records()
         if r.timestamp < cutoff
     ]
     path = tmp_path / "training_only.jsonl"
@@ -332,7 +332,7 @@ def test_derive_window_spec_floors_to_the_grid():
         AlertRecord("snort", SMALL_ORIGIN + 30000.0, {"sig_id": "1"}),
         AlertRecord("snort", SMALL_ORIGIN + 40000.0, {"sig_id": "1"}),
     ]
-    spec = derive_window_spec(cfg, records)
+    spec = derive_window_spec(cfg, [r.timestamp for r in records])
     assert spec.origin == SMALL_ORIGIN + WINDOW  # floor of origin + 30000
     assert spec.training_cutoff == spec.origin + 2 * 86400.0
     assert spec.length == WINDOW
@@ -341,7 +341,7 @@ def test_derive_window_spec_floors_to_the_grid():
 def test_derive_window_spec_prefers_explicit_origin():
     cfg = PipelineConfig(origin=SMALL_ORIGIN, window_hours=8.0, training_days=1.0)
     records = [AlertRecord("snort", SMALL_ORIGIN + 999999.0, {"sig_id": "1"})]
-    spec = derive_window_spec(cfg, records)
+    spec = derive_window_spec(cfg, [r.timestamp for r in records])
     assert spec.origin == SMALL_ORIGIN
 
 
