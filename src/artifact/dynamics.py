@@ -69,7 +69,8 @@ class NodeRegistry:
     def read_tsv(cls, path: Path | str) -> "NodeRegistry":
         registry = cls()
         with open(path, "r", encoding="utf-8") as fp:
-            next(fp)  # header
+            if not fp.readline():
+                raise ValueError(f"{path} is empty")
             for line in fp:
                 idx_s, layer, value, seen_s = line.rstrip("\n").split("\t")
                 window = int(seen_s) if seen_s else None

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from artifact.graph import ArtifactGraph, Vertex
+from artifact.graph import Adjacency, ArtifactGraph, Vertex
 
 logger = logging.getLogger(__name__)
 
@@ -106,6 +106,8 @@ class FeatureSchema:
         lines = [l for l in text.splitlines() if l.strip()]
         if not lines or lines[0] != SCHEMA_FORMAT:
             raise ValueError("unrecognized schema format header")
+        if len(lines) < 3:
+            raise ValueError("schema ends before its prune_tolerance and max_depth")
         tol = float(lines[1].split()[1])
         depth = int(lines[2].split()[1])
         schema = cls(prune_tolerance=tol, max_depth=depth)
@@ -166,45 +168,49 @@ class FeatureMatrix:
 
 # -- computation ----------------------------------------------------------
 
-def _primary_columns(g: ArtifactGraph, nodes: list[Vertex]) -> np.ndarray:
-    cols = np.zeros((len(nodes), 4))
-    neighbor_sets = {v: set(g.neighbors(v)) for v in nodes}
-    for i, v in enumerate(nodes):
-        nbrs = neighbor_sets[v]
-        k = len(nbrs)
-        wdeg = g.weighted_degree(v)
-        # edges among neighbors, each counted once, ego excluded
-        inter = 0
-        for u in nbrs:
-            inter += sum(1 for w in neighbor_sets[u] if w in nbrs and w > u)
-        ego = nbrs | {v}
-        out = sum(
-            1 for m in ego for w in neighbor_sets[m] if w not in ego
-        )
-        trans = 2.0 * inter / (k * (k - 1)) if k >= 2 else 0.0
-        cols[i] = (wdeg, inter, out, trans)
-    return cols
+def _primary_columns(adj: Adjacency) -> np.ndarray:
+    """Weighted degree, edges among the neighbors (ego excluded), edges
+    leaving the ego net and transitivity, all from integer sparse products."""
+    A = adj.matrix(np.ones(len(adj.indices), dtype=np.int64))
+    k = adj.degree
+    wdeg = adj.matrix(adj.weights).sum(axis=1)
+    inter = (A @ A).multiply(A).sum(axis=1) // 2
+    # each neighbor m of v has deg(m) edges: one to v, |N(m) & N(v)| inside
+    out = A @ k - k - 2 * inter
+    trans = np.divide(2.0 * inter, k * (k - 1), out=np.zeros(len(k)), where=k >= 2)
+    return np.column_stack((wdeg, inter, out, trans))
 
 
 def primary_features(g: ArtifactGraph) -> FeatureMatrix:
     """The four depth-0 structural features for every node of g."""
-    nodes = g.nodes()
-    values = _primary_columns(g, nodes)
-    return FeatureMatrix(nodes, "primary", values)
+    adj = g.adjacency()
+    return FeatureMatrix(adj.nodes, "primary", _primary_columns(adj))
+
+
+def _degree_groups(adj: Adjacency) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, gather) per nonzero degree d: the rows of degree d and their
+    neighbor indices as an n_d x d array, each row in insertion order."""
+    k = adj.degree
+    groups = []
+    for d in np.unique(k[k > 0]):
+        rows = np.flatnonzero(k == d)
+        gather = adj.indices[adj.indptr[rows][:, None] + np.arange(d)]
+        groups.append((rows, gather))
+    return groups
 
 
 def _aggregate(
-    g: ArtifactGraph, nodes: list[Vertex], index: dict[Vertex, int],
-    column: np.ndarray, op: str,
+    groups: list[tuple[np.ndarray, np.ndarray]], column: np.ndarray, op: str,
 ) -> np.ndarray:
-    """neighbor_sum / neighbor_mean of a column over the unweighted adjacency."""
-    out = np.zeros(len(nodes))
-    for i, v in enumerate(nodes):
-        nbr_idx = [index[u] for u in g.neighbors(v)]
-        if not nbr_idx:
-            continue
-        total = float(column[nbr_idx].sum())
-        out[i] = total if op == "neighbor_sum" else total / len(nbr_idx)
+    """neighbor_sum / neighbor_mean of a column over the unweighted adjacency.
+
+    Each row is reduced on its own, in insertion order, so a sum equals the
+    node's `column[neighbors].sum()` bit for bit; a sparse product would sum
+    in another order."""
+    out = np.zeros(len(column))
+    for rows, gather in groups:
+        total = np.add.reduce(column[gather], axis=1)
+        out[rows] = total if op == "neighbor_sum" else total / gather.shape[1]
     return out
 
 
@@ -238,12 +244,12 @@ def fit_schema(
     if not 0 < prune_tolerance < 1:
         raise ValueError("prune_tolerance must be in (0, 1)")
 
-    nodes = g_train.nodes()
-    index = {v: i for i, v in enumerate(nodes)}
+    adj = g_train.adjacency()
+    groups = _degree_groups(adj)
 
     schema = FeatureSchema(prune_tolerance=prune_tolerance, max_depth=max_depth)
     columns: list[np.ndarray] = []
-    primaries = _primary_columns(g_train, nodes)
+    primaries = _primary_columns(adj)
     for j, name in enumerate(PRIMARY_NAMES):
         schema.features.append(FeatureDef(len(schema.features), 0, base=name))
         columns.append(primaries[:, j])
@@ -253,7 +259,7 @@ def fit_schema(
         new_frontier: list[int] = []
         for parent in frontier:
             for op in AGG_OPS:
-                candidate = _aggregate(g_train, nodes, index, columns[parent], op)
+                candidate = _aggregate(groups, columns[parent], op)
                 matrix = np.column_stack(columns)
                 rel = _relative_residual(candidate, matrix)
                 if rel <= prune_tolerance:
@@ -273,7 +279,7 @@ def fit_schema(
 
     schema.validate()
     values = np.column_stack(columns)
-    return schema, FeatureMatrix(nodes, schema.fingerprint(), values)
+    return schema, FeatureMatrix(adj.nodes, schema.fingerprint(), values)
 
 
 def apply_schema(
@@ -285,19 +291,19 @@ def apply_schema(
     downstream membership tracking can assign stable ids to new arrivals.
     """
     schema.validate()
-    nodes = g.nodes()
+    adj = g.adjacency()
     if registry is not None:
-        for v in nodes:
+        for v in adj.nodes:
             registry.get_or_add(v)
-    if not nodes:
+    if not adj.nodes:
         return FeatureMatrix([], schema.fingerprint(), np.zeros((0, len(schema))))
 
-    index = {v: i for i, v in enumerate(nodes)}
+    groups = _degree_groups(adj)
     columns: list[np.ndarray] = []
-    primaries = _primary_columns(g, nodes)
+    primaries = _primary_columns(adj)
     for f in schema.features:
         if f.depth == 0:
             columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
         else:
-            columns.append(_aggregate(g, nodes, index, columns[f.parent], f.op))
-    return FeatureMatrix(nodes, schema.fingerprint(), np.column_stack(columns))
+            columns.append(_aggregate(groups, columns[f.parent], f.op))
+    return FeatureMatrix(adj.nodes, schema.fingerprint(), np.column_stack(columns))

@@ -12,9 +12,33 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+from scipy.sparse import csr_array
+
 from artifact.ingest import AlertRecord, layer_for
 
 Vertex = tuple[str, str]  # (layer, value)
+
+
+class Adjacency(NamedTuple):
+    """Compressed sparse rows of a graph. Row i is `nodes[i]`, in sorted
+    order; its neighbors are `indices[indptr[i]:indptr[i + 1]]` in the order
+    they were first linked to it, with the edge weights alongside."""
+
+    nodes: list[Vertex]
+    indptr: np.ndarray   # int64, len(nodes) + 1
+    indices: np.ndarray  # int64, one entry per (vertex, neighbor) pair
+    weights: np.ndarray  # int64, aligned to indices
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def matrix(self, data: np.ndarray) -> csr_array:
+        """A sparse matrix with `data` as its entries. It gets its own copy
+        of `indices`, because scipy may sort them in place."""
+        n = len(self.nodes)
+        return csr_array((data, self.indices.copy(), self.indptr), shape=(n, n))
 
 
 class ArtifactGraph:
@@ -23,12 +47,14 @@ class ArtifactGraph:
     def __init__(self) -> None:
         self.layers: set[str] = set()
         self._adj: dict[Vertex, dict[Vertex, int]] = {}
+        self._csr: Adjacency | None = None
 
     def add_vertex(self, layer: str, value: str) -> Vertex:
         vertex = (layer, value)
         if vertex not in self._adj:
             self._adj[vertex] = {}
             self.layers.add(layer)
+            self._csr = None
         return vertex
 
     def add_cooccurrence(self, u: Vertex, v: Vertex, weight: int = 1) -> None:
@@ -39,6 +65,7 @@ class ArtifactGraph:
             raise KeyError("both endpoints must be added as vertices first")
         self._adj[u][v] = self._adj[u].get(v, 0) + weight
         self._adj[v][u] = self._adj[v].get(u, 0) + weight
+        self._csr = None
 
     # -- queries --------------------------------------------------------
 
@@ -75,6 +102,24 @@ class ArtifactGraph:
 
     def weighted_degree(self, vertex: Vertex) -> int:
         return sum(self._adj[vertex].values())
+
+    def adjacency(self) -> Adjacency:
+        """The graph as compressed sparse rows, built once until the graph
+        next changes."""
+        if self._csr is None:
+            nodes = self.nodes()
+            index = {v: i for i, v in enumerate(nodes)}
+            nbrs = [self._adj[v] for v in nodes]
+            indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+            np.cumsum([len(d) for d in nbrs], out=indptr[1:])
+            chain = itertools.chain.from_iterable
+            count = int(indptr[-1])
+            indices = np.fromiter((index[u] for u in chain(nbrs)),
+                                  dtype=np.int64, count=count)
+            weights = np.fromiter(chain(d.values() for d in nbrs),
+                                  dtype=np.int64, count=count)
+            self._csr = Adjacency(nodes, indptr, indices, weights)
+        return self._csr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArtifactGraph):

@@ -17,12 +17,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import nnls
+from scipy.sparse import diags_array
 
-from artifact.features import EmptyGraphError, FeatureMatrix
-from artifact.graph import ArtifactGraph, Vertex
+from artifact.features import (
+    PRIMARY_NAMES,
+    EmptyGraphError,
+    FeatureMatrix,
+    primary_features,
+)
+from artifact.graph import Adjacency, ArtifactGraph, Vertex
 
 logger = logging.getLogger(__name__)
 
@@ -355,12 +360,70 @@ class PropertyMatrix:
         return self.values[self.nodes.index(node)]
 
 
-def _to_networkx(g: ArtifactGraph) -> nx.Graph:
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.nodes())
-    for u, v, w in g.edges():
-        nxg.add_edge(u, v, weight=float(w))
-    return nxg
+# Sources per breadth-first pass of `_eccentricity_betweenness`; memory is
+# O(_BFS_BLOCK x nodes + edges).
+_BFS_BLOCK = 64
+
+
+def _pagerank(adj: Adjacency, alpha: float = 0.85, tol: float = 1e-8,
+              max_iter: int = 1000) -> np.ndarray:
+    """Weighted PageRank by power iteration, step for step as networkx's
+    `_pagerank_scipy` takes it: rows normalized to sum 1, the mass of nodes
+    without edges spread uniformly, stop once the L1 change is below N*tol."""
+    n = len(adj.nodes)
+    A = adj.matrix(adj.weights.astype(float))
+    S = A.sum(axis=1)
+    S[S != 0] = 1.0 / S[S != 0]
+    A = diags_array(S).tocsr() @ A
+    x = np.repeat(1.0 / n, n)
+    p = np.repeat(1.0 / n, n)
+    dangling = np.where(S == 0)[0]
+    for _ in range(max_iter):
+        xlast = x
+        x = alpha * (x @ A + sum(x[dangling]) * p) + (1 - alpha) * p
+        if np.absolute(x - xlast).sum() < n * tol:
+            return x
+    raise ArithmeticError(f"pagerank did not converge in {max_iter} iterations")
+
+
+def _eccentricity_betweenness(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """Eccentricity within each node's component and unnormalized shortest-path
+    betweenness, from level-synchronous breadth-first searches over blocks of
+    sources (Brandes' accumulation, one BFS level at a time)."""
+    n = len(adj.nodes)
+    A = adj.matrix(np.ones(len(adj.indices)))
+    eccentricity = np.zeros(n)
+    betweenness = np.zeros(n)
+    for start in range(0, n, _BFS_BLOCK):
+        sources = np.arange(start, min(start + _BFS_BLOCK, n))
+        cols = np.arange(len(sources))
+        # column c holds the search from sources[c]
+        dist = np.full((n, len(sources)), -1)
+        sigma = np.zeros((n, len(sources)))
+        dist[sources, cols] = 0
+        sigma[sources, cols] = 1.0
+        frontier = dist == 0
+        level = 0
+        while frontier.any():
+            paths = A @ np.where(frontier, sigma, 0.0)
+            frontier = (paths > 0) & (dist < 0)
+            level += 1
+            dist[frontier] = level
+            sigma[frontier] = paths[frontier]
+        eccentricity[sources] = dist.max(axis=0)
+        # from the deepest level back: delta(v) = sigma(v) * sum over the
+        # neighbors w one level further of (1 + delta(w)) / sigma(w)
+        delta = np.zeros_like(sigma)
+        for lv in range(level - 2, 0, -1):
+            ahead = dist == lv + 1
+            coeff = np.zeros_like(sigma)
+            coeff[ahead] = (1.0 + delta[ahead]) / sigma[ahead]
+            pulled = A @ coeff
+            at = dist == lv
+            delta[at] = sigma[at] * pulled[at]
+        betweenness += delta.sum(axis=1)
+    # each unordered pair is counted from both of its ends
+    return eccentricity, betweenness / 2.0
 
 
 def _layer_diversity(g: ArtifactGraph, v: Vertex) -> float:
@@ -380,29 +443,19 @@ def node_properties(g: ArtifactGraph) -> PropertyMatrix:
     """Interpretable properties, computed straight from the window graph."""
     if len(g) == 0:
         raise EmptyGraphError("cannot compute properties of an empty graph")
-    nodes = g.nodes()
-    nxg = _to_networkx(g)
-
-    pagerank = nx.pagerank(nxg, alpha=0.85, weight="weight", tol=1e-8,
-                           max_iter=1000)
-    clustering = nx.clustering(nxg)  # unweighted, matches the feature
-    betweenness = nx.betweenness_centrality(nxg, normalized=False)
-    eccentricity: dict[Vertex, int] = {}
-    for comp in nx.connected_components(nxg):
-        eccentricity.update(nx.eccentricity(nxg.subgraph(comp)))
-
-    values = np.zeros((len(nodes), len(PROPERTY_NAMES)))
-    for i, v in enumerate(nodes):
-        values[i] = (
-            nxg.degree(v),
-            g.weighted_degree(v),
-            pagerank[v],
-            clustering[v],
-            _layer_diversity(g, v),
-            eccentricity[v],
-            betweenness[v],
-        )
-    return PropertyMatrix(nodes, PROPERTY_NAMES, values)
+    adj = g.adjacency()
+    primaries = primary_features(g).values
+    eccentricity, betweenness = _eccentricity_betweenness(adj)
+    values = np.column_stack((
+        adj.degree,
+        primaries[:, PRIMARY_NAMES.index("weighted_degree")],
+        _pagerank(adj),
+        primaries[:, PRIMARY_NAMES.index("transitivity")],  # unweighted clustering
+        [_layer_diversity(g, v) for v in adj.nodes],
+        eccentricity,
+        betweenness,
+    ))
+    return PropertyMatrix(adj.nodes, PROPERTY_NAMES, values)
 
 
 @dataclass

@@ -2,7 +2,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from artifact.graph import ArtifactGraph
 from artifact.ingest import AlertRecord, write_jsonl
 from artifact.pipeline import PipelineConfig, train
 from artifact.scenario import default_scenario, generate_scenario
@@ -84,3 +86,30 @@ def make_random_records(seed: int, count: int, base_ts: float = 1_000_000.0) -> 
                 fields["src_ip"] = rng.choice(ips)
             records.append(AlertRecord("ossec", ts, fields))
     return records
+
+
+@st.composite
+def weighted_graphs(draw, hub_leaves=st.integers(min_value=129, max_value=150)):
+    """Random weighted graphs in shuffled insertion order: one to three
+    disjoint blocks of vertices, at least one isolated vertex, and a hub whose
+    leaves may also link into the first block. The default hub degree tops
+    128, numpy's pairwise-summation block."""
+    g = ArtifactGraph()
+    weight = st.integers(min_value=1, max_value=9)
+    links = []
+    for block, size in enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))):
+        pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), weight)
+        for i, j, w in draw(st.lists(pair, max_size=3 * size)):
+            if i != j:
+                links.append(((f"b{block}", str(i)), (f"b{block}", str(j)), w))
+    leaves = draw(hub_leaves)
+    for leaf in range(leaves):
+        links.append((("hub", "h"), ("leaf", str(leaf)), draw(weight)))
+        core = draw(st.none() | st.integers(0, 3))
+        if core is not None:
+            links.append((("leaf", str(leaf)), ("b0", str(core)), draw(weight)))
+    for u, v, w in draw(st.permutations(links)):
+        g.add_cooccurrence(g.add_vertex(*u), g.add_vertex(*v), w)
+    for lonely in range(draw(st.integers(1, 3))):
+        g.add_vertex("lonely", str(lonely))
+    return g

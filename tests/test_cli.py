@@ -3,10 +3,14 @@ bad input, and determinism of the rendered outputs. Heavy runs reuse the
 session stream; train/score here use shallow quick-model knobs since the CLI
 layer under test is the plumbing, not detection quality."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import artifact
 from conftest import SMALL_ORIGIN
 from artifact.cli import SCORE_HEADER, main
 from artifact.ingest import ParseStats, read_jsonl_file, write_jsonl
@@ -261,3 +265,13 @@ def test_unknown_command_rejected():
 def test_command_is_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_leaves_networkx_out():
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, artifact.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

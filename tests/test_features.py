@@ -3,6 +3,7 @@ test-local reference evaluator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.features import (
     AGG_OPS,
@@ -11,6 +12,7 @@ from artifact.features import (
     FeatureMatrix,
     FeatureSchema,
     PRIMARY_NAMES,
+    _relative_residual,
     apply_schema,
     fit_schema,
     primary_features,
@@ -18,7 +20,7 @@ from artifact.features import (
 from artifact.graph import ArtifactGraph, build_graph
 from artifact.ingest import AlertRecord
 
-from conftest import make_random_records
+from conftest import make_random_records, weighted_graphs
 
 
 def ring(n):
@@ -77,6 +79,98 @@ def ref_eval_schema(g, schema):
                     col[i] = sum(picks) / len(picks) if picks else 0.0
         cols[f.fid] = col
     return np.column_stack([cols[f.fid] for f in schema.features])
+
+
+# Per-node loops that the array kernels replaced. Their summation order is
+# the one the kernels must keep: every value has to match bit for bit.
+
+def loop_primary_columns(g, nodes):
+    cols = np.zeros((len(nodes), 4))
+    neighbor_sets = {v: set(g.neighbors(v)) for v in nodes}
+    for i, v in enumerate(nodes):
+        nbrs = neighbor_sets[v]
+        k = len(nbrs)
+        wdeg = g.weighted_degree(v)
+        inter = 0
+        for u in nbrs:
+            inter += sum(1 for w in neighbor_sets[u] if w in nbrs and w > u)
+        ego = nbrs | {v}
+        out = sum(1 for m in ego for w in neighbor_sets[m] if w not in ego)
+        trans = 2.0 * inter / (k * (k - 1)) if k >= 2 else 0.0
+        cols[i] = (wdeg, inter, out, trans)
+    return cols
+
+
+def loop_aggregate(g, nodes, index, column, op):
+    out = np.zeros(len(nodes))
+    for i, v in enumerate(nodes):
+        nbr_idx = [index[u] for u in g.neighbors(v)]
+        if not nbr_idx:
+            continue
+        total = float(column[nbr_idx].sum())
+        out[i] = total if op == "neighbor_sum" else total / len(nbr_idx)
+    return out
+
+
+def loop_fit(g, max_depth=3, prune_tolerance=0.01):
+    """fit_schema's growth and pruning over the loop evaluator."""
+    nodes = g.nodes()
+    index = {v: i for i, v in enumerate(nodes)}
+    schema = FeatureSchema(prune_tolerance=prune_tolerance, max_depth=max_depth)
+    primaries = loop_primary_columns(g, nodes)
+    columns = [primaries[:, j] for j in range(4)]
+    schema.features = [FeatureDef(j, 0, base=n) for j, n in enumerate(PRIMARY_NAMES)]
+    frontier = list(range(4))
+    for depth in range(1, max_depth + 1):
+        new_frontier = []
+        for parent in frontier:
+            for op in AGG_OPS:
+                candidate = loop_aggregate(g, nodes, index, columns[parent], op)
+                if _relative_residual(candidate, np.column_stack(columns)) <= prune_tolerance:
+                    continue
+                fid = len(schema.features)
+                schema.features.append(FeatureDef(fid, depth, op=op, parent=parent))
+                columns.append(candidate)
+                new_frontier.append(fid)
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return schema, np.column_stack(columns)
+
+
+def loop_apply(g, schema):
+    nodes = g.nodes()
+    index = {v: i for i, v in enumerate(nodes)}
+    primaries = loop_primary_columns(g, nodes)
+    columns = []
+    for f in schema.features:
+        if f.depth == 0:
+            columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
+        else:
+            columns.append(loop_aggregate(g, nodes, index, columns[f.parent], f.op))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(train=weighted_graphs(), fresh=weighted_graphs())
+def test_kernels_match_the_loops_bit_for_bit(train, fresh):
+    schema, fm = fit_schema(train)
+    ref_schema, ref_values = loop_fit(train)
+    assert schema.dumps() == ref_schema.dumps()
+    assert fm.nodes == train.nodes()
+    assert np.array_equal(fm.values, ref_values)
+    applied = apply_schema(fresh, schema)
+    assert applied.nodes == fresh.nodes()
+    assert np.array_equal(applied.values, loop_apply(fresh, schema))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=weighted_graphs(hub_leaves=st.integers(0, 3)))
+def test_kernels_match_the_loops_on_small_graphs(g):
+    schema, fm = fit_schema(g)
+    ref_schema, ref_values = loop_fit(g)
+    assert schema.dumps() == ref_schema.dumps()
+    assert np.array_equal(fm.values, ref_values)
 
 
 # --- primaries -----------------------------------------------------------

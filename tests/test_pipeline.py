@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_ORIGIN, SMALL_SIM, small_pipeline_config
+from artifact.cli import main
 from artifact.ingest import AlertRecord, ParseStats, read_jsonl_file, write_jsonl
 from artifact.pipeline import (
     PipelineConfig,
@@ -168,6 +169,26 @@ def test_load_bundle_rejects_missing_registry(small_trained, tmp_path):
     )
     with pytest.raises(PipelineError, match="corrupt model bundle"):
         load_bundle(copy)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("schema.txt", "artifact-feature-schema v1\n"),
+    ("registry.tsv", ""),
+])
+def test_truncated_bundle_file_is_a_corrupt_bundle(
+    small_streams, small_trained, tmp_path, capsys, name, text
+):
+    copy = corrupted_copy(
+        small_trained.bundle_dir, tmp_path, lambda c: (c / name).write_text(text)
+    )
+    with pytest.raises(PipelineError, match="corrupt model bundle"):
+        load_bundle(copy)
+    rc = main([
+        "score", "--jsonl", str(small_streams["full"]),
+        "--model", str(copy), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "error: corrupt model bundle" in capsys.readouterr().err
 
 
 # --- scoring ---------------------------------------------------------------------

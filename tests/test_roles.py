@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import weighted_graphs
 from artifact.features import EmptyGraphError, FeatureMatrix
 from artifact.graph import ArtifactGraph
 from artifact.roles import (
@@ -430,6 +432,42 @@ def test_disconnected_graph_gets_per_component_eccentricity():
     props = node_properties(g)
     assert props.row_for(a)[props.names.index("eccentricity")] == 1
     assert props.row_for(c)[props.names.index("eccentricity")] == 0
+
+
+def networkx_properties(g):
+    """degree, weighted_degree, pagerank, transitivity, eccentricity and
+    betweenness as networkx computes them."""
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.nodes())
+    for u, v, w in g.edges():
+        nxg.add_edge(u, v, weight=float(w))
+    pagerank = nx.pagerank(nxg, alpha=0.85, weight="weight", tol=1e-8, max_iter=1000)
+    clustering = nx.clustering(nxg)
+    betweenness = nx.betweenness_centrality(nxg, normalized=False)
+    eccentricity = {}
+    for comp in nx.connected_components(nxg):
+        eccentricity.update(nx.eccentricity(nxg.subgraph(comp)))
+    return {
+        "degree": [nxg.degree(v) for v in g.nodes()],
+        "weighted_degree": [nxg.degree(v, weight="weight") for v in g.nodes()],
+        "pagerank": [pagerank[v] for v in g.nodes()],
+        "transitivity": [clustering[v] for v in g.nodes()],
+        "eccentricity": [eccentricity[v] for v in g.nodes()],
+        "betweenness": [betweenness[v] for v in g.nodes()],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=weighted_graphs(hub_leaves=st.integers(0, 140)))
+def test_properties_match_networkx(g):
+    props = node_properties(g)
+    expected = networkx_properties(g)
+    assert props.nodes == g.nodes()
+    for name in ("degree", "weighted_degree", "pagerank", "transitivity", "eccentricity"):
+        assert np.array_equal(props.column(name), np.asarray(expected[name], dtype=float)), name
+    assert np.allclose(props.column("betweenness"), expected["betweenness"],
+                       rtol=1e-12, atol=0)
 
 
 # --- role descriptions ----------------------------------------------------------------
