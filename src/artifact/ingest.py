@@ -24,13 +24,14 @@ Three input formats are supported:
 
 from __future__ import annotations
 
+import calendar
 import json
 import logging
 import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -75,6 +76,7 @@ class ParseStats:
     lines: int = 0
     parsed: int = 0
     skipped: int = 0
+    training_span: int = 0  # read with a cutoff: valid timestamps before it
     dropped_before_origin: int = 0
     unresolved_hostnames: int = 0
     hostname_collisions: int = 0
@@ -221,7 +223,8 @@ class WindowSpec:
 # Each format splits its parse in two: a scan per line (or block) that yields
 # the timestamp and a raw key of the kept field values, and a key builder
 # that checks the raw key and turns it into (source, fields). The file
-# readers run the builder once per distinct raw key.
+# readers run the builder once per distinct raw key. A scan reads the
+# timestamp first, so that a reader given a cutoff can stop there.
 
 _SNORT_TS_RE = re.compile(
     r"^(\d{2})/(\d{2})(?:/(\d{2,4}))?-(\d{2}):(\d{2}):(\d{2})\.(\d{1,6})"
@@ -232,33 +235,80 @@ _SNORT_ADDR_RE = re.compile(
 )
 
 
-def _scan_snort(line: str, year: int) -> tuple[float, tuple[str, str, str]]:
-    line = line.strip()
-    ts_match = _SNORT_TS_RE.match(line)
-    if not ts_match:
-        raise MalformedLineError("no leading timestamp")
-    month, day, line_year, hh, mm, ss, frac = ts_match.groups()
-    if line_year is not None:
-        year = int(line_year)
-        if year < 100:
-            year += 2000
-    micros = int(frac.ljust(6, "0"))
-    try:
-        moment = datetime(
-            year, int(month), int(day), int(hh), int(mm), int(ss), micros,
-            tzinfo=timezone.utc,
-        )
-    except ValueError as exc:
-        raise MalformedLineError(f"invalid datetime: {exc}") from exc
+# The ASCII characters that a "src -> dst" match can hold before its arrow:
+# the digits, dots and port colons of [\d.:\s], and the ASCII that \s takes.
+_ADDR_RUN = "".join(c for c in map(chr, range(128)) if re.fullmatch(r"[\d.:\s]", c))
 
-    rest = line[ts_match.end():]
-    sig_match = _SNORT_SIG_RE.search(rest)
-    if not sig_match:
-        raise MalformedLineError("no [gid:sid:rev] signature triple")
-    addr_match = _SNORT_ADDR_RE.search(rest, sig_match.end())
-    if not addr_match:
-        raise MalformedLineError("no 'src -> dst' IP pair")
-    return moment.timestamp(), (sig_match.group(2), addr_match.group(1), addr_match.group(2))
+
+def _utc_day_start(year: int, month: int, day: int) -> int | None:
+    """Epoch second of 00:00 UTC on a date; None when the date does not exist."""
+    try:
+        datetime(year, month, day)
+    except (ValueError, OverflowError):
+        return None
+    return calendar.timegm((year, month, day, 0, 0, 0))
+
+
+def _snort_scanner(
+    year: int, cutoff: float | None = None
+) -> Callable[[str], tuple[float, tuple[str, str, str] | None]]:
+    """A scanner of one file's Snort fast lines: each line's timestamp and
+    raw key, with None for the key of a line before `cutoff`.
+
+    The timestamp comes first and without a datetime per line: each date is
+    checked once, and the time of day is added to its midnight in whole
+    microseconds, which is the arithmetic of `datetime.timestamp()`. A line
+    before `cutoff` is not searched for its signature or addresses.
+    """
+    days: dict[tuple[str, str, str | None], int | None] = {}
+    limit = -math.inf if cutoff is None else cutoff
+
+    def scan(line: str) -> tuple[float, tuple[str, str, str] | None]:
+        line = line.strip()
+        ts_match = _SNORT_TS_RE.match(line)
+        if not ts_match:
+            raise MalformedLineError("no leading timestamp")
+        month, day, line_year, hh, mm, ss, frac = ts_match.groups()
+        try:
+            midnight = days[month, day, line_year]
+        except KeyError:
+            y = year
+            if line_year is not None:
+                y = int(line_year)
+                if y < 100:
+                    y += 2000
+            midnight = days[month, day, line_year] = _utc_day_start(y, int(month), int(day))
+        if midnight is None:
+            raise MalformedLineError("invalid date")
+        h, m, s = int(hh), int(mm), int(ss)
+        if h > 23 or m > 59 or s > 59:
+            raise MalformedLineError("invalid time of day")
+        micros = int(frac.ljust(6, "0"))
+        ts = ((midnight + h * 3600 + m * 60 + s) * 1_000_000 + micros) / 1_000_000
+        if not valid_timestamp(ts):
+            raise MalformedLineError(f"timestamp {ts!r} is not a positive epoch")
+        if ts < limit:
+            return ts, None
+
+        sig_match = _SNORT_SIG_RE.search(line, ts_match.end())
+        if not sig_match:
+            raise MalformedLineError("no [gid:sid:rev] signature triple")
+        # A match holds only [\d.:\s] before its arrow, so none starts before
+        # the run of those that ends at the first arrow. A non-ASCII digit or
+        # space can lengthen the run; then the search starts at the signature.
+        sig_end = sig_match.end()
+        arrow = line.find("->", sig_end)
+        if arrow < 0:
+            raise MalformedLineError("no 'src -> dst' IP pair")
+        start = sig_end + len(line[sig_end:arrow].rstrip(_ADDR_RUN))
+        if start > sig_end and not line[start - 1].isascii():
+            start = sig_end
+        addr_match = _SNORT_ADDR_RE.search(line, start)
+        if not addr_match:
+            raise MalformedLineError("no 'src -> dst' IP pair")
+        return ts, (sig_match.group(2), addr_match.group(1), addr_match.group(2))
+
+    return scan
 
 
 def _snort_key(raw: tuple[str, str, str]) -> tuple[str, dict[str, str]]:
@@ -275,9 +325,10 @@ def parse_snort_fast(line: str, year: int) -> AlertRecord:
     embedded in the line (MM/DD/YY- variant) takes precedence.
 
     Raises MalformedLineError when the timestamp, the [gid:sid:rev] triple or
-    the "src -> dst" IP pair cannot be found.
+    the "src -> dst" IP pair cannot be found, or when the timestamp is not a
+    valid date and time after the epoch.
     """
-    ts, raw = _scan_snort(line, year)
+    ts, raw = _snort_scanner(year)(line)
     source, fields = _snort_key(raw)
     return AlertRecord(source, ts, fields)
 
@@ -354,6 +405,26 @@ def _ossec_key(raw: OssecKey) -> tuple[str, dict[str, str]]:
     return OSSEC, fields
 
 
+def _ossec_scanner(
+    cutoff: float | None = None,
+) -> Callable[[list[str]], tuple[float, OssecKey | None]]:
+    """A scanner of OSSEC blocks: `_scan_ossec`, except that a block whose
+    first line holds a valid epoch before `cutoff` is read no further and
+    gets None for its raw key."""
+    if cutoff is None:
+        return _scan_ossec
+
+    def scan(block: list[str]) -> tuple[float, OssecKey | None]:
+        head = _OSSEC_HEAD_RE.match(block[0])
+        if head:
+            epoch = float(head.group(1))
+            if valid_timestamp(epoch) and epoch < cutoff:
+                return epoch, None
+        return _scan_ossec(block)
+
+    return scan
+
+
 def parse_ossec_block(block: str) -> AlertRecord:
     """Parse one OSSEC alerts.log entry (header line through blank line).
 
@@ -416,6 +487,58 @@ def _jsonl_key(raw: JsonlKey) -> tuple[str, dict[str, str]]:
     fields = {key.strip().lower(): value for key, value in zip(raw[1:n + 1], raw[n + 1:])}
     check_fields(fields)
     return source, fields
+
+
+# The start of a line as `write_jsonl` writes it: the source, a string
+# without escapes, then the timestamp as a JSON number token. ASCII digits
+# only, as json.loads takes them.
+_JSONL_HEAD_RE = re.compile(
+    r'\{"source":"[^"\\]*","ts":(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?),"fields":',
+    re.ASCII,
+)
+
+
+def _is_kept_ts(line: str, start: int, stop: int) -> bool:
+    """Whether json.loads keeps the number token at line[start:stop] as the
+    record's "ts". Two other numbers put in its place must both come back,
+    which rules out a later "ts" key of the same object."""
+    return all(
+        json.loads(line[:start] + token + line[stop:])["ts"] == float(token)
+        for token in ("0.5", "0.25")
+    )
+
+
+def _jsonl_scanner() -> Callable[[str], tuple[float, JsonlKey]]:
+    """A scanner of one file's JSONL lines: each line's timestamp and raw key.
+
+    A line of the `write_jsonl` shape is cut in two: its "ts" number token,
+    and the rest of the line. The raw key of each distinct rest is decoded
+    once, by `_scan_jsonl` on a whole line, and kept when the token is the
+    "ts" json.loads keeps; later lines with that rest only convert their
+    token: `float(token)` equals `float()` of the int or float json.loads
+    makes of it, and is infinite where that int would overflow or pass the
+    digit limit. Every other line, and a rest not yet known, takes
+    `_scan_jsonl`.
+    """
+    known: dict[str, JsonlKey] = {}
+
+    def scan(line: str) -> tuple[float, JsonlKey]:
+        head = _JSONL_HEAD_RE.match(line)
+        if head is not None:
+            start, stop = head.span(1)
+            rest = line[:start] + line[stop:]
+            raw = known.get(rest)
+            if raw is not None:
+                ts = float(head.group(1))
+                if not valid_timestamp(ts):
+                    raise ValueError(f"timestamp {ts!r} is not a positive finite epoch")
+                return ts, raw
+        ts, raw = _scan_jsonl(line)
+        if head is not None and _is_kept_ts(line, start, stop):
+            known[rest] = raw
+        return ts, raw
+
+    return scan
 
 
 def parse_jsonl_record(line: str) -> AlertRecord:
@@ -497,19 +620,26 @@ def _read_into(
     errors: tuple[type[Exception], ...],
     stats: ParseStats,
     what: str,
+    cutoff: float | None,
 ) -> None:
     """Scan each item into (timestamp, raw key) and append it to `alerts`,
     counting it as parsed or skipped. `build` checks a raw key and makes its
-    (source, fields); it runs once per distinct raw key of the file."""
+    (source, fields); it runs once per distinct raw key of the file. An item
+    before `cutoff` is counted in `training_span`; its scanner may stop at
+    the timestamp and give None for the raw key."""
+    limit = -math.inf if cutoff is None else cutoff
     key_ids: dict = {}
     add_time, add_id = alerts.times.append, alerts.ids.append
     before = len(alerts)
-    count = 0
+    count = training = 0
     for count, item in enumerate(items, 1):
         try:
             ts, raw = scan(item)
         except errors as exc:
             logger.debug("skipping %s (%s): %r", what, exc, str(item)[:120])
+            continue
+        if raw is None or ts < limit:
+            training += 1
             continue
         kid = key_ids.get(raw)
         if kid is None:
@@ -525,43 +655,60 @@ def _read_into(
     parsed = len(alerts) - before
     stats.lines += count
     stats.parsed += parsed
-    stats.skipped += count - parsed
+    stats.training_span += training
+    stats.skipped += count - parsed - training
 
 
 def read_snort_file(
-    path: str | Path, year: int, stats: ParseStats, alerts: KeyedAlerts | None = None
+    path: str | Path,
+    year: int,
+    stats: ParseStats,
+    alerts: KeyedAlerts | None = None,
+    *,
+    cutoff: float | None = None,
 ) -> KeyedAlerts:
     """Append the alerts of a Snort fast log to `alerts` (a new table when
-    None) and return the table. Blank lines are not counted."""
+    None) and return the table. Blank lines are not counted. A line with a
+    valid timestamp before `cutoff` is counted in `stats.training_span` and
+    read no further; so are the lines and blocks of the readers below."""
     alerts = KeyedAlerts() if alerts is None else alerts
     with _open_text(path) as fp:
-        _read_into(alerts, filter(str.strip, fp), lambda line: _scan_snort(line, year),
-                   _snort_key, (MalformedLineError,), stats, "snort line")
+        _read_into(alerts, filter(str.strip, fp), _snort_scanner(year, cutoff),
+                   _snort_key, (MalformedLineError,), stats, "snort line", cutoff)
     return alerts
 
 
 def read_ossec_file(
-    path: str | Path, stats: ParseStats, alerts: KeyedAlerts | None = None
+    path: str | Path,
+    stats: ParseStats,
+    alerts: KeyedAlerts | None = None,
+    *,
+    cutoff: float | None = None,
 ) -> KeyedAlerts:
     """Append the alerts of an OSSEC alerts.log to `alerts`; one block is
     one counted line."""
     alerts = KeyedAlerts() if alerts is None else alerts
     with _open_text(path) as fp:
-        _read_into(alerts, _ossec_blocks(fp), _scan_ossec, _ossec_key,
-                   (MalformedBlockError,), stats, "ossec block")
+        _read_into(alerts, _ossec_blocks(fp), _ossec_scanner(cutoff), _ossec_key,
+                   (MalformedBlockError,), stats, "ossec block", cutoff)
     return alerts
 
 
 def read_jsonl_file(
-    path: str | Path, stats: ParseStats, alerts: KeyedAlerts | None = None
+    path: str | Path,
+    stats: ParseStats,
+    alerts: KeyedAlerts | None = None,
+    *,
+    cutoff: float | None = None,
 ) -> KeyedAlerts:
     """Append the alerts of a JSONL file to `alerts`. A line that is not a
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
     alerts = KeyedAlerts() if alerts is None else alerts
     with _open_text(path) as fp:
-        _read_into(alerts, filter(str.strip, fp), _scan_jsonl, _jsonl_key,
-                   (ValueError, KeyError, TypeError, OverflowError), stats, "jsonl line")
+        _read_into(alerts, filter(str.strip, fp), _jsonl_scanner(), _jsonl_key,
+                   (ValueError, KeyError, TypeError, OverflowError), stats, "jsonl line",
+                   cutoff)
     return alerts
 
 

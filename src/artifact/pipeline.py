@@ -230,11 +230,15 @@ class Alerts:
         ]
 
 
-def read_alerts(cfg: PipelineConfig) -> tuple[Alerts, ParseStats]:
+def read_alerts(
+    cfg: PipelineConfig, cutoff: float | None = None
+) -> tuple[Alerts, ParseStats]:
     """Read every configured input file in one pass each, normalize each
     distinct alert key once, filter by source and sort by time.
 
     The sort is stable, so alerts with equal timestamps keep file order.
+    With a `cutoff`, alerts before it are only counted, in
+    `ParseStats.training_span`.
     """
     cfg.validate()
     stats = ParseStats()
@@ -242,11 +246,11 @@ def read_alerts(cfg: PipelineConfig) -> tuple[Alerts, ParseStats]:
     raw = KeyedAlerts()
     for fmt, path in cfg.input_paths():
         if fmt == "snort":
-            read_snort_file(path, cfg.snort_year, stats, raw)
+            read_snort_file(path, cfg.snort_year, stats, raw, cutoff=cutoff)
         elif fmt == "ossec":
-            read_ossec_file(path, stats, raw)
+            read_ossec_file(path, stats, raw, cutoff=cutoff)
         else:
-            read_jsonl_file(path, stats, raw)
+            read_jsonl_file(path, stats, raw, cutoff=cutoff)
         logger.info("read %s (%s): %d records so far", path, fmt, len(raw))
 
     raw_ids = np.frombuffer(raw.ids, dtype=np.int64)
@@ -495,17 +499,17 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     after the training cutoff yields a header-only CSV.
     """
     model, schema, registry, meta = load_bundle(bundle_dir)
-    alerts, stats = read_alerts(cfg)
     spec = WindowSpec(
         origin=float(meta["origin"]),
         length=float(meta["window_length"]),
         training_cutoff=float(meta["training_cutoff"]),
     )
-    first = alerts.before(spec.training_cutoff)
+    alerts, stats = read_alerts(cfg, cutoff=spec.training_cutoff)
     logger.info(
-        "scoring %d post-training records (%d dropped as training-span)",
-        len(alerts) - first, first,
+        "read %d lines: %d parsed, %d skipped, %d in the training span",
+        stats.lines, stats.parsed, stats.skipped, stats.training_span,
     )
+    logger.info("scoring %d post-training records", len(alerts))
 
     series = MembershipSeries(registry)
     alert_counts: dict[int, int] = {}

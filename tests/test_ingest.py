@@ -58,6 +58,8 @@ def ref_parse_snort(line: str, year: int):
         )
     except ValueError:
         return None
+    if moment.timestamp() <= 0:  # at or before the epoch
+        return None
 
     sig = None
     for tok in tokens:

@@ -277,6 +277,76 @@ def test_empty_post_training_input_yields_header_only_csv(
     assert result.csv_path.read_text().splitlines()[1:] == []
 
 
+# Inputs of each format whose training span (2021-03-01 and 02) holds valid,
+# malformed and pre-origin alerts; two Snort lines and an OSSEC block fall
+# after it.
+CUTOFF_SNORT = """\
+02/28-23:00:00.0 [**] [1:7:1] pre-origin [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/01-01:00:00.0 [**] [1:7:1] valid [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/01-24:00:00.0 [**] [1:7:1] hour 24 [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+02/30-01:00:00.0 [**] [1:7:1] no such day [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/01-02:00:00.0 [**] no signature [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/02-02:00:00.0 [**] [1:7:1] no arrow [**] {TCP} 10.0.0.1:1
+03/02-03:00:00.0 [**] [1:7:1] bad address [**] {TCP} 999.0.0.1:1 -> 10.0.0.2:2
+01/01/1969-00:00:01.0 [**] [1:7:1] before the epoch [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/04-09:00:00.0 [**] [1:7:1] scored [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2
+03/05-09:00:00.0 [**] [1:8:1] scored [**] {TCP} 10.0.0.3:1 -> 10.0.0.2:2
+"""
+CUTOFF_OSSEC_BLOCK = """\
+** Alert {epoch}.1: - syslog,
+2021 Mar 01 00:00:00 (web1) 10.0.0.5->/var/log/secure
+{rule}Src IP: 10.0.0.9
+"""
+
+
+def test_score_reads_the_same_with_and_without_its_cutoff(
+    small_streams, small_trained, tmp_path, monkeypatch
+):
+    """`score` stops reading a line at a timestamp before the bundle's
+    training cutoff. Its outputs must be those of a read of every line."""
+    snort = tmp_path / "alert"
+    snort.write_text(CUTOFF_SNORT)
+    ossec = tmp_path / "alerts.log"
+    ossec.write_text("\n".join(
+        CUTOFF_OSSEC_BLOCK.format(epoch=int(SMALL_ORIGIN + offset), rule=rule)
+        for offset, rule in [(-60, "Rule: 5503 (level 5)\n"), (60, "Rule: 5503 (level 5)\n"),
+                             (120, ""), (3 * 86400 + 60, "Rule: 5715 (level 3)\n")]
+    ))
+    jsonl = tmp_path / "alerts.jsonl"
+    jsonl.write_text(small_streams["full"].read_text() + "".join(
+        json.dumps({"source": "snort", "ts": SMALL_ORIGIN + offset, "fields": fields}) + "\n"
+        for offset, fields in [(-3600, {"sig_id": "1"}), (60, {}), (60, {"sig_id": ""}),
+                               (60, "x"), (0, {"sig_id": "2"})]
+    ) + "not json\n")
+    cfg = small_pipeline_config(
+        small_streams, tmp_path, jsonl_paths=[jsonl], snort_paths=[snort],
+        ossec_paths=[ossec], snort_year=2021,
+    )
+
+    import artifact.pipeline
+
+    read_alerts = artifact.pipeline.read_alerts
+    seen = []
+
+    def recording(cfg, cutoff=None):
+        alerts, stats = read_alerts(cfg, cutoff=cutoff)
+        seen.append(stats)
+        return alerts, stats
+
+    monkeypatch.setattr(artifact.pipeline, "read_alerts", recording)
+    cut = score(cfg, small_trained.bundle_dir)
+    outputs = cut.csv_path.read_bytes(), cut.json_path.read_bytes()
+    monkeypatch.setattr(artifact.pipeline, "read_alerts", lambda cfg, cutoff=None: recording(cfg))
+    full = score(cfg, small_trained.bundle_dir)
+    assert (full.csv_path.read_bytes(), full.json_path.read_bytes()) == outputs
+
+    with_cutoff, without = seen
+    assert with_cutoff.lines == without.lines
+    assert with_cutoff.training_span > 0 and without.training_span == 0
+    # The malformed lines before the cutoff are training-span lines now.
+    assert with_cutoff.skipped < without.skipped
+
+
 # --- record loading ----------------------------------------------------------------
 
 

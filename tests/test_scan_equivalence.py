@@ -1,0 +1,441 @@
+"""The timestamp-first readers against the per-line scanners they replaced.
+
+`read_jsonl_file` decodes each distinct record once, `read_snort_file`
+computes timestamps without a datetime per line and starts its address
+search at the arrow, and every reader stops at the timestamp of a line
+before a cutoff. The references below are the readers as they were:
+`_scan_jsonl` on every JSONL line, and a datetime and an unanchored address
+search on every Snort line. Without a cutoff the readers must give the same
+timestamps, key ids, keys and `ParseStats` as the references. The one
+intended difference: a Snort line at or before the epoch is skipped, as
+JSONL and OSSEC already skip one. With a cutoff they must keep exactly the
+reference's alerts at or after it, and count every other line.
+"""
+
+import json
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from artifact.ingest import (
+    KeyedAlerts,
+    MalformedBlockError,
+    MalformedLineError,
+    ParseStats,
+    _SNORT_ADDR_RE,
+    _SNORT_SIG_RE,
+    _SNORT_TS_RE,
+    _jsonl_key,
+    _ossec_blocks,
+    _ossec_key,
+    _scan_jsonl,
+    _scan_ossec,
+    _snort_key,
+    read_jsonl_file,
+    read_ossec_file,
+    read_snort_file,
+)
+
+T0 = 1614556800.0  # 2021-03-01T00:00:00Z
+CUTOFFS = st.sampled_from([None, T0, T0 + 0.5, T0 + 1.5, T0 + 3600.0, 1e9, 3e11])
+
+
+# --- references: the scanners as they were -------------------------------------
+
+def reference_scan_snort(line, year):
+    line = line.strip()
+    ts_match = _SNORT_TS_RE.match(line)
+    if not ts_match:
+        raise MalformedLineError("no leading timestamp")
+    month, day, line_year, hh, mm, ss, frac = ts_match.groups()
+    if line_year is not None:
+        year = int(line_year)
+        if year < 100:
+            year += 2000
+    micros = int(frac.ljust(6, "0"))
+    try:
+        moment = datetime(
+            year, int(month), int(day), int(hh), int(mm), int(ss), micros,
+            tzinfo=timezone.utc,
+        )
+    except ValueError as exc:
+        raise MalformedLineError(f"invalid datetime: {exc}") from exc
+
+    rest = line[ts_match.end():]
+    sig_match = _SNORT_SIG_RE.search(rest)
+    if not sig_match:
+        raise MalformedLineError("no [gid:sid:rev] signature triple")
+    addr_match = _SNORT_ADDR_RE.search(rest, sig_match.end())
+    if not addr_match:
+        raise MalformedLineError("no 'src -> dst' IP pair")
+    ts = moment.timestamp()
+    # The one change: the epoch and earlier are no longer read.
+    if ts <= 0:
+        raise MalformedLineError("timestamp at or before the epoch")
+    return ts, (sig_match.group(2), addr_match.group(1), addr_match.group(2))
+
+
+def reference_read(items, scan, build, errors):
+    """The per-item reader loop: every item scanned in full, each distinct
+    raw key built once."""
+    alerts, stats, kids = KeyedAlerts(), ParseStats(), {}
+    for item in items:
+        stats.lines += 1
+        try:
+            ts, raw = scan(item)
+        except errors:
+            stats.skipped += 1
+            continue
+        if raw not in kids:
+            try:
+                kids[raw] = alerts.key_id(*build(raw))
+            except errors:
+                kids[raw] = None
+        if kids[raw] is None:
+            stats.skipped += 1
+        else:
+            stats.parsed += 1
+            alerts.times.append(ts)
+            alerts.ids.append(kids[raw])
+    return alerts, stats
+
+
+JSONL_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+YEAR = 2021
+
+
+def read_both(fmt, path, cutoff, year=YEAR):
+    """(reader's alerts, its stats, reference alerts, reference stats)."""
+    stats = ParseStats()
+    with open(path, encoding="utf-8", errors="replace") as fp:
+        if fmt == "snort":
+            got = read_snort_file(path, year, stats, cutoff=cutoff)
+            want = reference_read(filter(str.strip, fp), lambda l: reference_scan_snort(l, year),
+                                  _snort_key, (MalformedLineError,))
+        elif fmt == "ossec":
+            got = read_ossec_file(path, stats, cutoff=cutoff)
+            want = reference_read(_ossec_blocks(fp), _scan_ossec, _ossec_key,
+                                  (MalformedBlockError,))
+        else:
+            got = read_jsonl_file(path, stats, cutoff=cutoff)
+            want = reference_read(filter(str.strip, fp), _scan_jsonl, _jsonl_key, JSONL_ERRORS)
+    return got, stats, *want
+
+
+def assert_reads_like_reference(fmt, path, cutoff, year=YEAR):
+    """Read `path` both ways and compare; return the reader's stats."""
+    got, stats, want, want_stats = read_both(fmt, path, cutoff, year)
+    assert stats.lines == stats.parsed + stats.skipped + stats.training_span
+    if cutoff is None:
+        assert got.times.tobytes() == want.times.tobytes()
+        assert list(got.ids) == list(want.ids)
+        assert got.keys == want.keys
+        assert stats == want_stats
+        return stats
+    kept = [r for r in want.records() if r.timestamp >= cutoff]
+    assert got.records() == kept
+    assert stats.lines == want_stats.lines
+    assert stats.parsed == len(kept)
+    # Every alert the reference read before the cutoff is a training-span line.
+    assert stats.training_span >= want_stats.parsed - len(kept)
+    return stats
+
+
+def write_lines(root, name, lines, final_newline=True):
+    path = Path(root) / name
+    path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+    return path
+
+
+# Each drawn line is a valid line with at most two of its parts replaced by
+# an odd one, so that every odd part also meets lines that parse.
+
+def odd_parts(odd):
+    """Lists of up to two (part, value) replacements."""
+    return st.lists(st.sampled_from([(part, v) for part, values in odd.items() for v in values]),
+                    max_size=2)
+
+
+# --- JSONL ------------------------------------------------------------------------
+
+TS_TOKENS = st.sampled_from(["1614556800", "1614556800.5", "1614556801.25", "1614560400"]) | \
+    st.sampled_from([
+        "1.6145568e9", "16145568E+2", "1614556800.0e0", "-0", "0", "0.0", "-5", "1e999",
+        "-1e999", "1e-999", "9" * 400, "1" + "0" * 5000, "253402300800", "253402300799.5",
+        "NaN", "Infinity", '"1614556800"', "null", "true", "[1614556800]", "01", "1.", ".5",
+        "+1", "1_0",
+        "1\u0666\u0661\u0664\u0665\u0665\u0666\u0668\u0660\u0660",  # json takes ASCII digits
+    ])
+JSONL_VALID = {
+    "pad": "",
+    "source": "snort",
+    "fields": {"sig_id": "1", "src_ip": "10.0.0.1"},
+    "order": ("source", "ts", "fields"),
+    "seps": (",", ":"),
+    "extra": "",
+}
+JSONL_ODD = {
+    "pad": [" ", "\t"],
+    "source": ["ossec", "bro", " Snort", "", 'sn"ort', "sn\u00f6rt", 7],
+    "fields": [{"ts": "1"}, {"TS": "1", "sig_id": 2}, {"sig_id": ',"ts":1614556800'},
+               {"sig_id": '"ts":5'}, {"sig_id": {"ts": 5}}, {"sig_id": 1.0}, {"sig_id": True},
+               {"sig_id": None}, {"sig_id": ""}, {}, [], "x", None, {"x\\y": "1"}],
+    "order": [("ts", "source", "fields"), ("source", "fields", "ts"), ("fields", "ts", "source")],
+    "seps": [(", ", ": "), (",", " :")],
+    # A second top-level "ts" wins in json.loads.
+    "extra": [',"ts":1614556900', ',"ts":"x"', ',"other":1', ',"ts":1614556800', ',"ts":0.5'],
+}
+
+
+def jsonl_line(odd, token):
+    t = {**JSONL_VALID, **dict(odd)}
+    parts = {"source": json.dumps(t["source"]), "ts": token, "fields": json.dumps(t["fields"])}
+    item_sep, key_sep = t["seps"]
+    body = item_sep.join(f'"{key}"{key_sep}{parts[key]}' for key in t["order"])
+    return t["pad"] + "{" + body + t["extra"] + "}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    templates=st.lists(odd_parts(JSONL_ODD), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), TS_TOKENS), max_size=40),
+    junk=st.lists(st.sampled_from(["not json", "{", "[]", '{"source":"snort"'])),
+    final_newline=st.booleans(),
+    cutoff=CUTOFFS,
+)
+def test_jsonl_reader_matches_per_line_decoding(templates, picks, junk, final_newline, cutoff):
+    lines = [jsonl_line(templates[i % len(templates)], token) for i, token in picks] + junk
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "a.jsonl", [l.encode() for l in lines], final_newline)
+        assert_reads_like_reference("jsonl", path, cutoff)
+
+
+def test_jsonl_duplicate_ts_is_never_cut_out(tmp_path):
+    """Three lines share everything but their first "ts" token. The later
+    "ts" key is the one json.loads keeps, every time."""
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(
+        '{"source":"snort","ts":%s,"fields":{"sig_id":"1"},"ts":1614556900}\n' % token
+        for token in ("1614556800.5", "1614556801", "1614556999")
+    ))
+    stats = ParseStats()
+    alerts = read_jsonl_file(path, stats)
+    assert list(alerts.times) == [1614556900.0] * 3
+    assert stats.parsed == 3
+    assert_reads_like_reference("jsonl", path, None)
+    assert_reads_like_reference("jsonl", path, 1614556850.0)
+
+
+def test_jsonl_known_rest_skips_what_json_would_skip(tmp_path):
+    """After a first line makes the rest known, a token json.loads rejects,
+    or whose value is no valid timestamp, still makes a skip."""
+    tokens = ["1614556800", "1\u0666\u0661\u0664\u0665\u0665\u0666\u0668\u0660\u0660",
+              "1" + "0" * 5000, "9" * 400, "1e999", "1e-999", "-0", "0", "01", "1.", "-5"]
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(
+        '{"source":"snort","ts":%s,"fields":{"sig_id":"1"}}\n' % token for token in tokens
+    ))
+    stats = assert_reads_like_reference("jsonl", path, None)
+    assert (stats.parsed, stats.skipped) == (1, len(tokens) - 1)
+
+
+# --- Snort fast ------------------------------------------------------------------
+
+SNORT_VALID = {
+    "pad": "", "date": "03/01", "time": "00:00:01", "frac": "5", "sig": "[1:215:3]",
+    "msg": "MSG", "addr": "10.0.0.1:4444 -> 10.0.0.2:80",
+}
+SNORT_ODD = {
+    "pad": [" ", "\t"],
+    "date": ["11/30", "02/28", "02/29", "02/30", "13/01", "00/10", "12/31", "01/01",
+             "01/01/1969", "01/01/1970", "12/31/1969", "03/01/21", "03/01/0000", "03/01/021",
+             "02/29/2024", "02/29/2023", "12/31/9999", "\u0660\u0663/01"],
+    "time": ["00:00:00", "23:59:59", "24:00:00", "12:60:00", "12:00:60", "08:15:42"],
+    "frac": ["0", "000000", "999999", "123456", "1234567"],
+    "sig": ["[129:12:1]", "[1:2:3] [1:4:5]", "no triple", "[1:x:3]"],
+    "msg": ["scan 10.0.0.9 -> 10.0.0.8 probe", "v1.2.3 ->", "a -> b", "9:9 ->", "",
+            "\u0661.\u0662.\u0663.\u0664 x", "10.0.0.1:1 ->", "7 1.2.3.4"],
+    "addr": ["10.0.0.1 -> 10.0.0.2", "10.0.0.1\t->\t10.0.0.2", "10.0.0.1->10.0.0.2:1",
+             "999.0.0.1 -> 10.0.0.2", "10.0.0.1:4444", "10.0.0.1 -> 10.0.0.2 -> 10.0.0.3",
+             "1.2.3.4:5 - > 6.7.8.9", "10.0.0.1\u2003-> 10.0.0.2", "10.0.0.1 \u2003 -> 10.0.0.2",
+             "\u0661\u0660.0.0.1 -> 10.0.0.2", "10.0.0.1:123456 -> 10.0.0.2",
+             " 10.0.0.1 :80 -> 10.0.0.2", "1.2.3.4:5\x1c->\x1f6.7.8.9"],
+}
+
+
+def snort_line(odd):
+    p = {**SNORT_VALID, **dict(odd)}
+    return (f"{p['pad']}{p['date']}-{p['time']}.{p['frac']} [**] {p['sig']} {p['msg']} [**] "
+            f"[Priority: 2] {{TCP}} {p['addr']}")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    lines=st.lists(odd_parts(SNORT_ODD).map(snort_line) | st.just("garbage"), max_size=30),
+    year=st.sampled_from([2021, 2016, 1969, 0, 10000]),
+    cutoff=CUTOFFS,
+)
+def test_snort_reader_matches_datetime_scan(lines, year, cutoff):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "alert", [l.encode() for l in lines])
+        assert_reads_like_reference("snort", path, cutoff, year)
+
+
+def test_snort_epoch_arithmetic_matches_datetime(tmp_path):
+    """One line every seven hours over two years, with every fraction width."""
+    stamps, lines = [], []
+    for hour in range(0, 2 * 366 * 24, 7):
+        moment = datetime.fromtimestamp(1577836800 + hour * 3600 + hour % 60, tz=timezone.utc)
+        frac = str(hour * 7919 % 1_000_000)[: 1 + hour % 6]
+        lines.append(f"{moment:%m/%d/%Y-%H:%M:%S}.{frac} [**] [1:2:3] m [**] 1.2.3.4 -> 5.6.7.8")
+        stamps.append(moment.replace(microsecond=int(frac.ljust(6, "0"))).timestamp())
+    path = write_lines(tmp_path, "alert", [l.encode() for l in lines])
+    alerts = read_snort_file(path, YEAR, ParseStats())
+    assert list(alerts.times) == stamps
+
+
+def test_snort_year_out_of_range_skips_every_yearless_line(tmp_path):
+    path = write_lines(tmp_path, "alert", [
+        b"03/01-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        b"03/01/21-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+    ])
+    for year in (0, 10000, 10 ** 20):
+        stats = ParseStats()
+        read_snort_file(path, year, stats)
+        assert (stats.parsed, stats.skipped) == (1, 1)
+
+
+# --- OSSEC --------------------------------------------------------------------------
+
+OSSEC_HEADS = st.sampled_from([
+    "** Alert 1614556800.1: - syslog,", "** Alert 1614560400.22: - syslog,",
+    "** Alert 999999999999.1: - x,", "** Alert 0.1: - x,", "** Alert 1614556800: - x,",
+    "** Alert x",
+])
+OSSEC_BODIES = st.lists(st.sampled_from([
+    "2021 Mar 01 00:00:00 host1->/var/log/auth.log",
+    "2021 Mar 01 00:00:00 (web1) 10.0.0.5->/var/log/secure",
+    "Rule: 5503 (level 5) -> 'User login failed.'",
+    "Rule: 5715 (level 3) -> 'ok'",
+    "Src IP: 10.0.0.9", "Src IP: (none)", "User: root",
+    "  ** Alert 1614556801.5:",  # indented, so not a block start
+]), max_size=5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(blocks=st.lists(st.tuples(OSSEC_HEADS, OSSEC_BODIES), max_size=12), cutoff=CUTOFFS)
+def test_ossec_reader_with_cutoff_keeps_the_later_alerts(blocks, cutoff):
+    lines = [line for head, body in blocks for line in (head, *body, "")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "alerts.log", [l.encode() for l in lines])
+        assert_reads_like_reference("ossec", path, cutoff)
+
+
+# Per format: a line before the cutoff, one before it whose fields are
+# malformed, one whose timestamp is invalid, and one at the cutoff.
+SPAN_LINES = {
+    "snort": [
+        "03/01-00:00:00.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        "03/01-00:00:00.5 [**] [1:2:3] no arrow [**] 10.0.0.1",
+        "01/01/1969-00:00:00.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        "03/01-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+    ],
+    "jsonl": [
+        '{"source":"snort","ts":1614556800,"fields":{"sig_id":"1"}}',
+        '{"source":"snort","ts":1614556800.5,"fields":{}}',
+        '{"source":"snort","ts":0,"fields":{"sig_id":"1"}}',
+        '{"source":"snort","ts":1614556801,"fields":{"sig_id":"1"}}',
+    ],
+    "ossec": [
+        "** Alert 1614556800.1: - x,\n2021 Mar 01 00:00:00 h->/l\nRule: 1 (level 1)\n",
+        "** Alert 1614556800.2: - x,\n2021 Mar 01 00:00:00 h->/l\n",
+        "** Alert 0.1: - x,\n2021 Mar 01 00:00:00 h->/l\nRule: 1 (level 1)\n",
+        "** Alert 1614556801.1: - x,\n2021 Mar 01 00:00:00 h->/l\nRule: 1 (level 1)\n",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SPAN_LINES))
+def test_training_span_counts_each_valid_timestamp_before_the_cutoff(tmp_path, fmt):
+    """A line with a valid timestamp before the cutoff is a training-span
+    line even when the rest of it is malformed; an invalid timestamp stays a
+    skip."""
+    path = write_lines(tmp_path, "input", [l.encode() for l in SPAN_LINES[fmt]])
+    counts = {}
+    for cutoff in (None, T0 + 1):
+        stats = assert_reads_like_reference(fmt, path, cutoff)
+        counts[cutoff] = (stats.parsed, stats.skipped, stats.training_span)
+    assert counts == {None: (2, 2, 0), T0 + 1: (1, 1, 2)}
+
+
+# --- damaged files ---------------------------------------------------------------------
+
+VALID = {
+    "snort": [
+        b"03/01-00:00:01.000000 [**] [1:215:3] m [**] {TCP} 10.0.0.1:4444 -> 10.0.0.2:80",
+        b"03/01/2021-01:00:00.5 [**] [1:9:1] n 1.2 [**] {ICMP} 10.0.0.3 -> 10.0.0.4",
+        b"03/01-02:00:00.25 [**] [1:215:3] m [**] {TCP} 10.0.0.1:1 -> 10.0.0.2:2",
+    ],
+    "jsonl": [
+        b'{"source":"snort","ts":1614556801.0,"fields":{"sig_id":"1","src_ip":"10.0.0.1"}}',
+        b'{"source":"ossec","ts":1614560400,"fields":{"rule_id":"5503","logfile":"/x"}}',
+        b'{"source":"snort","ts":1614563999.75,"fields":{"sig_id":"1","src_ip":"10.0.0.1"}}',
+    ],
+    "ossec": [
+        b"** Alert 1614556801.1: - syslog,\n2021 Mar 01 00:00:01 host1->/var/log/auth.log\n"
+        b"Rule: 5503 (level 5) -> 'x'\nSrc IP: 10.0.0.9\n",
+        b"** Alert 1614563999.7: - syslog,\n2021 Mar 01 01:59:59 (web1) 10.0.0.5->/var/log/secure\n"
+        b"Rule: 5715 (level 3) -> 'y'\n",
+    ],
+}
+SNORT_DAMAGE = [
+    (b"03/01-", b"13/01-"), (b"03/01-", b"02/30-"), (b"-00:", b"-24:"), (b"-01:00", b"-01:60"),
+    (b"03/01/2021", b"03/01/0000"), (b"03/01-", b"03/01/1969-"), (b"->", b""),
+    (b"03/01-", b"01/01/1970-"),
+]
+
+
+def damage(line, action, position, byte):
+    """A line with one mutation: truncated, a byte flipped, a 0xff inserted,
+    or a Snort date, time or arrow changed."""
+    at = position % (len(line) + 1)
+    if action == "truncate":
+        return line[:at]
+    if action == "flip" and line:
+        at %= len(line)
+        return line[:at] + bytes([line[at] ^ byte]) + line[at + 1:]
+    if action == "0xff":
+        return line[:at] + b"\xff" + line[at:]
+    old, new = SNORT_DAMAGE[position % len(SNORT_DAMAGE)]
+    return line.replace(old, new, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    fmt=st.sampled_from(["snort", "jsonl", "ossec"]),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["keep", "keep", "truncate", "flip", "0xff", "field"]),
+            st.integers(0, 400),
+            st.integers(1, 255),
+        ),
+        max_size=25,
+    ),
+    cutoff=CUTOFFS,
+)
+def test_readers_count_every_line_of_damaged_files(fmt, picks, cutoff):
+    lines = []
+    for index, action, position, byte in picks:
+        line = VALID[fmt][index % len(VALID[fmt])]
+        lines.append(line if action == "keep" else damage(line, action, position, byte))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "input", lines)
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for cut in (None, cutoff):
+            stats = assert_reads_like_reference(fmt, path, cut)
+            if fmt != "ossec":
+                assert stats.lines == sum(1 for l in text.split("\n") if l.strip())
