@@ -20,69 +20,3 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
-
-from artifact.ingest import (
-    AlertRecord,
-    HostMap,
-    WindowSpec,
-    parse_snort_fast,
-    parse_ossec_block,
-    normalize_record,
-    window_partition,
-)
-from artifact.graph import ArtifactGraph, build_graph, graph_summary
-from artifact.features import FeatureMatrix, FeatureSchema, apply_schema, fit_schema
-from artifact.roles import (
-    Membership,
-    RoleModel,
-    memberships_fixed_F,
-    nmf_kl,
-    select_model,
-)
-from artifact.dynamics import (
-    MembershipSeries,
-    NodeRegistry,
-    detect_anomalies,
-    role_change_score,
-    score_windows,
-    update_series,
-)
-from artifact.scenario import ScenarioConfig, default_scenario, generate_scenario
-from artifact.pipeline import PipelineConfig, load_pipeline_config, score, train
-from artifact.cli import main
-
-__all__ = [
-    "AlertRecord",
-    "HostMap",
-    "WindowSpec",
-    "parse_snort_fast",
-    "parse_ossec_block",
-    "normalize_record",
-    "window_partition",
-    "ArtifactGraph",
-    "build_graph",
-    "graph_summary",
-    "FeatureMatrix",
-    "FeatureSchema",
-    "apply_schema",
-    "fit_schema",
-    "Membership",
-    "RoleModel",
-    "memberships_fixed_F",
-    "nmf_kl",
-    "select_model",
-    "MembershipSeries",
-    "NodeRegistry",
-    "detect_anomalies",
-    "role_change_score",
-    "score_windows",
-    "update_series",
-    "ScenarioConfig",
-    "default_scenario",
-    "generate_scenario",
-    "PipelineConfig",
-    "load_pipeline_config",
-    "score",
-    "train",
-    "main",
-]

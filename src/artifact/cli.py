@@ -11,10 +11,9 @@ import argparse
 import csv
 import logging
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
-from artifact.ingest import write_jsonl
+from artifact.ingest import parse_utc, write_jsonl
 from artifact.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -147,9 +146,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if value is not None:
             setattr(cfg, attr, value)
     if getattr(args, "origin_utc", None) is not None:
-        cfg.origin = datetime.fromisoformat(
-            args.origin_utc.replace("Z", "+00:00")
-        ).timestamp()
+        cfg.origin = parse_utc(args.origin_utc)
     return cfg
 
 
@@ -197,10 +194,6 @@ def _read_scores_csv(path: Path) -> list[dict[str, str]]:
         return rows
 
 
-def _epoch(utc: str) -> float:
-    return datetime.fromisoformat(utc.replace("Z", "+00:00")).timestamp()
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     rows = _read_scores_csv(args.scores_csv)
     try:
@@ -208,7 +201,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             float(row["score"])
             int(row["flagged"])
             int(row["alert_count"])
-            _epoch(row["window_start_utc"])
+            parse_utc(row["window_start_utc"])
     except ValueError as exc:
         raise PipelineError(f"{args.scores_csv}: unreadable cell ({exc})") from None
 
@@ -219,7 +212,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         fp.write("# index start_epoch score flagged alert_count\n")
         for i, row in enumerate(rows):
             fp.write(
-                f"{i} {_epoch(row['window_start_utc'])!r} {row['score']} "
+                f"{i} {parse_utc(row['window_start_utc'])!r} {row['score']} "
                 f"{row['flagged']} {row['alert_count']}\n"
             )
 

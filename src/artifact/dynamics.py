@@ -2,17 +2,18 @@
 
 Each node's maximum role-membership probability P_n(t) is tracked over
 windows; a node that raised no alerts in a window keeps its previous value
-(forward fill), and stays null until its first appearance. A window's score
-is the average absolute change in P across all nodes seen so far; a node
-appearing for the first time contributes its full probability. Windows whose
-score exceeds a constant threshold are flagged.
+(forward fill), and stays null until its first appearance. The series stores
+only each window's update, and scoring replays them. A window's score is the
+average absolute change in P across all nodes seen so far; a node appearing
+for the first time contributes its full probability. Windows whose score
+exceeds a constant threshold are flagged.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -42,17 +43,11 @@ class NodeRegistry:
             self._first_seen[idx] = window
         return idx
 
-    def index_of(self, node: Vertex) -> int:
-        return self._index[node]
-
     def first_seen(self, node: Vertex) -> int | None:
         return self._first_seen[self._index[node]]
 
     def nodes(self) -> list[Vertex]:
         return list(self._index)
-
-    def __contains__(self, node: Vertex) -> bool:
-        return node in self._index
 
     def __len__(self) -> int:
         return len(self._first_seen)
@@ -81,39 +76,14 @@ class NodeRegistry:
 
 
 class MembershipSeries:
-    """P_n(t) and argmax role per node per processed window.
-
-    Values are stored as arrays aligned to registry indices; NaN marks a node
-    that has not appeared yet, and argmax -1 likewise.
-    """
+    """The node registry and, per folded window, that window's update: the
+    registry indices of the nodes that appeared in it, each one's maximum
+    role-membership probability P_n and its arg-max role."""
 
     def __init__(self, registry: NodeRegistry | None = None) -> None:
         self.registry = registry if registry is not None else NodeRegistry()
         self.windows: list[int] = []
-        self._P: list[np.ndarray] = []
-        self._argmax: list[np.ndarray] = []
-
-    def position(self, window: int) -> int:
-        return self.windows.index(window)
-
-    def P(self, window: int) -> np.ndarray:
-        """P values at a window, padded with NaN to the current registry size."""
-        return self._padded(self._P[self.position(window)], np.nan)
-
-    def argmax(self, window: int) -> np.ndarray:
-        return self._padded(self._argmax[self.position(window)], -1)
-
-    def _padded(self, arr: np.ndarray, fill) -> np.ndarray:
-        out = np.full(len(self.registry), fill, dtype=arr.dtype)
-        out[: len(arr)] = arr
-        return out
-
-
-def max_membership(row: np.ndarray) -> tuple[int, float]:
-    """Arg-max role and its probability; ties go to the lowest role id."""
-    row = np.asarray(row, dtype=float)
-    role = int(np.argmax(row))
-    return role, float(row[role])
+        self.updates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
 
 def update_series(
@@ -121,33 +91,22 @@ def update_series(
 ) -> MembershipSeries:
     """Fold one window's memberships into the series.
 
-    Appeared nodes get fresh values, everyone else carries the previous
-    window's value forward, and nodes never seen stay null.
+    This is where a scored window's nodes enter the registry, with the window
+    as their first-seen one if they are new. Arg-max ties go to the lowest
+    role id.
     """
     if series.windows and window <= series.windows[-1]:
         raise ValueError(
             f"window {window} is not after the last processed {series.windows[-1]}"
         )
-    for node in membership.nodes:
-        series.registry.get_or_add(node, window=window)
-
-    size = len(series.registry)
-    P = np.full(size, np.nan)
-    A = np.full(size, -1, dtype=int)
-    if series._P:
-        prev_P, prev_A = series._P[-1], series._argmax[-1]
-        P[: len(prev_P)] = prev_P
-        A[: len(prev_A)] = prev_A
-
-    for node, row in zip(membership.nodes, membership.G):
-        role, p = max_membership(row)
-        idx = series.registry.index_of(node)
-        P[idx] = p
-        A[idx] = role
-
+    idx = np.array(
+        [series.registry.get_or_add(node, window=window) for node in membership.nodes],
+        dtype=np.int64,
+    )
+    G = np.asarray(membership.G, dtype=float)
+    roles = G.argmax(axis=1)
     series.windows.append(window)
-    series._P.append(P)
-    series._argmax.append(A)
+    series.updates.append((idx, G[np.arange(len(idx)), roles], roles))
     return series
 
 
@@ -163,79 +122,44 @@ class WindowScore:
     flagged: bool = False
 
 
-def _window_deltas(series: MembershipSeries, position: int,
-                   layer: str | None = None):
-    now = series._P[position]
-    prev = series._P[position - 1]
-    prev_full = np.full(len(now), np.nan)
-    prev_full[: len(prev)] = prev
-
-    deltas: list[tuple[Vertex, float]] = []
-    nodes = series.registry.nodes()
-    n_defined = 0
-    for idx in range(len(now)):
-        if np.isnan(now[idx]):
-            continue  # never appeared: excluded entirely
-        if layer is not None and nodes[idx][0] != layer:
-            continue
-        n_defined += 1
-        base = 0.0 if np.isnan(prev_full[idx]) else float(prev_full[idx])
-        delta = abs(float(now[idx]) - base)
-        if delta > 0.0:
-            deltas.append((nodes[idx], delta))
-    deltas.sort(key=lambda pair: (-pair[1], pair[0]))
-    return deltas, n_defined
-
-
-def role_change_score(series: MembershipSeries, window: int,
-                      layer: str | None = None) -> float:
-    """Average |P_n(t) - P_n(t-1)| over nodes that have appeared by t.
-
-    With `layer` set, both the sum and the node count are restricted to
-    vertices of that layer.
-    """
-    position = series.position(window)
-    if position == 0:
-        raise ValueError("the first processed window has no predecessor to score")
-    deltas, n_defined = _window_deltas(series, position, layer)
-    if n_defined == 0:
-        return 0.0
-    return float(sum(d for _, d in deltas)) / n_defined
-
-
-def argmax_flips(series: MembershipSeries, window: int) -> int:
-    """How many nodes changed their argmax role since the previous window.
-
-    Auxiliary diagnostic only: the score tracks probability magnitude, so a
-    role swap at equal confidence moves this counter but not the score.
-    """
-    position = series.position(window)
-    if position == 0:
-        raise ValueError("the first processed window has no predecessor")
-    now = series._argmax[position]
-    prev = series._argmax[position - 1]
-    prev_full = np.full(len(now), -1, dtype=int)
-    prev_full[: len(prev)] = prev
-    both = (now >= 0) & (prev_full >= 0)
-    return int(np.count_nonzero(now[both] != prev_full[both]))
-
-
 def score_windows(series: MembershipSeries,
                   layer: str | None = None) -> list[WindowScore]:
-    """Score every processed window after the first (the unscored baseline)."""
+    """Score every processed window after the first (the unscored baseline)
+    in one replay of the updates over each node's latest P_n and arg-max role.
+
+    With `layer` set, the sum, the count and the contributions keep only that
+    layer's nodes; `argmax_flips`, a diagnostic outside the score, counts
+    nodes of every layer.
+    """
+    nodes = series.registry.nodes()
+    P = np.full(len(nodes), np.nan)
+    roles_now = np.full(len(nodes), -1, dtype=np.int64)
+    in_layer = np.array([layer is None or v[0] == layer for v in nodes], dtype=bool)
+    n_defined = 0
     scores = []
-    for position in range(1, len(series.windows)):
-        window = series.windows[position]
-        deltas, n_defined = _window_deltas(series, position, layer)
-        total = float(sum(d for _, d in deltas))
-        score = total / n_defined if n_defined else 0.0
+    for position, (window, (idx, p, roles)) in enumerate(
+        zip(series.windows, series.updates)
+    ):
+        prev, prev_roles = P[idx], roles_now[idx]
+        P[idx], roles_now[idx] = p, roles
+        keep = in_layer[idx]
+        n_defined += int(np.count_nonzero(np.isnan(prev) & keep))
+        if position == 0:
+            continue
+        delta = np.abs(p - np.where(np.isnan(prev), 0.0, prev))
+        keep &= delta > 0.0
+        contributions = sorted(
+            ((nodes[i], d) for i, d in zip(idx[keep].tolist(), delta[keep].tolist())),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        total = float(sum(d for _, d in contributions))
         scores.append(
             WindowScore(
                 window=window,
-                score=score,
+                score=total / n_defined if n_defined else 0.0,
                 n_defined=n_defined,
-                contributions=deltas,
-                argmax_flips=argmax_flips(series, window),
+                contributions=contributions,
+                argmax_flips=int(np.count_nonzero((prev_roles >= 0) & (roles != prev_roles))),
             )
         )
     return scores
@@ -258,18 +182,7 @@ def detect_anomalies(
     """Flag windows whose score strictly exceeds the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    entries = []
-    for s in scores:
-        entries.append(
-            WindowScore(
-                window=s.window,
-                score=s.score,
-                n_defined=s.n_defined,
-                contributions=list(s.contributions),
-                argmax_flips=s.argmax_flips,
-                flagged=s.score > threshold,
-            )
-        )
+    entries = [replace(s, flagged=s.score > threshold) for s in scores]
     report = AnomalyReport(threshold=threshold, entries=entries)
     for e in report.flagged():
         logger.info("window %d flagged: score %.6f > %.6f",

@@ -282,19 +282,10 @@ def fit_schema(
     return schema, FeatureMatrix(adj.nodes, schema.fingerprint(), values)
 
 
-def apply_schema(
-    g: ArtifactGraph, schema: FeatureSchema, registry=None
-) -> FeatureMatrix:
-    """Compute exactly the frozen schema's features on g (no re-pruning).
-
-    When a NodeRegistry is supplied, every node of g is registered so that
-    downstream membership tracking can assign stable ids to new arrivals.
-    """
+def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
+    """Compute exactly the frozen schema's features on g (no re-pruning)."""
     schema.validate()
     adj = g.adjacency()
-    if registry is not None:
-        for v in adj.nodes:
-            registry.get_or_add(v)
     if not adj.nodes:
         return FeatureMatrix([], schema.fingerprint(), np.zeros((0, len(schema))))
 

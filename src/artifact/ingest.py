@@ -31,7 +31,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -84,6 +84,15 @@ class ParseStats:
 
 # 10000-01-01T00:00:00Z. Past it a window start has no UTC date to print.
 MAX_TIMESTAMP = 253402300800.0
+
+
+def parse_utc(text: str) -> float:
+    """Epoch seconds of an ISO-8601 time. A time without an offset is read
+    as UTC, not in the machine's local zone."""
+    moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment.timestamp()
 
 
 def valid_timestamp(ts: float) -> bool:
@@ -275,7 +284,7 @@ def _snort_scanner(
             y = year
             if line_year is not None:
                 y = int(line_year)
-                if y < 100:
+                if len(line_year) == 2:
                     y += 2000
             midnight = days[month, day, line_year] = _utc_day_start(y, int(month), int(day))
         if midnight is None:
@@ -322,7 +331,8 @@ def parse_snort_fast(line: str, year: int) -> AlertRecord:
     """Parse one Snort fast-format alert line.
 
     `year` is required because the fast format usually omits it; a year
-    embedded in the line (MM/DD/YY- variant) takes precedence.
+    embedded in the line (MM/DD/YY- variant) takes precedence. Only a 2-digit
+    year is read as 20YY; a longer one is taken as written.
 
     Raises MalformedLineError when the timestamp, the [gid:sid:rev] triple or
     the "src -> dst" IP pair cannot be found, or when the timestamp is not a
@@ -718,14 +728,12 @@ def window_partition(
     records: Sequence[AlertRecord],
     spec: WindowSpec,
     stats: ParseStats | None = None,
-    first_index: int | None = None,
-    last_index: int | None = None,
 ) -> list[tuple[int, list[AlertRecord]]]:
     """Assign records to windows by floor((ts - origin) / length).
 
     Returns (window_index, records) pairs in index order, including empty
     windows between occupied ones. Records before the origin are dropped with
-    a warning count. first_index/last_index force the emitted range.
+    a warning count.
     """
     buckets: dict[int, list[AlertRecord]] = {}
     for record in records:
@@ -737,11 +745,9 @@ def window_partition(
             continue
         buckets.setdefault(index, []).append(record)
 
-    if not buckets and first_index is None and last_index is None:
+    if not buckets:
         return []
-    lo = first_index if first_index is not None else min(buckets)
-    hi = last_index if last_index is not None else max(buckets)
-    return [(k, buckets.get(k, [])) for k in range(lo, hi + 1)]
+    return [(k, buckets.get(k, [])) for k in range(min(buckets), max(buckets) + 1)]
 
 
 def window_slices(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import configparser
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -51,6 +50,7 @@ from artifact.ingest import (
     layer_for,
     load_hostmap,
     normalize_record,
+    parse_utc,
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
@@ -142,10 +142,6 @@ class PipelineConfig:
             raise PipelineError(f"hostmap file does not exist: {self.hostmap_path}")
 
 
-def _parse_utc(text: str) -> float:
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
-
-
 def _paths(section: configparser.SectionProxy, key: str) -> list[Path]:
     raw = section.get(key, "")
     return [Path(line.strip()) for line in raw.splitlines() if line.strip()]
@@ -170,7 +166,7 @@ def load_pipeline_config(path: Path | str) -> PipelineConfig:
         cfg.window_hours = section.getfloat("hours", cfg.window_hours)
         cfg.training_days = section.getfloat("training_days", cfg.training_days)
         if "origin_utc" in section:
-            cfg.origin = _parse_utc(section["origin_utc"])
+            cfg.origin = parse_utc(section["origin_utc"])
     if "features" in parser:
         section = parser["features"]
         cfg.max_depth = section.getint("max_depth", cfg.max_depth)
@@ -514,7 +510,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     series = MembershipSeries(registry)
     alert_counts: dict[int, int] = {}
     for window, count, graph in scoring_graphs(alerts, spec):
-        fm = apply_schema(graph, schema, registry=registry)
+        fm = apply_schema(graph, schema)
         membership = memberships_fixed_F(fm, model)
         series = update_series(series, window, membership)
         alert_counts[window] = count

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from artifact.ingest import AlertRecord, LAYER_BY_FIELD, WindowSpec
+from artifact.ingest import AlertRecord, LAYER_BY_FIELD, WindowSpec, parse_utc
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,6 @@ class ScenarioConfig:
     duration_days: float = 21.0
     window_hours: float = 8.0
     training_days: float = 7.0
-    host_count: int = 24
     origin: float = DEFAULT_ORIGIN
     seed: int = 7
     templates: list[AlertTemplate] = field(default_factory=list)
@@ -118,8 +117,6 @@ class ScenarioConfig:
             raise ConfigError("durations must be positive")
         if not 0 < self.training_days < self.duration_days:
             raise ConfigError("training period must fit inside the scenario")
-        if self.host_count < 2:
-            raise ConfigError("need at least two hosts")
         for t in self.templates:
             if t.rate <= 0:
                 raise ConfigError(f"template {t.name!r} has nonpositive rate")
@@ -428,13 +425,10 @@ def load_scenario_config(path: Path | str) -> ScenarioConfig:
 
     kwargs = {}
     if "origin_utc" in section:
-        moment = datetime.fromisoformat(
-            section["origin_utc"].replace("Z", "+00:00")
-        )
-        kwargs["origin"] = moment.timestamp()
+        kwargs["origin"] = parse_utc(section["origin_utc"])
     for key, cast in (
         ("duration_days", float), ("window_hours", float),
-        ("training_days", float), ("host_count", int), ("seed", int),
+        ("training_days", float), ("seed", int),
     ):
         if key in section:
             kwargs[key] = cast(section[key])

@@ -20,7 +20,6 @@ from conftest import make_random_records
 from artifact.dynamics import (
     MembershipSeries,
     detect_anomalies,
-    role_change_score,
     score_windows,
     update_series,
 )
@@ -267,7 +266,7 @@ def test_criterion_4_membership_and_score_contracts():
     snapshot = [(pool[i], [0.2 + 0.05 * i, 0.8 - 0.05 * i]) for i in range(5)]
     update_series(twin, 1, member(snapshot))
     update_series(twin, 2, member(snapshot))
-    if role_change_score(twin, 2) != 0.0:
+    if [s.score for s in score_windows(twin)] != [0.0]:
         failures.append("identical windows did not score exactly 0")
 
     # forward fill against a dict-based reference trace
@@ -283,9 +282,10 @@ def test_criterion_4_membership_and_score_contracts():
         state = dict(state)
         state.update(appearing)
         filled.append((t, dict(state)))
+    traced = {s.window: s.score for s in score_windows(trace)}
     for (_, prev), (t, now) in zip(filled, filled[1:]):
         want = sum(abs(p - prev.get(n, 0.0)) for n, p in now.items()) / len(now)
-        got = role_change_score(trace, t)
+        got = traced[t]
         if got != pytest.approx(want, abs=1e-12):
             failures.append(f"window {t} scored {got}, hand trace says {want}")
 
@@ -294,10 +294,11 @@ def test_criterion_4_membership_and_score_contracts():
     steady = [(pool[i], [0.3 + 0.02 * i, 0.7 - 0.02 * i]) for i in range(9)]
     update_series(appear, 1, member(steady))
     update_series(appear, 2, member(steady + [(("ip", "newcomer"), [0.6, 0.4])]))
-    got = role_change_score(appear, 2)
+    appear_scores = score_windows(appear)
+    got = appear_scores[0].score
     if got != pytest.approx(0.06, abs=1e-15):
         failures.append(f"appearance case scored {got}, want 0.6/10 = 0.06")
-    report = detect_anomalies(score_windows(appear), threshold=0.05)
+    report = detect_anomalies(appear_scores, threshold=0.05)
     if [e.window for e in report.flagged()] != [2]:
         failures.append("0.06 appearance window was not flagged at 0.05")
 

@@ -288,3 +288,31 @@ def test_package_import_defaults_blas_to_one_thread_unless_set():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["1", "3", "1"]
+
+
+def test_naive_origin_is_read_as_utc_in_any_local_zone(tmp_path):
+    """A time without an offset means UTC on every path that reads one, here
+    in a process whose local zone is five hours west of UTC."""
+    ini = tmp_path / "origin.ini"
+    ini.write_text("[window]\norigin_utc = 2021-03-01T00:00:00\n"
+                   "[scenario]\norigin_utc = 2021-03-01T00:00:00\n")
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, TZ="EST+05", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys; from datetime import datetime\n"
+        "from artifact.cli import _resolve_config, build_parser\n"
+        "from artifact.ingest import parse_utc\n"
+        "from artifact.pipeline import load_pipeline_config\n"
+        "from artifact.scenario import load_scenario_config\n"
+        "naive = '2021-03-01T00:00:00'\n"
+        "args = build_parser().parse_args(['train', '--origin-utc', naive])\n"
+        "print(datetime.fromisoformat(naive).timestamp(), parse_utc(naive),\n"
+        "      _resolve_config(args).origin, load_pipeline_config(sys.argv[1]).origin,\n"
+        "      load_scenario_config(sys.argv[1]).origin)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(ini)], env=env,
+                         capture_output=True, text=True, check=True)
+    local, *read = map(float, out.stdout.split())
+    assert local == SMALL_ORIGIN + 5 * 3600  # the zone is in effect
+    assert read == [SMALL_ORIGIN] * 4

@@ -2,7 +2,6 @@
 Expected values come from hand traces and a dict-based reference filler."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,10 +11,7 @@ from artifact.dynamics import (
     MembershipSeries,
     NodeRegistry,
     WindowScore,
-    argmax_flips,
     detect_anomalies,
-    max_membership,
-    role_change_score,
     score_windows,
     update_series,
     write_anomalies_json,
@@ -31,6 +27,11 @@ def member(pairs):
     nodes = [node for node, _ in pairs]
     G = np.array([row for _, row in pairs], dtype=float).reshape(len(pairs), -1)
     return Membership(nodes, G)
+
+
+def scored(series, layer=None):
+    """score_windows entries by window."""
+    return {e.window: e for e in score_windows(series, layer=layer)}
 
 
 def ref_fill(windows):
@@ -53,20 +54,33 @@ def ref_scores(filled):
     return out
 
 
-# --- max_membership -----------------------------------------------------------
+# --- max_membership: a node's P_n is its largest role probability ---------------
+
+def first_appearance(row):
+    """The score entry of a window where a node with `row` first appears."""
+    series = MembershipSeries()
+    update_series(series, 1, member([(B, [1.0] + [0.0] * (len(row) - 1))]))
+    update_series(series, 2, member([(B, [1.0] + [0.0] * (len(row) - 1)), (A, row)]))
+    (entry,) = score_windows(series)
+    return entry
+
 
 def test_max_membership_basic():
-    assert max_membership(np.array([0.2, 0.5, 0.3])) == (1, 0.5)
+    assert first_appearance([0.2, 0.5, 0.3]).contributions == [(A, 0.5)]
 
 
 def test_max_membership_tie_goes_to_lowest_role():
-    role, p = max_membership(np.array([1 / 3, 1 / 3, 1 / 3]))
-    assert role == 0
+    (p,) = [d for _, d in first_appearance([1 / 3, 1 / 3, 1 / 3]).contributions]
     assert p == pytest.approx(1 / 3)
+    series = MembershipSeries()
+    update_series(series, 1, member([(A, [1 / 3, 1 / 3, 1 / 3])]))
+    update_series(series, 2, member([(A, [0.4, 0.3, 0.3])]))  # role 0 again
+    update_series(series, 3, member([(A, [0.3, 0.4, 0.3])]))  # role 1
+    assert [e.argmax_flips for e in score_windows(series)] == [0, 1]
 
 
 def test_max_membership_one_hot():
-    assert max_membership(np.array([0.0, 0.0, 1.0])) == (2, 1.0)
+    assert first_appearance([0.0, 0.0, 1.0]).contributions == [(A, 1.0)]
 
 
 # --- forward fill ---------------------------------------------------------------
@@ -83,31 +97,33 @@ def three_window_series():
 
 
 def test_three_window_fill_matches_reference():
-    series = three_window_series()
-    windows = [
+    filled = ref_fill([
         (1, {A: 0.5, B: 0.9}),
         (2, {A: 0.7}),
         (3, {A: 0.7, B: 0.4, C: 0.6}),
-    ]
-    for t, expected in ref_fill(windows):
-        got = series.P(t)
-        for node, p in expected.items():
-            assert got[series.registry.index_of(node)] == pytest.approx(p)
+    ])
+    expected = ref_scores(filled)
+    entries = scored(three_window_series())
+    assert sorted(entries) == sorted(expected)
+    for t, state in filled[1:]:
+        assert entries[t].n_defined == len(state)
+        assert entries[t].score == pytest.approx(expected[t])
 
 
 def test_late_node_is_null_before_first_appearance():
     series = three_window_series()
-    idx = series.registry.index_of(C)
-    assert math.isnan(series.P(1)[idx])
-    assert math.isnan(series.P(2)[idx])
-    assert series.P(3)[idx] == pytest.approx(0.6)
+    entries = scored(series)
+    assert entries[2].n_defined == 2  # C is not counted before it appears
+    assert (C, pytest.approx(0.6)) in entries[3].contributions
+    assert entries[3].n_defined == 3
     assert series.registry.first_seen(C) == 3
 
 
 def test_absent_node_keeps_previous_probability():
-    series = three_window_series()
-    idx = series.registry.index_of(B)
-    assert series.P(2)[idx] == pytest.approx(0.9)
+    entries = scored(three_window_series())
+    assert B not in dict(entries[2].contributions)  # carried 0.9 forward
+    assert entries[2].n_defined == 2
+    assert dict(entries[3].contributions)[B] == pytest.approx(0.9 - 0.4)
 
 
 def test_update_requires_increasing_windows():
@@ -116,14 +132,23 @@ def test_update_requires_increasing_windows():
         update_series(series, 3, member([(A, [1.0, 0.0, 0.0])]))
 
 
+def test_update_registers_new_nodes_with_their_first_window():
+    series = MembershipSeries()
+    series.registry.get_or_add(A, window=0)  # a training node
+    update_series(series, 4, member([(B, [1.0, 0.0]), (A, [0.5, 0.5])]))
+    update_series(series, 6, member([(C, [1.0, 0.0]), (B, [0.5, 0.5])]))
+    assert series.registry.nodes() == [A, B, C]
+    assert [series.registry.first_seen(v) for v in (A, B, C)] == [0, 4, 6]
+
+
 # --- score arithmetic -------------------------------------------------------------
 
 def test_hand_trace_scores():
-    series = three_window_series()
+    entries = scored(three_window_series())
     # window 2: |0.7-0.5| + |0.9-0.9| over 2 defined nodes
-    assert role_change_score(series, 2) == pytest.approx(0.2 / 2)
+    assert entries[2].score == pytest.approx(0.2 / 2)
     # window 3: 0 + |0.4-0.9| + first-appearance 0.6 over 3 defined nodes
-    assert role_change_score(series, 3) == pytest.approx((0.5 + 0.6) / 3)
+    assert entries[3].score == pytest.approx((0.5 + 0.6) / 3)
 
 
 def test_scores_match_reference_on_random_series():
@@ -145,8 +170,9 @@ def test_scores_match_reference_on_random_series():
             update_series(series, t, member(pairs) if pairs else
                           Membership([], np.zeros((0, 3))))
         expected = ref_scores(ref_fill(windows))
+        entries = scored(series)
         for t in range(2, 7):
-            got = role_change_score(series, t)
+            got = entries[t].score
             assert got == pytest.approx(expected[t], abs=1e-12)
             assert 0.0 <= got <= 1.0
 
@@ -157,9 +183,9 @@ def test_new_node_among_ten_scores_006():
     series = MembershipSeries()
     update_series(series, 1, member(nine))
     update_series(series, 2, member(nine + [(("ip", "10.10.255.40"), [0.4, 0.6])]))
-    score = role_change_score(series, 2)
-    assert score == pytest.approx(0.06)
-    assert score > 0.05  # crosses the default flagging threshold
+    (entry,) = score_windows(series)
+    assert entry.score == pytest.approx(0.06)
+    assert entry.score > 0.05  # crosses the default flagging threshold
 
     report = detect_anomalies(score_windows(series), threshold=0.05)
     assert [e.flagged for e in report.entries] == [True]
@@ -170,15 +196,16 @@ def test_identical_windows_score_zero():
     series = MembershipSeries()
     update_series(series, 1, member(rows))
     update_series(series, 2, member(rows))
-    assert role_change_score(series, 2) == 0.0
+    assert scored(series)[2].score == 0.0
 
 
 def test_role_flip_at_equal_confidence_scores_zero_but_counts_flip():
     series = MembershipSeries()
     update_series(series, 1, member([(A, [1.0, 0.0])]))
     update_series(series, 2, member([(A, [0.0, 1.0])]))
-    assert role_change_score(series, 2) == 0.0
-    assert argmax_flips(series, 2) == 1
+    (entry,) = score_windows(series)
+    assert entry.score == 0.0
+    assert entry.argmax_flips == 1
 
 
 def test_never_appearing_node_is_excluded():
@@ -187,21 +214,22 @@ def test_never_appearing_node_is_excluded():
     update_series(series, 1, member([(A, [1.0, 0.0])]))
     update_series(series, 2, member([(A, [0.5, 0.5])]))
     # denominator counts only A; ghost contributes nothing
-    assert role_change_score(series, 2) == pytest.approx(0.5)
+    (entry,) = score_windows(series)
+    assert entry.score == pytest.approx(0.5)
+    assert entry.n_defined == 1
 
 
 def test_empty_window_scores_zero():
     series = MembershipSeries()
     update_series(series, 1, member([(A, [0.6, 0.4]), (B, [0.2, 0.8])]))
     update_series(series, 2, Membership([], np.zeros((0, 2))))
-    assert role_change_score(series, 2) == 0.0
+    assert scored(series)[2].score == 0.0
 
 
 def test_first_window_cannot_be_scored():
     series = MembershipSeries()
     update_series(series, 1, member([(A, [1.0, 0.0])]))
-    with pytest.raises(ValueError):
-        role_change_score(series, 1)
+    assert score_windows(series) == []
 
 
 def test_contribution_sums_reproduce_scores_exactly():
@@ -229,14 +257,15 @@ def two_layer_series():
 
 def test_layer_filter_restricts_sum_and_count():
     series = two_layer_series()
-    assert role_change_score(series, 2) == pytest.approx(0.6 / 3)
-    assert role_change_score(series, 2, layer="ip") == pytest.approx(0.2 / 2)
-    assert role_change_score(series, 2, layer="rule") == pytest.approx(0.4 / 1)
+    assert scored(series)[2].score == pytest.approx(0.6 / 3)
+    assert scored(series, "ip")[2].score == pytest.approx(0.2 / 2)
+    assert scored(series, "rule")[2].score == pytest.approx(0.4 / 1)
 
 
 def test_layer_filter_with_no_matching_nodes_scores_zero():
-    series = two_layer_series()
-    assert role_change_score(series, 2, layer="logfile") == 0.0
+    (entry,) = score_windows(two_layer_series(), layer="logfile")
+    assert entry.score == 0.0
+    assert entry.n_defined == 0
 
 
 def test_score_windows_layer_filter_restricts_contributions():
@@ -351,8 +380,3 @@ def test_anomalies_json(tmp_path):
         assert w["score"] > 0.05
         assert all(c["delta"] > 0 for c in w["top_contributors"])
 
-
-def test_series_padding_access():
-    series = three_window_series()
-    assert len(series.P(1)) == len(series.registry)
-    assert series.argmax(1)[series.registry.index_of(C)] == -1

@@ -344,22 +344,6 @@ def test_apply_on_empty_graph_returns_empty_matrix():
     assert fm.nodes == [] and fm.values.shape == (0, len(schema))
 
 
-def test_apply_registers_nodes():
-    class Recorder:
-        def __init__(self):
-            self.seen = []
-
-        def get_or_add(self, v):
-            self.seen.append(v)
-            return len(self.seen) - 1
-
-    g = ring(4)
-    schema, _ = fit_schema(g)
-    rec = Recorder()
-    apply_schema(g, schema, registry=rec)
-    assert rec.seen == g.nodes()
-
-
 def test_values_finite_and_nonnegative_on_assorted_graphs():
     graphs = [
         ring(5),

@@ -53,7 +53,8 @@ def reference_scan_snort(line, year):
     month, day, line_year, hh, mm, ss, frac = ts_match.groups()
     if line_year is not None:
         year = int(line_year)
-        if year < 100:
+        # The one other change: only a 2-digit year is widened to 20xx.
+        if len(line_year) == 2:
             year += 2000
     micros = int(frac.ljust(6, "0"))
     try:
@@ -252,7 +253,7 @@ SNORT_ODD = {
     "pad": [" ", "\t"],
     "date": ["11/30", "02/28", "02/29", "02/30", "13/01", "00/10", "12/31", "01/01",
              "01/01/1969", "01/01/1970", "12/31/1969", "03/01/21", "03/01/0000", "03/01/021",
-             "02/29/2024", "02/29/2023", "12/31/9999", "\u0660\u0663/01"],
+             "03/01/0021", "02/29/2024", "02/29/2023", "12/31/9999", "\u0660\u0663/01"],
     "time": ["00:00:00", "23:59:59", "24:00:00", "12:60:00", "12:00:60", "08:15:42"],
     "frac": ["0", "000000", "999999", "123456", "1234567"],
     "sig": ["[129:12:1]", "[1:2:3] [1:4:5]", "no triple", "[1:x:3]"],
@@ -298,14 +299,19 @@ def test_snort_epoch_arithmetic_matches_datetime(tmp_path):
 
 
 def test_snort_year_out_of_range_skips_every_yearless_line(tmp_path):
+    """Only a 2-digit year is read as 20xx; a longer one before 1970 is a
+    skip, whatever year the caller supplies."""
     path = write_lines(tmp_path, "alert", [
         b"03/01-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
         b"03/01/21-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        b"03/01/0000-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        b"03/01/0021-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+        b"03/01/021-00:00:01.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
     ])
-    for year in (0, 10000, 10 ** 20):
+    for year, parsed in ((0, 1), (2016, 2), (10000, 1), (10 ** 20, 1)):
         stats = ParseStats()
         read_snort_file(path, year, stats)
-        assert (stats.parsed, stats.skipped) == (1, 1)
+        assert (stats.parsed, stats.skipped) == (parsed, 5 - parsed)
 
 
 # --- OSSEC --------------------------------------------------------------------------

@@ -71,7 +71,6 @@ def small_cfg(seed=3, with_attack=False, with_spike=False, **overrides):
         duration_days=3.0,
         window_hours=8.0,
         training_days=1.0,
-        host_count=6,
         origin=ORIGIN,
         seed=seed,
         templates=small_templates(),
@@ -147,7 +146,7 @@ def test_single_template_rate_lln():
     for seed in range(30):
         cfg = ScenarioConfig(
             duration_days=21.0, window_hours=8.0, training_days=7.0,
-            host_count=2, origin=ORIGIN, seed=seed, templates=[template],
+            origin=ORIGIN, seed=seed, templates=[template],
         )
         totals.append(len(generate_background(cfg)))
     expected = 10.0 * n_windows
@@ -306,7 +305,7 @@ def test_spike_on_attack_window_rejected():
     [
         lambda c: setattr(c, "duration_days", 0.0),
         lambda c: setattr(c, "training_days", 3.0),  # == duration
-        lambda c: setattr(c, "host_count", 1),
+        lambda c: setattr(c, "training_days", 0.0),  # not positive
         lambda c: setattr(c, "templates",
                           [AlertTemplate("bad", "snort", -1.0,
                                          (("sig_id", ("1",)),))]),
@@ -339,7 +338,6 @@ def test_default_scenario_shape():
     assert cfg.training_windows == 21
     assert cfg.attack.windows() == {54, 55}
     assert cfg.spike.window == 31
-    assert cfg.host_count == 24
     assert len(cfg.templates) > 20
 
 
