@@ -13,6 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
+from artifact.dynamics import SCORE_COLUMNS
 from artifact.ingest import parse_utc, write_jsonl
 from artifact.pipeline import (
     PipelineConfig,
@@ -29,16 +30,6 @@ from artifact.scenario import (
 )
 
 logger = logging.getLogger(__name__)
-
-SCORE_HEADER = [
-    "window_start_utc",
-    "window_end_utc",
-    "score",
-    "flagged",
-    "alert_count",
-    "aux_argmax_flips",
-    "top_contributions",
-]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -179,18 +170,18 @@ def _read_scores_csv(path: Path) -> list[dict[str, str]]:
             header = next(reader)
         except StopIteration:
             raise PipelineError(f"{path} is empty") from None
-        if header != SCORE_HEADER:
+        if tuple(header) != SCORE_COLUMNS:
             raise PipelineError(
                 f"{path} does not look like a scores CSV "
-                f"(expected columns {SCORE_HEADER}, found {header})"
+                f"(expected columns {list(SCORE_COLUMNS)}, found {header})"
             )
         rows = []
         for line in reader:
-            if len(line) != len(SCORE_HEADER):
+            if len(line) != len(SCORE_COLUMNS):
                 raise PipelineError(
-                    f"{path}: row has {len(line)} cells, expected {len(SCORE_HEADER)}"
+                    f"{path}: row has {len(line)} cells, expected {len(SCORE_COLUMNS)}"
                 )
-            rows.append(dict(zip(SCORE_HEADER, line)))
+            rows.append(dict(zip(SCORE_COLUMNS, line)))
         return rows
 
 

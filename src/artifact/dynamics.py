@@ -11,6 +11,7 @@ exceeds a constant threshold are flagged.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -192,6 +193,17 @@ def detect_anomalies(
 
 # -- serialization -------------------------------------------------------------
 
+SCORE_COLUMNS = (
+    "window_start_utc",
+    "window_end_utc",
+    "score",
+    "flagged",
+    "alert_count",
+    "aux_argmax_flips",
+    "top_contributions",
+)
+
+
 def _utc(ts: float) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
@@ -214,19 +226,17 @@ def write_score_csv(
     top_k: int = 5,
 ) -> None:
     """One row per scored window; aux_argmax_flips is a diagnostic extra that
-    is not part of the score."""
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(
-            "window_start_utc,window_end_utc,score,flagged,alert_count,"
-            "aux_argmax_flips,top_contributions\n"
-        )
+    is not part of the score. A cell holding a comma or a quote is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(SCORE_COLUMNS)
         for e in report.entries:
             start, end = spans[e.window]
-            fp.write(
-                f"{_utc(start)},{_utc(end)},{e.score!r},"
-                f"{int(e.flagged)},{alert_counts.get(e.window, 0)},"
-                f"{e.argmax_flips},{_top_contributions(e, top_k)}\n"
-            )
+            writer.writerow((
+                _utc(start), _utc(end), repr(e.score), int(e.flagged),
+                alert_counts.get(e.window, 0), e.argmax_flips,
+                _top_contributions(e, top_k),
+            ))
 
 
 def write_anomalies_json(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from artifact.graph import Adjacency, ArtifactGraph, Vertex
+from artifact.graph import ArtifactGraph, Vertex
 
 logger = logging.getLogger(__name__)
 
@@ -168,12 +168,12 @@ class FeatureMatrix:
 
 # -- computation ----------------------------------------------------------
 
-def _primary_columns(adj: Adjacency) -> np.ndarray:
+def _primary_columns(g: ArtifactGraph) -> np.ndarray:
     """Weighted degree, edges among the neighbors (ego excluded), edges
     leaving the ego net and transitivity, all from integer sparse products."""
-    A = adj.matrix(np.ones(len(adj.indices), dtype=np.int64))
-    k = adj.degree
-    wdeg = adj.matrix(adj.weights).sum(axis=1)
+    A = g.matrix(np.ones(len(g.indices), dtype=np.int64))
+    k = g.degree
+    wdeg = g.matrix(g.weights).sum(axis=1)
     inter = (A @ A).multiply(A).sum(axis=1) // 2
     # each neighbor m of v has deg(m) edges: one to v, |N(m) & N(v)| inside
     out = A @ k - k - 2 * inter
@@ -183,18 +183,17 @@ def _primary_columns(adj: Adjacency) -> np.ndarray:
 
 def primary_features(g: ArtifactGraph) -> FeatureMatrix:
     """The four depth-0 structural features for every node of g."""
-    adj = g.adjacency()
-    return FeatureMatrix(adj.nodes, "primary", _primary_columns(adj))
+    return FeatureMatrix(g.vertices, "primary", _primary_columns(g))
 
 
-def _degree_groups(adj: Adjacency) -> list[tuple[np.ndarray, np.ndarray]]:
+def _degree_groups(g: ArtifactGraph) -> list[tuple[np.ndarray, np.ndarray]]:
     """(rows, gather) per nonzero degree d: the rows of degree d and their
     neighbor indices as an n_d x d array, each row in insertion order."""
-    k = adj.degree
+    k = g.degree
     groups = []
     for d in np.unique(k[k > 0]):
         rows = np.flatnonzero(k == d)
-        gather = adj.indices[adj.indptr[rows][:, None] + np.arange(d)]
+        gather = g.indices[g.indptr[rows][:, None] + np.arange(d)]
         groups.append((rows, gather))
     return groups
 
@@ -244,12 +243,11 @@ def fit_schema(
     if not 0 < prune_tolerance < 1:
         raise ValueError("prune_tolerance must be in (0, 1)")
 
-    adj = g_train.adjacency()
-    groups = _degree_groups(adj)
+    groups = _degree_groups(g_train)
 
     schema = FeatureSchema(prune_tolerance=prune_tolerance, max_depth=max_depth)
     columns: list[np.ndarray] = []
-    primaries = _primary_columns(adj)
+    primaries = _primary_columns(g_train)
     for j, name in enumerate(PRIMARY_NAMES):
         schema.features.append(FeatureDef(len(schema.features), 0, base=name))
         columns.append(primaries[:, j])
@@ -279,22 +277,21 @@ def fit_schema(
 
     schema.validate()
     values = np.column_stack(columns)
-    return schema, FeatureMatrix(adj.nodes, schema.fingerprint(), values)
+    return schema, FeatureMatrix(g_train.vertices, schema.fingerprint(), values)
 
 
 def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
     """Compute exactly the frozen schema's features on g (no re-pruning)."""
     schema.validate()
-    adj = g.adjacency()
-    if not adj.nodes:
+    if len(g) == 0:
         return FeatureMatrix([], schema.fingerprint(), np.zeros((0, len(schema))))
 
-    groups = _degree_groups(adj)
+    groups = _degree_groups(g)
     columns: list[np.ndarray] = []
-    primaries = _primary_columns(adj)
+    primaries = _primary_columns(g)
     for f in schema.features:
         if f.depth == 0:
             columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
         else:
             columns.append(_aggregate(groups, columns[f.parent], f.op))
-    return FeatureMatrix(adj.nodes, schema.fingerprint(), np.column_stack(columns))
+    return FeatureMatrix(g.vertices, schema.fingerprint(), np.column_stack(columns))

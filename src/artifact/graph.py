@@ -8,8 +8,8 @@ connections between alert artifacts, not network topology.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -20,15 +20,19 @@ from artifact.ingest import AlertRecord, layer_for
 Vertex = tuple[str, str]  # (layer, value)
 
 
-class Adjacency(NamedTuple):
-    """Compressed sparse rows of a graph. Row i is `nodes[i]`, in sorted
-    order; its neighbors are `indices[indptr[i]:indptr[i + 1]]` in the order
-    they were first linked to it, with the edge weights alongside."""
+class ArtifactGraph:
+    """A graph as compressed sparse rows; no self-loops, weights are positive
+    integers. Row i is `vertices[i]`, in sorted (layer, value) order; its
+    neighbors are `indices[indptr[i]:indptr[i + 1]]` in the order they were
+    first linked to it, with the edge weights alongside. Every edge is stored
+    in both of its rows."""
 
-    nodes: list[Vertex]
-    indptr: np.ndarray   # int64, len(nodes) + 1
-    indices: np.ndarray  # int64, one entry per (vertex, neighbor) pair
-    weights: np.ndarray  # int64, aligned to indices
+    def __init__(self, vertices: list[Vertex], indptr: np.ndarray,
+                 indices: np.ndarray, weights: np.ndarray) -> None:
+        self.vertices = vertices
+        self.indptr = indptr    # int64, len(vertices) + 1
+        self.indices = indices  # int64, one entry per (vertex, neighbor) pair
+        self.weights = weights  # int64, aligned to indices
 
     @property
     def degree(self) -> np.ndarray:
@@ -37,94 +41,66 @@ class Adjacency(NamedTuple):
     def matrix(self, data: np.ndarray) -> csr_array:
         """A sparse matrix with `data` as its entries. It gets its own copy
         of `indices`, because scipy may sort them in place."""
-        n = len(self.nodes)
+        n = len(self.vertices)
         return csr_array((data, self.indices.copy(), self.indptr), shape=(n, n))
-
-
-class ArtifactGraph:
-    """Adjacency-map graph; no self-loops, weights are positive integers."""
-
-    def __init__(self) -> None:
-        self.layers: set[str] = set()
-        self._adj: dict[Vertex, dict[Vertex, int]] = {}
-        self._csr: Adjacency | None = None
-
-    def add_vertex(self, layer: str, value: str) -> Vertex:
-        vertex = (layer, value)
-        if vertex not in self._adj:
-            self._adj[vertex] = {}
-            self.layers.add(layer)
-            self._csr = None
-        return vertex
-
-    def add_cooccurrence(self, u: Vertex, v: Vertex, weight: int = 1) -> None:
-        """Increment the undirected edge weight between two existing vertices."""
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if u not in self._adj or v not in self._adj:
-            raise KeyError("both endpoints must be added as vertices first")
-        self._adj[u][v] = self._adj[u].get(v, 0) + weight
-        self._adj[v][u] = self._adj[v].get(u, 0) + weight
-        self._csr = None
 
     # -- queries --------------------------------------------------------
 
+    def _row(self, vertex: Vertex) -> int:
+        i = bisect_left(self.vertices, vertex)
+        if i == len(self.vertices) or self.vertices[i] != vertex:
+            raise KeyError(vertex)
+        return i
+
     def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self._adj
+        try:
+            self._row(vertex)
+        except KeyError:
+            return False
+        return True
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self.vertices)
 
     def nodes(self) -> list[Vertex]:
         """Vertices in deterministic (layer, value) order."""
-        return sorted(self._adj)
+        return list(self.vertices)
 
     def neighbors(self, vertex: Vertex) -> dict[Vertex, int]:
-        return self._adj[vertex]
+        """Neighbor -> weight, in the order the neighbors were first linked."""
+        i = self._row(vertex)
+        row = slice(self.indptr[i], self.indptr[i + 1])
+        return {self.vertices[j]: w for j, w in
+                zip(self.indices[row].tolist(), self.weights[row].tolist())}
 
     def weight(self, u: Vertex, v: Vertex) -> int:
-        return self._adj.get(u, {}).get(v, 0)
+        return self.neighbors(u).get(v, 0) if u in self else 0
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex, int]]:
         """Each undirected edge once, endpoints in sorted order."""
-        for u in sorted(self._adj):
-            for v, w in sorted(self._adj[u].items()):
-                if u < v:
-                    yield u, v, w
+        rows = np.repeat(np.arange(len(self.vertices)), self.degree)
+        upper = self.indices > rows
+        u, v, w = rows[upper], self.indices[upper], self.weights[upper]
+        order = np.lexsort((v, u))
+        for i, j, x in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
+            yield self.vertices[i], self.vertices[j], x
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.indices) // 2
 
     @property
     def total_weight(self) -> int:
-        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
+        return int(self.weights.sum()) // 2
 
     def weighted_degree(self, vertex: Vertex) -> int:
-        return sum(self._adj[vertex].values())
-
-    def adjacency(self) -> Adjacency:
-        """The graph as compressed sparse rows, built once until the graph
-        next changes."""
-        if self._csr is None:
-            nodes = self.nodes()
-            index = {v: i for i, v in enumerate(nodes)}
-            nbrs = [self._adj[v] for v in nodes]
-            indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-            np.cumsum([len(d) for d in nbrs], out=indptr[1:])
-            chain = itertools.chain.from_iterable
-            count = int(indptr[-1])
-            indices = np.fromiter((index[u] for u in chain(nbrs)),
-                                  dtype=np.int64, count=count)
-            weights = np.fromiter(chain(d.values() for d in nbrs),
-                                  dtype=np.int64, count=count)
-            self._csr = Adjacency(nodes, indptr, indices, weights)
-        return self._csr
+        return sum(self.neighbors(vertex).values())
 
     def __eq__(self, other: object) -> bool:
+        """Same vertices and same weighted edges, whatever their link order."""
         if not isinstance(other, ArtifactGraph):
             return NotImplemented
-        return self.layers == other.layers and self._adj == other._adj
+        return self.vertices == other.vertices and list(self.edges()) == list(other.edges())
 
 
 class GraphSummary(NamedTuple):
@@ -145,17 +121,39 @@ def build_weighted_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> Arti
     pair of distinct field keys whose values map to distinct vertices adds the
     tuple's count to that vertex pair's edge weight; pairs that collapse to the
     same vertex (e.g. src_ip == dst_ip) are skipped rather than forming
-    self-loops. Given in first-seen order, the tuples insert vertices and
-    neighbors in the order one alert at a time would, which the neighbor sums
-    of the recursive features depend on.
+    self-loops. Each linked pair (u, v) is recorded as u -> v, then v -> u,
+    and a row lists its neighbors in the order of their first record. Given
+    in first-seen order, the tuples therefore order each row as one alert at
+    a time would, which the neighbor sums of the recursive features depend on.
     """
-    g = ArtifactGraph()
-    for fields, count in field_counts:
-        vertices = [g.add_vertex(layer_for(key), value) for key, value in fields]
-        for u, v in itertools.combinations(vertices, 2):
-            if u != v:
-                g.add_cooccurrence(u, v, count)
-    return g
+    ids: dict[Vertex, int] = {}  # vertex -> id in order of first appearance
+    src: list[int] = []
+    dst: list[int] = []
+    count: list[int] = []
+    for fields, n in field_counts:
+        vs = [ids.setdefault((layer_for(key), value), len(ids)) for key, value in fields]
+        for a, b in itertools.combinations(vs, 2):
+            if a != b:
+                src += (a, b)
+                dst += (b, a)
+                count += (n, n)
+
+    vertices = sorted(ids)
+    n_vertices = len(vertices)
+    rank = np.empty(n_vertices, dtype=np.int64)
+    rank[[ids[v] for v in vertices]] = np.arange(n_vertices)
+    rows = rank[np.asarray(src, dtype=np.int64)]
+    cols = rank[np.asarray(dst, dtype=np.int64)]
+    # one entry per distinct (row, col), at its first record, counts summed
+    pairs, first, inverse = np.unique(
+        rows * n_vertices + cols, return_index=True, return_inverse=True)
+    weights = np.zeros(len(pairs), dtype=np.int64)
+    np.add.at(weights, inverse, np.asarray(count, dtype=np.int64))
+    rows, cols = np.divmod(pairs, n_vertices)
+    order = np.lexsort((first, rows))
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_vertices), out=indptr[1:])
+    return ArtifactGraph(vertices, indptr, cols[order], weights[order])
 
 
 def build_graph(records: Iterable[AlertRecord]) -> ArtifactGraph:
@@ -167,25 +165,6 @@ def build_graph(records: Iterable[AlertRecord]) -> ArtifactGraph:
 
 def graph_summary(g: ArtifactGraph) -> GraphSummary:
     layer_counts: dict[str, int] = {}
-    for layer, _ in g.nodes():
+    for layer, _ in g.vertices:
         layer_counts[layer] = layer_counts.get(layer, 0) + 1
     return GraphSummary(len(g), g.edge_count, g.total_weight, layer_counts)
-
-
-# -- exports -------------------------------------------------------------
-
-def write_edge_list(g: ArtifactGraph, path: Path | str) -> None:
-    """Tab-separated "layer_u value_u layer_v value_v weight" rows."""
-    with open(path, "w", encoding="utf-8") as fp:
-        for (lu, vu), (lv, vv), w in g.edges():
-            fp.write(f"{lu}\t{vu}\t{lv}\t{vv}\t{w}\n")
-
-
-def write_dot(g: ArtifactGraph, path: Path | str, name: str = "artifacts") -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(f'graph "{name}" {{\n')
-        for layer, value in g.nodes():
-            fp.write(f'  "{layer}:{value}" [layer="{layer}"];\n')
-        for (lu, vu), (lv, vv), w in g.edges():
-            fp.write(f'  "{lu}:{vu}" -- "{lv}:{vv}" [weight={w}];\n')
-        fp.write("}\n")

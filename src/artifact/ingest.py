@@ -32,6 +32,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -100,12 +101,19 @@ def valid_timestamp(ts: float) -> bool:
     return 0.0 < ts < MAX_TIMESTAMP
 
 
+# The bundle's registry.tsv is split on these, so no field key or value may
+# hold one.
+_TSV_BREAKS = re.compile(r"[\t\n\r]")
+
+
 def check_fields(fields: dict[str, str]) -> None:
     if not fields:
         raise ValueError("record has no fields")
     for key, value in fields.items():
         if not isinstance(value, str) or not value:
             raise ValueError(f"empty or non-string value for field {key!r}")
+        if _TSV_BREAKS.search(key) or _TSV_BREAKS.search(value):
+            raise ValueError(f"tab or line break in field {key!r}: {value!r}")
 
 
 @dataclass
@@ -355,12 +363,24 @@ _OSSEC_SRC_IP_RE = re.compile(r"^Src IP: (\S+)")
 OssecKey = tuple[str, str, "str | None", "str | None"]  # rule, logfile, src ip, host
 
 
-def _scan_ossec(lines: Iterable[str]) -> tuple[float, OssecKey]:
+def _scan_ossec(
+    lines: Sequence[str], cutoff: float | None = None
+) -> tuple[float, OssecKey | None]:
+    """An OSSEC block's epoch and raw key. A block whose first line is a
+    header with a valid epoch before `cutoff` is read no further and gets
+    None for its raw key."""
     epoch: float | None = None
     rule_id: str | None = None
     logfile: str | None = None
     hostname: str | None = None
     src_ip: str | None = None
+
+    head = _OSSEC_HEAD_RE.match(lines[0].strip()) if lines else None
+    if head:
+        epoch = float(head.group(1))
+        if cutoff is not None and epoch < cutoff and valid_timestamp(epoch):
+            return epoch, None
+        lines = lines[1:]
 
     for raw in lines:
         line = raw.strip()
@@ -412,27 +432,11 @@ def _ossec_key(raw: OssecKey) -> tuple[str, dict[str, str]]:
         fields["src_ip"] = src_ip
     if hostname:
         fields["hostname"] = hostname
+    try:
+        check_fields(fields)
+    except ValueError as exc:
+        raise MalformedBlockError(str(exc)) from None
     return OSSEC, fields
-
-
-def _ossec_scanner(
-    cutoff: float | None = None,
-) -> Callable[[list[str]], tuple[float, OssecKey | None]]:
-    """A scanner of OSSEC blocks: `_scan_ossec`, except that a block whose
-    first line holds a valid epoch before `cutoff` is read no further and
-    gets None for its raw key."""
-    if cutoff is None:
-        return _scan_ossec
-
-    def scan(block: list[str]) -> tuple[float, OssecKey | None]:
-        head = _OSSEC_HEAD_RE.match(block[0])
-        if head:
-            epoch = float(head.group(1))
-            if valid_timestamp(epoch) and epoch < cutoff:
-                return epoch, None
-        return _scan_ossec(block)
-
-    return scan
 
 
 def parse_ossec_block(block: str) -> AlertRecord:
@@ -699,7 +703,7 @@ def read_ossec_file(
     one counted line."""
     alerts = KeyedAlerts() if alerts is None else alerts
     with _open_text(path) as fp:
-        _read_into(alerts, _ossec_blocks(fp), _ossec_scanner(cutoff), _ossec_key,
+        _read_into(alerts, _ossec_blocks(fp), partial(_scan_ossec, cutoff=cutoff), _ossec_key,
                    (MalformedBlockError,), stats, "ossec block", cutoff)
     return alerts
 

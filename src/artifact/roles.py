@@ -27,7 +27,7 @@ from artifact.features import (
     FeatureMatrix,
     primary_features,
 )
-from artifact.graph import Adjacency, ArtifactGraph, Vertex
+from artifact.graph import ArtifactGraph, Vertex
 
 logger = logging.getLogger(__name__)
 
@@ -365,13 +365,13 @@ class PropertyMatrix:
 _BFS_BLOCK = 64
 
 
-def _pagerank(adj: Adjacency, alpha: float = 0.85, tol: float = 1e-8,
+def _pagerank(g: ArtifactGraph, alpha: float = 0.85, tol: float = 1e-8,
               max_iter: int = 1000) -> np.ndarray:
     """Weighted PageRank by power iteration, step for step as networkx's
     `_pagerank_scipy` takes it: rows normalized to sum 1, the mass of nodes
     without edges spread uniformly, stop once the L1 change is below N*tol."""
-    n = len(adj.nodes)
-    A = adj.matrix(adj.weights.astype(float))
+    n = len(g)
+    A = g.matrix(g.weights.astype(float))
     S = A.sum(axis=1)
     S[S != 0] = 1.0 / S[S != 0]
     A = diags_array(S).tocsr() @ A
@@ -386,12 +386,12 @@ def _pagerank(adj: Adjacency, alpha: float = 0.85, tol: float = 1e-8,
     raise ArithmeticError(f"pagerank did not converge in {max_iter} iterations")
 
 
-def _eccentricity_betweenness(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
+def _eccentricity_betweenness(g: ArtifactGraph) -> tuple[np.ndarray, np.ndarray]:
     """Eccentricity within each node's component and unnormalized shortest-path
     betweenness, from level-synchronous breadth-first searches over blocks of
     sources (Brandes' accumulation, one BFS level at a time)."""
-    n = len(adj.nodes)
-    A = adj.matrix(np.ones(len(adj.indices)))
+    n = len(g)
+    A = g.matrix(np.ones(len(g.indices)))
     eccentricity = np.zeros(n)
     betweenness = np.zeros(n)
     for start in range(0, n, _BFS_BLOCK):
@@ -426,9 +426,13 @@ def _eccentricity_betweenness(adj: Adjacency) -> tuple[np.ndarray, np.ndarray]:
     return eccentricity, betweenness / 2.0
 
 
-def _layer_diversity(g: ArtifactGraph, v: Vertex) -> float:
+def _layer_diversity(g: ArtifactGraph, i: int) -> float:
+    """Normalized entropy of row i's edge weight over its neighbors' layers,
+    summed in the row's order."""
+    row = slice(g.indptr[i], g.indptr[i + 1])
     by_layer: dict[str, float] = {}
-    for (layer, _), w in g.neighbors(v).items():
+    for j, w in zip(g.indices[row].tolist(), g.weights[row].tolist()):
+        layer = g.vertices[j][0]
         by_layer[layer] = by_layer.get(layer, 0.0) + float(w)
     if len(by_layer) <= 1:
         return 0.0
@@ -443,19 +447,18 @@ def node_properties(g: ArtifactGraph) -> PropertyMatrix:
     """Interpretable properties, computed straight from the window graph."""
     if len(g) == 0:
         raise EmptyGraphError("cannot compute properties of an empty graph")
-    adj = g.adjacency()
     primaries = primary_features(g).values
-    eccentricity, betweenness = _eccentricity_betweenness(adj)
+    eccentricity, betweenness = _eccentricity_betweenness(g)
     values = np.column_stack((
-        adj.degree,
+        g.degree,
         primaries[:, PRIMARY_NAMES.index("weighted_degree")],
-        _pagerank(adj),
+        _pagerank(g),
         primaries[:, PRIMARY_NAMES.index("transitivity")],  # unweighted clustering
-        [_layer_diversity(g, v) for v in adj.nodes],
+        [_layer_diversity(g, i) for i in range(len(g))],
         eccentricity,
         betweenness,
     ))
-    return PropertyMatrix(adj.nodes, PROPERTY_NAMES, values)
+    return PropertyMatrix(g.vertices, PROPERTY_NAMES, values)
 
 
 @dataclass

@@ -1,11 +1,13 @@
+import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from artifact.graph import ArtifactGraph
-from artifact.ingest import AlertRecord, write_jsonl
+from artifact.graph import build_weighted_graph
+from artifact.ingest import AlertRecord, layer_for, write_jsonl
 from artifact.pipeline import PipelineConfig, train
 from artifact.scenario import default_scenario, generate_scenario
 
@@ -88,13 +90,50 @@ def make_random_records(seed: int, count: int, base_ts: float = 1_000_000.0) -> 
     return records
 
 
+def link_graph(links=(), isolated=()):
+    """A graph from (u, v, weight) links between (layer, value) vertices, in
+    order, and vertices without links. A link is a 2-field tuple keyed by its
+    layers (`layer_for` keeps a layer name as it is) that occurs `weight`
+    times; an isolated vertex is a 1-field tuple."""
+    return build_weighted_graph(
+        [((u, v), w) for u, v, w in links] + [((x,), 1) for x in isolated]
+    )
+
+
+def reference_adjacency(field_counts):
+    """The co-occurrence graph as a plain dict of dicts, one vertex pair at
+    a time: vertex -> {neighbor: weight}, vertices and neighbors in order of
+    first appearance."""
+    adj = {}
+    for fields, count in field_counts:
+        vertices = [(layer_for(key), value) for key, value in fields]
+        for v in vertices:
+            adj.setdefault(v, {})
+        for u, v in itertools.combinations(vertices, 2):
+            if u != v:
+                adj[u][v] = adj[u].get(v, 0) + count
+                adj[v][u] = adj[v].get(u, 0) + count
+    return adj
+
+
+def assert_same_graph(g, adj):
+    """g holds exactly the reference `adj`: vertices in sorted order, each
+    row's neighbors in first-link order, int64 arrays."""
+    assert g.nodes() == sorted(adj)
+    assert g.indptr.dtype == g.indices.dtype == g.weights.dtype == np.int64
+    rows = [
+        [(g.vertices[j], w) for j, w in zip(g.indices[a:b].tolist(), g.weights[a:b].tolist())]
+        for a, b in itertools.pairwise(g.indptr.tolist())
+    ]
+    assert rows == [list(adj[v].items()) for v in sorted(adj)]
+
+
 @st.composite
 def weighted_graphs(draw, hub_leaves=st.integers(min_value=129, max_value=150)):
     """Random weighted graphs in shuffled insertion order: one to three
     disjoint blocks of vertices, at least one isolated vertex, and a hub whose
     leaves may also link into the first block. The default hub degree tops
     128, numpy's pairwise-summation block."""
-    g = ArtifactGraph()
     weight = st.integers(min_value=1, max_value=9)
     links = []
     for block, size in enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))):
@@ -108,8 +147,5 @@ def weighted_graphs(draw, hub_leaves=st.integers(min_value=129, max_value=150)):
         core = draw(st.none() | st.integers(0, 3))
         if core is not None:
             links.append((("leaf", str(leaf)), ("b0", str(core)), draw(weight)))
-    for u, v, w in draw(st.permutations(links)):
-        g.add_cooccurrence(g.add_vertex(*u), g.add_vertex(*v), w)
-    for lonely in range(draw(st.integers(1, 3))):
-        g.add_vertex("lonely", str(lonely))
-    return g
+    lonely = [("lonely", str(i)) for i in range(draw(st.integers(1, 3)))]
+    return link_graph(draw(st.permutations(links)), lonely)

@@ -3,6 +3,8 @@ bad input, and determinism of the rendered outputs. Heavy runs reuse the
 session stream; train/score here use shallow quick-model knobs since the CLI
 layer under test is the plumbing, not detection quality."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,8 @@ import pytest
 
 import artifact
 from conftest import SMALL_ORIGIN
-from artifact.cli import SCORE_HEADER, main
+from artifact.cli import main
+from artifact.dynamics import SCORE_COLUMNS
 from artifact.ingest import ParseStats, read_jsonl_file, write_jsonl
 
 ORIGIN_UTC = "2021-03-01T00:00:00Z"
@@ -145,7 +148,7 @@ def test_cli_train_rejects_missing_input(tmp_path, capsys):
 def test_cli_score_reports_window_count(cli_scores, capsys):
     # 18 windows, 3 in the one-day training span, one baseline: 14 scored
     lines = cli_scores.read_text().splitlines()
-    assert lines[0] == ",".join(SCORE_HEADER)
+    assert lines[0] == ",".join(SCORE_COLUMNS)
     assert len(lines) == 1 + 14
 
 
@@ -184,7 +187,7 @@ def test_cli_score_empty_span_with_filters(
     assert "scored 0 windows" in out
     assert "no windows above threshold" in out
     assert (tmp_path / "scores.csv").read_text().splitlines() == [
-        ",".join(SCORE_HEADER)
+        ",".join(SCORE_COLUMNS)
     ]
 
 
@@ -220,7 +223,7 @@ def test_report_rejects_alien_header(tmp_path, capsys):
 
 def test_report_rejects_short_row(tmp_path, capsys):
     bad = tmp_path / "short.csv"
-    bad.write_text(",".join(SCORE_HEADER) + "\n2021-03-01T00:00:00Z,x,0.1\n")
+    bad.write_text(",".join(SCORE_COLUMNS) + "\n2021-03-01T00:00:00Z,x,0.1\n")
     rc = main(["report", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "cells" in capsys.readouterr().err
@@ -229,7 +232,7 @@ def test_report_rejects_short_row(tmp_path, capsys):
 def test_report_rejects_unparseable_cell(tmp_path, capsys):
     bad = tmp_path / "cell.csv"
     row = "2021-03-01T00:00:00Z,2021-03-01T08:00:00Z,not-a-score,0,5,0,"
-    bad.write_text(",".join(SCORE_HEADER) + "\n" + row + "\n")
+    bad.write_text(",".join(SCORE_COLUMNS) + "\n" + row + "\n")
     rc = main(["report", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "unreadable cell" in capsys.readouterr().err
@@ -247,6 +250,71 @@ def test_report_rejects_missing_file(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- awkward field values ----------------------------------------------------------
+
+# One alert of each in the tiny scenario's training day and one after it.
+ODD_TIMES = (SMALL_ORIGIN + 3600.0, SMALL_ORIGIN + 37 * 3600.0)
+# Each breaks the tab-separated registry.tsv; such an alert is a counted skip.
+BREAKS = ("\t", "\n", "\r")
+
+
+def odd_jsonl_lines():
+    """(kept lines, skipped lines): a logfile holding a comma and a quote,
+    and tabs or line breaks in a field value and in a field key."""
+    kept, skipped = [], []
+    for ts in ODD_TIMES:
+        fields = {"rule_id": "5503", "logfile": '/a,b "c"', "src_ip": "10.0.0.1"}
+        kept.append({"source": "ossec", "ts": ts, "fields": fields})
+        for brk in BREAKS:
+            skipped.append({"source": "ossec", "ts": ts,
+                            "fields": {"rule_id": "5503", "logfile": f"x{brk}y"}})
+            skipped.append({"source": "snort", "ts": ts,
+                            "fields": {f"sig{brk}id": "1", "src_ip": "10.0.0.1"}})
+    return kept, skipped
+
+
+def odd_ossec_text():
+    """(text, skipped blocks): a hostname holding a tab, next to a block
+    whose logfile holds a comma."""
+    blocks = []
+    for ts in ODD_TIMES:
+        for where in ("db\tbox->/var/log/auth.log", "(web1) 10.0.0.9->/var/log/a,b"):
+            blocks.append(
+                f"** Alert {ts:.0f}.1: - syslog\n2021 Mar 01 01:00:00 {where}\n"
+                "Rule: 5715 (level 3) -> 'SSHD authentication success.'\n\n"
+            )
+    return "".join(blocks), len(ODD_TIMES)
+
+
+def test_awkward_values_run_through_train_score_report(tiny_ini, tmp_path, capsys):
+    assert main(["simulate", "--config", str(tiny_ini), "--out", str(tmp_path)]) == 0
+    stream = (tmp_path / "alerts.jsonl").read_text()
+    kept, skipped = odd_jsonl_lines()
+    jsonl = tmp_path / "odd.jsonl"
+    jsonl.write_text(stream + "".join(json.dumps(alert) + "\n" for alert in kept + skipped))
+    ossec_text, ossec_skipped = odd_ossec_text()
+    ossec = tmp_path / "alerts.log"
+    ossec.write_text(ossec_text)
+    inputs = ["--jsonl", str(jsonl), "--ossec", str(ossec)]
+
+    assert main(["train", *inputs, "--origin-utc", ORIGIN_UTC, "--training-days", "1",
+                 "--max-depth", "2", "--max-roles", "3", "--max-bits", "2",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    lines = len(stream.splitlines()) + len(kept) + len(skipped)
+    blocks = ossec_text.count("** Alert")
+    summary = capsys.readouterr().out
+    assert f"(skipped {len(skipped) + ossec_skipped} of {lines + blocks} lines)" in summary
+
+    assert main(["score", *inputs, "--model", str(tmp_path / "model"),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fp:
+        rows = list(csv.reader(fp))
+    assert all(len(row) == len(SCORE_COLUMNS) for row in rows)
+    assert any('logfile:/a,b "c":' in row[-1] for row in rows[1:])
+
+    assert main(["report", str(tmp_path / "scores.csv"), "--out", str(tmp_path)]) == 0
 
 
 # --- argument errors ---------------------------------------------------------------

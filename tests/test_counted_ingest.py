@@ -8,7 +8,6 @@ every graph down to the insertion order of each vertex's neighbors, which the
 floating-point neighbor sums of the recursive features depend on.
 """
 
-import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -16,7 +15,6 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from artifact.dynamics import NodeRegistry
-from artifact.graph import ArtifactGraph
 from artifact.ingest import (
     AlertRecord,
     ParseStats,
@@ -34,6 +32,8 @@ from artifact.pipeline import (
     training_graph,
 )
 
+from conftest import assert_same_graph, reference_adjacency
+
 ORIGIN = 1_000_000.0
 HOUR = 3600.0
 
@@ -41,15 +41,8 @@ HOUR = 3600.0
 # --- references: one alert at a time -----------------------------------------
 
 def reference_build_graph(records):
-    g = ArtifactGraph()
-    for record in records:
-        vertices = [
-            g.add_vertex(layer_for(key), value) for key, value in record.fields.items()
-        ]
-        for u, v in itertools.combinations(vertices, 2):
-            if u != v:
-                g.add_cooccurrence(u, v)
-    return g
+    """vertex -> {neighbor: weight}, one alert at a time."""
+    return reference_adjacency((record.fields.items(), 1) for record in records)
 
 
 def reference_parse_jsonl(line):
@@ -110,16 +103,6 @@ def reference_scoring(records, spec):
 
 
 # --- comparisons ---------------------------------------------------------------
-
-def adjacency(g):
-    """Each vertex's neighbors with weights, in insertion order."""
-    return {v: list(g.neighbors(v).items()) for v in g.nodes()}
-
-
-def assert_same_graph(got, want):
-    assert got == want
-    assert adjacency(got) == adjacency(want)
-
 
 def record_items(records):
     return [(r.source, r.timestamp, list(r.fields.items())) for r in records]

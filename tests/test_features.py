@@ -17,27 +17,20 @@ from artifact.features import (
     fit_schema,
     primary_features,
 )
-from artifact.graph import ArtifactGraph, build_graph
+from artifact.graph import build_graph
 from artifact.ingest import AlertRecord
 
-from conftest import make_random_records, weighted_graphs
+from conftest import link_graph, make_random_records, weighted_graphs
 
 
 def ring(n):
-    g = ArtifactGraph()
-    verts = [g.add_vertex("ip", f"10.0.0.{i}") for i in range(n)]
-    for i in range(n):
-        g.add_cooccurrence(verts[i], verts[(i + 1) % n])
-    return g
+    verts = [("ip", f"10.0.0.{i}") for i in range(n)]
+    return link_graph((verts[i], verts[(i + 1) % n], 1) for i in range(n))
 
 
 def star(leaves):
-    g = ArtifactGraph()
-    center = g.add_vertex("ip", "10.0.0.0")
-    for i in range(leaves):
-        leaf = g.add_vertex("ip", f"10.0.1.{i}")
-        g.add_cooccurrence(center, leaf)
-    return g, center
+    center = ("ip", "10.0.0.0")
+    return link_graph((center, ("ip", f"10.0.1.{i}"), 1) for i in range(leaves)), center
 
 
 def ref_eval_schema(g, schema):
@@ -193,17 +186,12 @@ def test_triangle_with_weight_two():
 
 
 def test_transitivity_rises_when_closing_edge_appears():
-    g = ArtifactGraph()
-    ip1 = g.add_vertex("ip", "10.0.0.1")
-    ip2 = g.add_vertex("ip", "10.0.0.2")
-    rule = g.add_vertex("rule", "5503")
-    g.add_cooccurrence(ip1, rule)
-    g.add_cooccurrence(ip1, ip2)
-    before = primary_features(g)
+    ip1, ip2, rule = ("ip", "10.0.0.1"), ("ip", "10.0.0.2"), ("rule", "5503")
+    links = [(ip1, rule, 1), (ip1, ip2, 1)]
+    before = primary_features(link_graph(links))
     assert before.row_for(ip1)[3] == 0.0
 
-    g.add_cooccurrence(rule, ip2)
-    after = primary_features(g)
+    after = primary_features(link_graph(links + [(rule, ip2, 1)]))
     assert after.row_for(ip1)[3] == 1.0
 
 
@@ -220,7 +208,7 @@ def test_star_primaries():
 
 def test_fit_on_empty_graph_raises():
     with pytest.raises(EmptyGraphError):
-        fit_schema(ArtifactGraph())
+        fit_schema(link_graph())
 
 
 def test_regular_graph_collapses_to_primaries():
@@ -234,12 +222,8 @@ def test_regular_graph_collapses_to_primaries():
 def test_three_node_path_collapses_by_rank():
     # a-b-c: every aggregate is symmetric (x, y, x) and the primaries already
     # span that two-dimensional space, so recursion retains nothing
-    g = ArtifactGraph()
-    a = g.add_vertex("ip", "a")
-    b = g.add_vertex("ip", "b")
-    c = g.add_vertex("ip", "c")
-    g.add_cooccurrence(a, b)
-    g.add_cooccurrence(b, c)
+    a, b, c = ("ip", "a"), ("ip", "b"), ("ip", "c")
+    g = link_graph([(a, b, 1), (b, c, 1)])
     schema, fm = fit_schema(g, max_depth=3)
     assert len(schema) == 4
     assert fm.row_for(b).tolist() == [2.0, 0.0, 0.0, 0.0]
@@ -340,7 +324,7 @@ def test_apply_handles_isolated_nodes_with_recursive_schema():
 
 def test_apply_on_empty_graph_returns_empty_matrix():
     schema, _ = fit_schema(ring(4))
-    fm = apply_schema(ArtifactGraph(), schema)
+    fm = apply_schema(link_graph(), schema)
     assert fm.nodes == [] and fm.values.shape == (0, len(schema))
 
 

@@ -1,21 +1,15 @@
-"""Co-occurrence graph tests, checked against a brute-force pair counter."""
+"""Co-occurrence graph tests, checked against a brute-force pair counter and
+a dict-of-dicts reference."""
 
 import itertools
 import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from artifact.graph import (
-    ArtifactGraph,
-    build_graph,
-    graph_summary,
-    write_dot,
-    write_edge_list,
-)
+from artifact.graph import build_graph, build_weighted_graph, graph_summary
 from artifact.ingest import AlertRecord, layer_for
 
-from conftest import make_random_records
+from conftest import assert_same_graph, make_random_records, reference_adjacency
 
 
 def brute_force_counts(records):
@@ -152,15 +146,6 @@ def test_random_graphs_always_match_brute_force(seed):
     assert graph_as_dict(g) == weights
 
 
-def test_add_cooccurrence_requires_known_vertices():
-    g = ArtifactGraph()
-    g.add_vertex("ip", "1.1.1.1")
-    with pytest.raises(KeyError):
-        g.add_cooccurrence(("ip", "1.1.1.1"), ("ip", "2.2.2.2"))
-    with pytest.raises(ValueError):
-        g.add_cooccurrence(("ip", "1.1.1.1"), ("ip", "1.1.1.1"))
-
-
 def test_neighbors_and_weighted_degree():
     g = build_graph([SNORT_REC])
     sig = ("signature", "215")
@@ -169,24 +154,36 @@ def test_neighbors_and_weighted_degree():
     assert g.weighted_degree(("ip", "10.10.255.77")) == 2.0
 
 
-def test_edge_list_export(tmp_path):
-    g = build_graph([SNORT_REC, OSSEC_REC])
-    path = tmp_path / "edges.tsv"
-    write_edge_list(g, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 6
-    parsed = []
-    for line in lines:
-        ul, uv, vl, vv, w = line.split("\t")
-        parsed.append(((ul, uv), (vl, vv), float(w)))
-    assert {(u, v): w for u, v, w in parsed} == graph_as_dict(g)
+# --- compressed rows against the dict-of-dicts reference -----------------------
+
+# src_ip and dst_ip share the value pool, so some pairs collapse to one
+# vertex; "1" is both a signature and a rule, two distinct vertices.
+FIELD_TUPLES = st.dictionaries(
+    st.sampled_from(["src_ip", "dst_ip", "sig_id", "rule_id", "logfile"]),
+    st.sampled_from(["1", "2", "10.0.0.1", "10.0.0.2"]),
+    min_size=1,
+    max_size=4,
+).map(lambda fields: tuple(fields.items()))
 
 
-def test_dot_export_mentions_every_vertex(tmp_path):
-    g = build_graph([SNORT_REC, OSSEC_REC])
-    path = tmp_path / "graph.dot"
-    write_dot(g, path)
-    text = path.read_text()
-    assert text.startswith("graph ")
-    for layer, value in g.nodes():
-        assert f"{layer}:{value}" in text
+@st.composite
+def field_counts(draw):
+    """Distinct tuples drawn from a small pool, so tuples repeat, with counts
+    past 2**32; sometimes a hub signature with more than 128 neighbors, its
+    tuples shuffled among the others."""
+    pool = draw(st.lists(FIELD_TUPLES, min_size=1, max_size=8))
+    counts = st.integers(1, 2**40)
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pool), counts), max_size=30))
+    leaves = draw(st.sampled_from([0, 129, 150]))
+    hub = [((("sig_id", "hub"), ("dst_ip", f"10.9.0.{i}")), draw(counts))
+           for i in range(leaves)]
+    return draw(st.permutations(drawn + hub))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=field_counts())
+@example(counts=[])
+def test_weighted_graph_matches_dict_of_dicts_reference(counts):
+    g = build_weighted_graph(counts)
+    assert_same_graph(g, reference_adjacency(counts))
+    assert g == build_weighted_graph(counts[::-1])

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import weighted_graphs
+from conftest import link_graph, weighted_graphs
 from artifact.features import EmptyGraphError, FeatureMatrix
-from artifact.graph import ArtifactGraph
 from artifact.roles import (
     DimensionError,
     Membership,
@@ -351,12 +350,8 @@ def test_membership_schema_checks():
 # --- node properties ----------------------------------------------------------------
 
 def star_graph(leaves, weight=1):
-    g = ArtifactGraph()
-    center = g.add_vertex("ip", "10.0.0.0")
-    for i in range(leaves):
-        leaf = g.add_vertex("ip", f"10.0.1.{i}")
-        g.add_cooccurrence(center, leaf, weight)
-    return g, center
+    center = ("ip", "10.0.0.0")
+    return link_graph((center, ("ip", f"10.0.1.{i}"), weight) for i in range(leaves)), center
 
 
 def test_star_center_properties():
@@ -382,12 +377,8 @@ def test_pagerank_sums_to_one():
 
 
 def test_triangle_symmetry():
-    g = ArtifactGraph()
-    a = g.add_vertex("ip", "a")
-    b = g.add_vertex("ip", "b")
-    c = g.add_vertex("ip", "c")
-    for u, v in ((a, b), (b, c), (a, c)):
-        g.add_cooccurrence(u, v, 2)
+    a, b, c = ("ip", "a"), ("ip", "b"), ("ip", "c")
+    g = link_graph([(a, b, 2), (b, c, 2), (a, c, 2)])
     props = node_properties(g)
     assert np.allclose(props.values, props.values[0])
     row = dict(zip(props.names, props.values[0]))
@@ -396,12 +387,8 @@ def test_triangle_symmetry():
 
 
 def test_diversity_is_layer_entropy():
-    g = ArtifactGraph()
-    ip = g.add_vertex("ip", "10.0.0.1")
-    sig = g.add_vertex("signature", "215")
-    rule = g.add_vertex("rule", "5503")
-    g.add_cooccurrence(ip, sig)
-    g.add_cooccurrence(ip, rule)
+    ip, sig, rule = ("ip", "10.0.0.1"), ("signature", "215"), ("rule", "5503")
+    g = link_graph([(ip, sig, 1), (ip, rule, 1)])
     props = node_properties(g)
     # two neighbor layers, equal weight: maximal entropy = 1.0
     assert props.row_for(ip)[props.names.index("diversity")] == pytest.approx(1.0)
@@ -419,16 +406,12 @@ def test_weighted_degree_differs_from_degree():
 
 def test_properties_of_empty_graph_raise():
     with pytest.raises(EmptyGraphError):
-        node_properties(ArtifactGraph())
+        node_properties(link_graph())
 
 
 def test_disconnected_graph_gets_per_component_eccentricity():
-    g = ArtifactGraph()
-    a = g.add_vertex("ip", "a")
-    b = g.add_vertex("ip", "b")
-    c = g.add_vertex("rule", "c")
-    g.add_cooccurrence(a, b)
-    # c is isolated
+    a, c = ("ip", "a"), ("rule", "c")
+    g = link_graph([(a, ("ip", "b"), 1)], isolated=[c])
     props = node_properties(g)
     assert props.row_for(a)[props.names.index("eccentricity")] == 1
     assert props.row_for(c)[props.names.index("eccentricity")] == 0

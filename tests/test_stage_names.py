@@ -1,0 +1,44 @@
+"""The benchmark's stage tracer (`perfbench/spans.py`) swaps stage functions
+by their module-global names and reads counts off their results. A renamed
+stage or a changed result would leave its metrics reading 0."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import artifact.pipeline
+from artifact.ingest import AlertRecord
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def test_every_traced_stage_resolves(spans):
+    for table in (spans.STAGES, spans.COUNTED):
+        for module, names in table.items():
+            for attr in names:
+                assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_graph_build_result_has_the_counts_the_tracer_reads(spans):
+    records = [
+        AlertRecord("snort", 1.0, {"sig_id": "1", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}),
+        AlertRecord("ossec", 2.0, {"rule_id": "5503", "src_ip": "10.0.0.1"}),
+    ]
+    graph = artifact.pipeline.build_graph(records)
+    tracer = spans.Tracer()
+    spans.observe(tracer, spans.STAGES[artifact.pipeline]["build_graph"], (records,), graph)
+    assert tracer.counters["graph.build_calls"] == 1
+    assert tracer.counters["graph.nodes"] == len(graph) == 4
+    assert tracer.counters["graph.edges"] == graph.edge_count == 4
