@@ -11,6 +11,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from artifact.dynamics import SCORE_COLUMNS
@@ -33,41 +34,47 @@ logger = logging.getLogger(__name__)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None,
-                   help="INI config file")
-    p.add_argument("--out", type=Path, default=None,
+    p.add_argument("--out", dest="out_dir", type=Path,
                    help="output directory (default: out)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master RNG seed")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="chatty logging")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--config", type=Path,
+                   help="INI config file")
+    p.add_argument("--seed", type=int,
+                   help="master RNG seed")
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snort", action="append", type=Path, default=[],
+    p.add_argument("--snort", dest="snort_paths", action="append", type=Path,
                    metavar="PATH", help="snort fast-format alert file (repeatable)")
-    p.add_argument("--ossec", action="append", type=Path, default=[],
+    p.add_argument("--ossec", dest="ossec_paths", action="append", type=Path,
                    metavar="PATH", help="ossec alerts.log file (repeatable)")
-    p.add_argument("--jsonl", action="append", type=Path, default=[],
+    p.add_argument("--jsonl", dest="jsonl_paths", action="append", type=Path,
                    metavar="PATH", help="normalized JSONL alert file (repeatable)")
-    p.add_argument("--hostmap", type=Path, default=None,
+    p.add_argument("--hostmap", dest="hostmap_path", type=Path, metavar="PATH",
                    help="hostname-to-IP map file")
-    p.add_argument("--snort-year", type=int, default=None,
-                   help="year for snort timestamps (the format omits it)")
-    p.add_argument("--source", choices=("snort", "ossec"), default=None,
+    p.add_argument("--snort-year", type=int,
+                   help="year of the first yearless snort timestamp (the format omits it)")
+    p.add_argument("--source", choices=("snort", "ossec"),
                    help="keep only alerts from one IDS")
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window-hours", type=float, default=None,
+    p.add_argument("--window-hours", type=float,
                    help="window length in hours (default 8)")
-    p.add_argument("--training-days", type=float, default=None,
+    p.add_argument("--training-days", type=float,
                    help="training span in days (default 7)")
-    p.add_argument("--origin-utc", type=str, default=None,
+    p.add_argument("--origin-utc", dest="origin", type=parse_utc, metavar="ORIGIN_UTC",
                    help="window grid origin, ISO-8601 UTC")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag of `train` and `score` but --config, --verbose and --model
+    is named after the `PipelineConfig` field it sets."""
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Role-dynamics anomaly detection over IDS alert streams.",
@@ -75,26 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit a role model bundle")
-    _add_common(p_train)
+    _add_run_flags(p_train)
     _add_input_flags(p_train)
     _add_window_flags(p_train)
-    p_train.add_argument("--max-depth", type=int, default=None,
+    p_train.add_argument("--max-depth", type=int,
                          help="feature recursion depth")
-    p_train.add_argument("--prune-tolerance", type=float, default=None,
+    p_train.add_argument("--prune-tolerance", type=float,
                          help="relative residual below which a feature is redundant")
-    p_train.add_argument("--max-roles", type=int, default=None,
+    p_train.add_argument("--max-roles", type=int,
                          help="largest role count in the grid search")
-    p_train.add_argument("--max-bits", type=int, default=None,
+    p_train.add_argument("--max-bits", type=int,
                          help="largest bit width in the grid search")
 
     p_score = sub.add_parser("score", help="score windows against a bundle")
-    _add_common(p_score)
+    _add_run_flags(p_score)
     _add_input_flags(p_score)
     p_score.add_argument("--model", type=Path, required=True,
                          help="trained bundle directory")
-    p_score.add_argument("--threshold", type=float, default=None,
+    p_score.add_argument("--threshold", type=float,
                          help="flagging threshold on the role-change score (default 0.05)")
-    p_score.add_argument("--layer", default=None,
+    p_score.add_argument("--layer",
                          help="restrict the score to one node layer (e.g. logfile)")
 
     p_report = sub.add_parser("report", help="render a score CSV")
@@ -102,43 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("scores_csv", type=Path, help="scores.csv from `score`")
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic alert stream")
-    _add_common(p_sim)
+    _add_run_flags(p_sim)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config is not None:
-        cfg = load_pipeline_config(args.config)
-    else:
-        cfg = PipelineConfig()
-    for flag, attr in (
-        ("snort", "snort_paths"), ("ossec", "ossec_paths"), ("jsonl", "jsonl_paths"),
-    ):
-        values = getattr(args, flag, [])
-        if values:
-            setattr(cfg, attr, list(values))
-    overrides = (
-        ("hostmap", "hostmap_path"),
-        ("snort_year", "snort_year"),
-        ("window_hours", "window_hours"),
-        ("training_days", "training_days"),
-        ("max_depth", "max_depth"),
-        ("prune_tolerance", "prune_tolerance"),
-        ("max_roles", "max_roles"),
-        ("max_bits", "max_bits"),
-        ("threshold", "threshold"),
-        ("layer", "layer"),
-        ("source", "source"),
-        ("seed", "seed"),
-        ("out", "out_dir"),
-    )
-    for flag, attr in overrides:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "origin_utc", None) is not None:
-        cfg.origin = parse_utc(args.origin_utc)
-    return cfg
+    """The config file's settings, or the defaults, with each given flag on top."""
+    cfg = load_pipeline_config(args.config) if args.config is not None else PipelineConfig()
+    given = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    return replace(cfg, **{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -196,7 +175,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise PipelineError(f"{args.scores_csv}: unreadable cell ({exc})") from None
 
-    out = args.out if args.out is not None else Path("out")
+    out = args.out_dir if args.out_dir is not None else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     plot_path = out / "plot.dat"
     with open(plot_path, "w", encoding="utf-8") as fp:
@@ -225,14 +204,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        cfg = load_scenario_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-    else:
-        cfg = default_scenario(seed=args.seed if args.seed is not None else 7)
+    cfg = load_scenario_config(args.config) if args.config is not None else default_scenario()
+    if args.seed is not None:
+        cfg.seed = args.seed
     stream = generate_scenario(cfg)
-    out = args.out if args.out is not None else Path("out")
+    out = args.out_dir if args.out_dir is not None else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "alerts.jsonl"
     write_jsonl(stream, path)

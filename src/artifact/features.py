@@ -14,7 +14,6 @@ import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -80,13 +79,6 @@ class FeatureSchema:
         if tuple(f.base for f in primaries) != PRIMARY_NAMES:
             raise ValueError("depth-0 entries must be exactly the four primaries")
 
-    def label(self, fid: int) -> str:
-        """Readable nested expression, e.g. neighbor_mean(weighted_degree)."""
-        f = self.features[fid]
-        if f.depth == 0:
-            return f.base
-        return f"{f.op}({self.label(f.parent)})"
-
     def fingerprint(self) -> str:
         digest = hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
         return digest[:12]
@@ -127,13 +119,6 @@ class FeatureSchema:
         schema.validate()
         return schema
 
-    def dump(self, path: Path | str) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: Path | str) -> "FeatureSchema":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
-
 
 @dataclass
 class FeatureMatrix:
@@ -153,17 +138,6 @@ class FeatureMatrix:
 
     def row_for(self, node: Vertex) -> np.ndarray:
         return self.values[self.nodes.index(node)]
-
-    def write_csv(self, path: Path | str, schema: FeatureSchema | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            if schema is not None:
-                header = ",".join(schema.label(f.fid) for f in schema.features)
-            else:
-                header = ",".join(f"f{j}" for j in range(self.values.shape[1]))
-            fp.write("layer,value," + header + "\n")
-            for (layer, value), row in zip(self.nodes, self.values):
-                cells = ",".join(repr(float(x)) for x in row)
-                fp.write(f"{layer},{value},{cells}\n")
 
 
 # -- computation ----------------------------------------------------------

@@ -7,8 +7,10 @@ Three input formats are supported:
     11/30-20:00:01.000000 [**] [1:215:3] MSG [**] [Classification: x] \
 [Priority: 2] {TCP} 10.10.255.77:4444 -> 10.10.255.254:80
 
-  The fast format omits the year, so the caller must supply one. Only the
-  signature id (the middle integer of the [gid:sid:rev] triple) and the two
+  The fast format omits the year, so the caller supplies the year of a
+  file's first yearless date and later dates follow it over the new year; a
+  year in the line (MM/DD/YY-) wins, and only a 2-digit one is read as 20YY.
+  Only the signature id (the middle integer of the [gid:sid:rev] triple) and the two
   IP addresses are kept; message, classification, priority, protocol and
   ports are parsed past and discarded.
 
@@ -25,6 +27,7 @@ Three input formats are supported:
 from __future__ import annotations
 
 import calendar
+import configparser
 import json
 import logging
 import math
@@ -94,6 +97,44 @@ def parse_utc(text: str) -> float:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     return moment.timestamp()
+
+
+def read_ini(
+    path: str | Path,
+    keys: dict[tuple[str, str], tuple[str, Callable[[str], object]]],
+    error: type[Exception],
+) -> dict[str, object]:
+    """The settings an INI file sets, by field name.
+
+    `keys` maps each (section, key) a loader reads to the field it sets and
+    the function that parses its value. Sections outside the table are
+    ignored, an empty value leaves its field unset, and " ;" starts an inline
+    comment. An unreadable or unparsable file, one with none of the table's
+    sections, an unknown key in one of them and a value its function rejects
+    raise `error`, naming the file and, where there is one, the key.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fp:
+            parser.read_file(fp)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise error(f"{path}: cannot read config file: {' '.join(str(exc).split())}") from None
+    known = {section for section, _ in keys}
+    sections = [s for s in parser.sections() if s in known]
+    if not sections:
+        raise error(f"{path}: no [{'], ['.join(sorted(known))}] section")
+    values: dict[str, object] = {}
+    for section in sections:
+        for key, text in parser.items(section):
+            if (section, key) not in keys:
+                raise error(f"{path}: [{section}] {key}: unknown key")
+            name, parse = keys[section, key]
+            if text:
+                try:
+                    values[name] = parse(text)
+                except ValueError as exc:
+                    raise error(f"{path}: [{section}] {key}: {exc}") from None
+    return values
 
 
 def valid_timestamp(ts: float) -> bool:
@@ -266,6 +307,23 @@ def _utc_day_start(year: int, month: int, day: int) -> int | None:
     return calendar.timegm((year, month, day, 0, 0, 0))
 
 
+def _snort_year(year: int, top: int | None, month: int) -> tuple[int, int, int]:
+    """The year of a yearless date in `month`, then the running year and its
+    latest month after it, given the running `year` and its latest month
+    `top` (None before the first yearless date).
+
+    A month more than six before `top` starts the next year; one more than
+    six after it is a late line of the year before.
+    """
+    if top is None:
+        return year, year, month
+    if month < top - 6:
+        return year + 1, year + 1, month
+    if month > top + 6:
+        return year - 1, year, top
+    return year, year, max(top, month)
+
+
 def _snort_scanner(
     year: int, cutoff: float | None = None
 ) -> Callable[[str], tuple[float, tuple[str, str, str] | None]]:
@@ -276,11 +334,17 @@ def _snort_scanner(
     checked once, and the time of day is added to its midnight in whole
     microseconds, which is the arithmetic of `datetime.timestamp()`. A line
     before `cutoff` is not searched for its signature or addresses.
+
+    `year` is the year of the first yearless date; later ones follow it over
+    the new year by `_snort_year`. Every yearless line whose date exists
+    moves the running year, parsed or not, so a cutoff changes no timestamp.
     """
     days: dict[tuple[str, str, str | None], int | None] = {}
+    top: int | None = None
     limit = -math.inf if cutoff is None else cutoff
 
     def scan(line: str) -> tuple[float, tuple[str, str, str] | None]:
+        nonlocal year, top
         line = line.strip()
         ts_match = _SNORT_TS_RE.match(line)
         if not ts_match:
@@ -289,12 +353,17 @@ def _snort_scanner(
         try:
             midnight = days[month, day, line_year]
         except KeyError:
-            y = year
             if line_year is not None:
-                y = int(line_year)
-                if len(line_year) == 2:
-                    y += 2000
-            midnight = days[month, day, line_year] = _utc_day_start(y, int(month), int(day))
+                y = int(line_year) + (2000 if len(line_year) == 2 else 0)
+                midnight = _utc_day_start(y, int(month), int(day))
+            else:
+                y, running, latest = _snort_year(year, top, int(month))
+                midnight = _utc_day_start(y, int(month), int(day))
+                if midnight is not None and (running, latest) != (year, top):
+                    # The cached yearless dates were placed from the old state.
+                    days.clear()
+                    year, top = running, latest
+            days[month, day, line_year] = midnight
         if midnight is None:
             raise MalformedLineError("invalid date")
         h, m, s = int(hh), int(mm), int(ss)
@@ -333,22 +402,6 @@ def _snort_key(raw: tuple[str, str, str]) -> tuple[str, dict[str, str]]:
     if not (_is_ipv4(src_ip) and _is_ipv4(dst_ip)):
         raise MalformedLineError("address is not a valid IPv4 dotted quad")
     return SNORT, {"sig_id": sig_id, "src_ip": src_ip, "dst_ip": dst_ip}
-
-
-def parse_snort_fast(line: str, year: int) -> AlertRecord:
-    """Parse one Snort fast-format alert line.
-
-    `year` is required because the fast format usually omits it; a year
-    embedded in the line (MM/DD/YY- variant) takes precedence. Only a 2-digit
-    year is read as 20YY; a longer one is taken as written.
-
-    Raises MalformedLineError when the timestamp, the [gid:sid:rev] triple or
-    the "src -> dst" IP pair cannot be found, or when the timestamp is not a
-    valid date and time after the epoch.
-    """
-    ts, raw = _snort_scanner(year)(line)
-    source, fields = _snort_key(raw)
-    return AlertRecord(source, ts, fields)
 
 
 # --- OSSEC alerts.log -------------------------------------------------------
@@ -439,18 +492,6 @@ def _ossec_key(raw: OssecKey) -> tuple[str, dict[str, str]]:
     return OSSEC, fields
 
 
-def parse_ossec_block(block: str) -> AlertRecord:
-    """Parse one OSSEC alerts.log entry (header line through blank line).
-
-    The returned record keeps rule_id, logfile and (when present) src_ip; the
-    agent hostname from the location line rides along as a "hostname" field
-    until normalize_record resolves it to an address.
-    """
-    ts, raw = _scan_ossec(block.splitlines())
-    source, fields = _ossec_key(raw)
-    return AlertRecord(source, ts, fields)
-
-
 def _ossec_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
     current: list[str] = []
     for line in lines:
@@ -466,13 +507,6 @@ def _ossec_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
             current.append(line)
     if current:
         yield current
-
-
-def iter_ossec_blocks(text: str) -> Iterator[str]:
-    """Split alerts.log text into alert blocks. A block starts at a
-    "** Alert" header and ends at the next header or a blank line."""
-    for block in _ossec_blocks(text.splitlines()):
-        yield "\n".join(block)
 
 
 # --- JSONL --------------------------------------------------------------------
@@ -553,12 +587,6 @@ def _jsonl_scanner() -> Callable[[str], tuple[float, JsonlKey]]:
         return ts, raw
 
     return scan
-
-
-def parse_jsonl_record(line: str) -> AlertRecord:
-    ts, raw = _scan_jsonl(line)
-    source, fields = _jsonl_key(raw)
-    return AlertRecord(source, ts, fields)
 
 
 def write_jsonl(records: Iterable[AlertRecord], path: str | Path) -> None:

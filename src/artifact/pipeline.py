@@ -16,7 +16,6 @@ Scoring never mutates the bundle; it only reads it.
 
 from __future__ import annotations
 
-import configparser
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +50,7 @@ from artifact.ingest import (
     load_hostmap,
     normalize_record,
     parse_utc,
+    read_ini,
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
@@ -142,50 +142,35 @@ class PipelineConfig:
             raise PipelineError(f"hostmap file does not exist: {self.hostmap_path}")
 
 
-def _paths(section: configparser.SectionProxy, key: str) -> list[Path]:
-    raw = section.get(key, "")
-    return [Path(line.strip()) for line in raw.splitlines() if line.strip()]
+def _paths(text: str) -> list[Path]:
+    return [Path(line.strip()) for line in text.splitlines() if line.strip()]
+
+
+# The INI keys `load_pipeline_config` reads, and the field each one sets.
+CONFIG_KEYS = {
+    ("input", "snort"): ("snort_paths", _paths),
+    ("input", "ossec"): ("ossec_paths", _paths),
+    ("input", "jsonl"): ("jsonl_paths", _paths),
+    ("input", "hostmap"): ("hostmap_path", Path),
+    ("input", "snort_year"): ("snort_year", int),
+    ("window", "hours"): ("window_hours", float),
+    ("window", "training_days"): ("training_days", float),
+    ("window", "origin_utc"): ("origin", parse_utc),
+    ("features", "max_depth"): ("max_depth", int),
+    ("features", "prune_tolerance"): ("prune_tolerance", float),
+    ("model", "max_roles"): ("max_roles", int),
+    ("model", "max_bits"): ("max_bits", int),
+    ("model", "seed"): ("seed", int),
+    ("scoring", "threshold"): ("threshold", float),
+    ("scoring", "layer"): ("layer", str),
+    ("scoring", "source"): ("source", str),
+    ("output", "dir"): ("out_dir", Path),
+}
 
 
 def load_pipeline_config(path: Path | str) -> PipelineConfig:
     """INI layout: [input], [window], [features], [model], [scoring], [output]."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise PipelineError(f"cannot read config file {path}")
-    cfg = PipelineConfig()
-    if "input" in parser:
-        section = parser["input"]
-        cfg.snort_paths = _paths(section, "snort")
-        cfg.ossec_paths = _paths(section, "ossec")
-        cfg.jsonl_paths = _paths(section, "jsonl")
-        if "hostmap" in section:
-            cfg.hostmap_path = Path(section["hostmap"])
-        cfg.snort_year = section.getint("snort_year", cfg.snort_year)
-    if "window" in parser:
-        section = parser["window"]
-        cfg.window_hours = section.getfloat("hours", cfg.window_hours)
-        cfg.training_days = section.getfloat("training_days", cfg.training_days)
-        if "origin_utc" in section:
-            cfg.origin = parse_utc(section["origin_utc"])
-    if "features" in parser:
-        section = parser["features"]
-        cfg.max_depth = section.getint("max_depth", cfg.max_depth)
-        cfg.prune_tolerance = section.getfloat(
-            "prune_tolerance", cfg.prune_tolerance
-        )
-    if "model" in parser:
-        section = parser["model"]
-        cfg.max_roles = section.getint("max_roles", cfg.max_roles)
-        cfg.max_bits = section.getint("max_bits", cfg.max_bits)
-        cfg.seed = section.getint("seed", cfg.seed)
-    if "scoring" in parser:
-        section = parser["scoring"]
-        cfg.threshold = section.getfloat("threshold", cfg.threshold)
-        cfg.layer = section.get("layer", None) or None
-        cfg.source = section.get("source", None) or None
-    if "output" in parser:
-        cfg.out_dir = Path(parser["output"].get("dir", str(cfg.out_dir)))
-    return cfg
+    return PipelineConfig(**read_ini(path, CONFIG_KEYS, PipelineError))
 
 
 # -- input loading ---------------------------------------------------------------
@@ -394,7 +379,6 @@ def train(cfg: PipelineConfig) -> TrainResult:
         b_range=range(1, cfg.max_bits + 1),
         seed=cfg.seed,
     )
-    model.training_span = (spec.origin, spec.training_cutoff)
     best = min(grid, key=lambda p: (p.total, p.r, p.b))
 
     memberships = memberships_fixed_F(fm, model)
@@ -445,6 +429,15 @@ def train(cfg: PipelineConfig) -> TrainResult:
     return TrainResult(bundle, model, schema, registry, graph, summary_text)
 
 
+def _bundle_window_spec(meta: dict[str, str]) -> WindowSpec:
+    """The window grid a bundle was trained on, from its metadata."""
+    return WindowSpec(
+        origin=float(meta["origin"]),
+        length=float(meta["window_length"]),
+        training_cutoff=float(meta["training_cutoff"]),
+    )
+
+
 def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeRegistry, dict[str, str]]:
     bundle = Path(bundle_dir)
     if not (bundle / "metadata.txt").exists():
@@ -465,9 +458,9 @@ def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeR
             F=F,
             schema_id=schema.fingerprint(),
             seed=int(meta["seed"]),
-            training_span=(float(meta["origin"]), float(meta["training_cutoff"])),
         )
         model.validate()
+        _bundle_window_spec(meta)  # score reads its windows from these keys
         registry = NodeRegistry.read_tsv(bundle / "registry.tsv")
     except PipelineError:
         raise
@@ -495,11 +488,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     after the training cutoff yields a header-only CSV.
     """
     model, schema, registry, meta = load_bundle(bundle_dir)
-    spec = WindowSpec(
-        origin=float(meta["origin"]),
-        length=float(meta["window_length"]),
-        training_cutoff=float(meta["training_cutoff"]),
-    )
+    spec = _bundle_window_spec(meta)
     alerts, stats = read_alerts(cfg, cutoff=spec.training_cutoff)
     logger.info(
         "read %d lines: %d parsed, %d skipped, %d in the training span",

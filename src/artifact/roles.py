@@ -207,7 +207,6 @@ class RoleModel:
     F: np.ndarray              # n_roles x N_f role-feature definitions
     schema_id: str
     seed: int
-    training_span: tuple[float, float] | None = None
 
     def validate(self) -> None:
         if self.n_roles < 1:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import configparser
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from artifact.ingest import AlertRecord, LAYER_BY_FIELD, WindowSpec, parse_utc
+from artifact.ingest import AlertRecord, LAYER_BY_FIELD, WindowSpec, parse_utc, read_ini
 
 logger = logging.getLogger(__name__)
 
@@ -414,30 +414,31 @@ def default_scenario(
 
 # -- config file ---------------------------------------------------------------
 
+def _yes_no(text: str) -> bool:
+    """An INI boolean, as configparser reads one."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(f"{text!r} is not a boolean")
+    return value
+
+
+# The INI keys `load_scenario_config` reads, and the `default_scenario`
+# argument each one sets.
+SCENARIO_KEYS = {
+    ("scenario", "origin_utc"): ("origin", parse_utc),
+    ("scenario", "duration_days"): ("duration_days", float),
+    ("scenario", "window_hours"): ("window_hours", float),
+    ("scenario", "training_days"): ("training_days", float),
+    ("scenario", "seed"): ("seed", int),
+    ("scenario", "attack_start_window"): ("attack_start_window", int),
+    ("scenario", "spike_window"): ("spike_window", int),
+    ("scenario", "spike_multiplier"): ("spike_multiplier", int),
+    ("scenario", "with_attack"): ("with_attack", _yes_no),
+    ("scenario", "with_spike"): ("with_spike", _yes_no),
+}
+
+
 def load_scenario_config(path: Path | str) -> ScenarioConfig:
     """Scalar knobs come from the INI file; the template mixture is the
     module's crafted default (its structure is part of the design)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read or "scenario" not in parser:
-        raise ConfigError(f"no [scenario] section in {path}")
-    section = parser["scenario"]
-
-    kwargs = {}
-    if "origin_utc" in section:
-        kwargs["origin"] = parse_utc(section["origin_utc"])
-    for key, cast in (
-        ("duration_days", float), ("window_hours", float),
-        ("training_days", float), ("seed", int),
-    ):
-        if key in section:
-            kwargs[key] = cast(section[key])
-    return default_scenario(
-        attack_start_window=section.getint("attack_start_window", 54),
-        spike_window=section.getint("spike_window", 31),
-        spike_multiplier=section.getint("spike_multiplier", 10),
-        with_attack=section.getboolean("with_attack", True),
-        with_spike=section.getboolean("with_spike", True),
-        **{k: v for k, v in kwargs.items() if k != "seed"},
-        seed=int(section.get("seed", 7)),
-    )
+    return default_scenario(**read_ini(path, SCENARIO_KEYS, ConfigError))

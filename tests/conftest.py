@@ -1,5 +1,6 @@
 import itertools
 import random
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,33 @@ SMALL_SIM = dict(
     attack_start_window=12,
     spike_window=8,
 )
+
+
+class SnortYears:
+    """Reference years for yearless Snort dates, read in file order.
+
+    A date takes whichever of the running year and the years either side
+    puts it nearest the running year's latest month, the running year on a
+    tie. A date that exists in that year moves the running year forward and
+    resets its latest month, or raises the latest month."""
+
+    def __init__(self, year: int) -> None:
+        self.year, self.latest = year, None
+
+    def __call__(self, month: int, day: int) -> int:
+        year = self.year
+        if self.latest is not None:
+            year = min((self.year, self.year - 1, self.year + 1),
+                       key=lambda y: abs(12 * (y - self.year) + month - self.latest))
+        try:
+            datetime(year, month, day)
+        except (ValueError, OverflowError):
+            return year
+        if self.latest is None or year > self.year:
+            self.year, self.latest = year, month
+        elif year == self.year:
+            self.latest = max(self.latest, month)
+        return year
 
 
 @pytest.fixture

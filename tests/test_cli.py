@@ -3,20 +3,25 @@ bad input, and determinism of the rendered outputs. Heavy runs reuse the
 session stream; train/score here use shallow quick-model knobs since the CLI
 layer under test is the plumbing, not detection quality."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import artifact
 from conftest import SMALL_ORIGIN
-from artifact.cli import main
+from artifact.cli import build_parser, main
 from artifact.dynamics import SCORE_COLUMNS
 from artifact.ingest import ParseStats, read_jsonl_file, write_jsonl
+from artifact.pipeline import PipelineConfig, load_pipeline_config
+from artifact.scenario import SpikeSpec, load_scenario_config
 
 ORIGIN_UTC = "2021-03-01T00:00:00Z"
 
@@ -317,6 +322,77 @@ def test_awkward_values_run_through_train_score_report(tiny_ini, tmp_path, capsy
     assert main(["report", str(tmp_path / "scores.csv"), "--out", str(tmp_path)]) == 0
 
 
+# --- settings ----------------------------------------------------------------------
+
+NO_INPUT = "error: no records parsed from the configured inputs"
+
+
+@pytest.mark.parametrize("command, ini, flags, code, message", [
+    # An empty value leaves the setting at its default; with no inputs set,
+    # train then stops at its first real check.
+    ("train", "[input]\nhostmap =\n", [], 1, NO_INPUT),
+    ("train", "[window]\norigin_utc =\n", [], 1, NO_INPUT),
+    ("train", "[input]\nsnort_year =\n", [], 1, NO_INPUT),
+    ("train", "[window]\norigin_utc = garbage\n", [], 1,
+     "error: {ini}: [window] origin_utc: Invalid isoformat string: 'garbage'"),
+    ("train", "[model]\nmax_roles = ten\n", [], 1,
+     "error: {ini}: [model] max_roles: invalid literal for int()"),
+    ("simulate", "[scenario]\nseed = x\n", [], 1,
+     "error: {ini}: [scenario] seed: invalid literal for int()"),
+    ("simulate", "[scenario]\nwith_attack = maybe\n", [], 1,
+     "error: {ini}: [scenario] with_attack: 'maybe' is not a boolean"),
+    ("train", "max_roles = 3\n", [], 1,
+     "error: {ini}: cannot read config file: File contains no section headers."),
+    ("score", "[scoring]\nthreshhold = 0.1\n", ["--model", "m"], 1,
+     "error: {ini}: [scoring] threshhold: unknown key"),
+    ("train", None, ["--origin-utc", "garbage"], 2,
+     "argument --origin-utc: invalid parse_utc value: 'garbage'"),
+], ids=["empty-hostmap", "empty-origin", "empty-snort-year", "bad-origin", "bad-int",
+        "bad-seed", "bad-bool", "no-section", "unknown-key", "bad-origin-flag"])
+def test_malformed_settings_end_in_an_error_line(
+    tmp_path, capsys, command, ini, flags, code, message
+):
+    argv = [command, *flags, "--out", str(tmp_path / "out")]
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+        message = message.format(ini=path)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        rc = exc.code
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+def test_readme_config_example_loads_through_both_loaders(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(example)
+    cfg = load_pipeline_config(ini)
+    assert cfg.jsonl_paths == [Path("out/alerts.jsonl")]
+    assert cfg.snort_paths == [] and cfg.hostmap_path is None
+    assert cfg.origin == SMALL_ORIGIN
+    assert cfg.layer is None and cfg.source is None
+    assert cfg.out_dir == Path("out")
+    scenario = load_scenario_config(ini)
+    assert scenario.origin == SMALL_ORIGIN and scenario.seed == 7
+    assert scenario.attack.start_window == 54
+    assert scenario.spike == SpikeSpec(window=31, multiplier=10)
+
+
+def test_train_and_score_flags_are_named_after_config_fields():
+    names = {f.name for f in fields(PipelineConfig)} | {"config", "verbose", "model"}
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for command in ("train", "score"):
+        dests = {a.dest for a in commands.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests <= names, command
+
+
 # --- argument errors ---------------------------------------------------------------
 
 
@@ -343,6 +419,18 @@ def test_cli_import_leaves_networkx_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_scenario_import_leaves_pipeline_and_scipy_out():
+    """The benchmark imports the scenario before it forks its commands."""
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, artifact.scenario; "
+            "print(*(m in sys.modules for m in ('artifact.pipeline', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_package_import_defaults_blas_to_one_thread_unless_set():

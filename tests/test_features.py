@@ -352,32 +352,6 @@ def test_schema_round_trip():
     assert back.fingerprint() == schema.fingerprint()
 
 
-def test_schema_file_round_trip(tmp_path):
-    schema, _ = fit_schema(ring(6))
-    path = tmp_path / "schema.txt"
-    schema.dump(path)
-    assert FeatureSchema.load(path) == schema
-
-
 def test_schema_rejects_garbage():
     with pytest.raises(ValueError):
         FeatureSchema.loads("not a schema\n")
-
-
-def test_schema_labels_are_nested_expressions():
-    schema = FeatureSchema(
-        features=[FeatureDef(i, 0, base=n) for i, n in enumerate(PRIMARY_NAMES)]
-        + [FeatureDef(4, 1, op="neighbor_sum", parent=0),
-           FeatureDef(5, 2, op="neighbor_mean", parent=4)],
-    )
-    assert schema.label(5) == "neighbor_mean(neighbor_sum(weighted_degree))"
-
-
-def test_matrix_csv_export(tmp_path):
-    g = ring(4)
-    schema, fm = fit_schema(g)
-    path = tmp_path / "features.csv"
-    fm.write_csv(path, schema)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("layer,value,weighted_degree")
-    assert len(lines) == 1 + len(g)

@@ -7,19 +7,16 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SnortYears
+
 from artifact.ingest import (
     AlertRecord,
     HostMap,
-    MalformedBlockError,
-    MalformedLineError,
     ParseStats,
     WindowSpec,
-    iter_ossec_blocks,
+    _ossec_blocks,
     load_hostmap,
     normalize_record,
-    parse_jsonl_record,
-    parse_ossec_block,
-    parse_snort_fast,
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
@@ -32,7 +29,9 @@ YEAR = 2016
 
 # --- reference parsers (token-based, independent of the regex implementations)
 
-def ref_parse_snort(line: str, year: int):
+def ref_parse_snort(line: str, years: SnortYears):
+    """One line's (timestamp, fields) or None; `years` places the yearless
+    dates of one file, read in order."""
     tokens = line.strip().split()
     if not tokens:
         return None
@@ -45,6 +44,7 @@ def ref_parse_snort(line: str, year: int):
         year = 2000 + int(yy) if len(yy) == 2 else int(yy)  # only YY is widened
     elif len(date_bits) == 2:
         month, day = date_bits
+        year = None
     else:
         return None
     clock = date_time[1].split(".")
@@ -52,6 +52,8 @@ def ref_parse_snort(line: str, year: int):
         return None
     try:
         hh, mm, ss = clock[0].split(":")
+        if year is None:
+            year = years(int(month), int(day))
         moment = datetime(
             year, int(month), int(day), int(hh), int(mm), int(ss),
             int(clock[1].ljust(6, "0")), tzinfo=timezone.utc,
@@ -137,12 +139,19 @@ def ref_parse_ossec(block: str):
 
 # --- snort ------------------------------------------------------------------
 
-def test_parse_snort_fast_basic():
+def read_snort_text(tmp_path, text):
+    path = tmp_path / "alert"
+    path.write_text(text)
+    stats = ParseStats()
+    return read_snort_file(path, YEAR, stats).records(), stats
+
+
+def test_parse_snort_fast_basic(tmp_path):
     line = (
         "11/30-20:00:01.000000 [**] [1:215:3] MSG [**] "
         "{TCP} 10.10.255.77:4444 -> 10.10.255.254:80"
     )
-    rec = parse_snort_fast(line, YEAR)
+    [rec], _ = read_snort_text(tmp_path, line)
     assert rec.source == "snort"
     assert rec.fields == {
         "sig_id": "215",
@@ -153,15 +162,16 @@ def test_parse_snort_fast_basic():
     assert rec.timestamp == expected_ts
 
 
-def test_parse_snort_no_arrow_is_malformed():
+def test_parse_snort_no_arrow_is_malformed(tmp_path):
     line = "11/30-20:00:03.000000 [**] [1:215:3] lacking [**] {TCP} 10.10.255.77:4444"
-    with pytest.raises(MalformedLineError):
-        parse_snort_fast(line, YEAR)
+    records, stats = read_snort_text(tmp_path, line)
+    assert records == []
+    assert (stats.lines, stats.skipped) == (1, 1)
 
 
-def test_parse_snort_icmp_without_ports():
+def test_parse_snort_icmp_without_ports(tmp_path):
     line = "12/01-00:00:00.000000 [**] [129:12:1] x [**] {ICMP} 10.0.0.1 -> 10.0.0.2"
-    rec = parse_snort_fast(line, YEAR)
+    [rec], _ = read_snort_text(tmp_path, line)
     assert rec.fields["src_ip"] == "10.0.0.1"
     assert rec.fields["dst_ip"] == "10.0.0.2"
 
@@ -172,7 +182,8 @@ def test_snort_corpus_matches_reference(data_dir):
     records = read_snort_file(path, YEAR, stats).records()
 
     lines = [l for l in path.read_text().splitlines() if l.strip()]
-    expected = [ref_parse_snort(l, YEAR) for l in lines]
+    years = SnortYears(YEAR)
+    expected = [ref_parse_snort(l, years) for l in lines]
     good = [e for e in expected if e is not None]
 
     assert stats.lines == len(lines)
@@ -206,8 +217,15 @@ User: root
 """
 
 
-def test_parse_ossec_block_basic():
-    rec = parse_ossec_block(OSSEC_BLOCK)
+def read_ossec_text(tmp_path, text):
+    path = tmp_path / "alerts.log"
+    path.write_text(text)
+    stats = ParseStats()
+    return read_ossec_file(path, stats).records(), stats
+
+
+def test_parse_ossec_block_basic(tmp_path):
+    [rec], _ = read_ossec_text(tmp_path, OSSEC_BLOCK)
     assert rec.source == "ossec"
     assert rec.timestamp == 1446578476.0
     assert rec.fields == {
@@ -218,25 +236,25 @@ def test_parse_ossec_block_basic():
     }
 
 
-def test_parse_ossec_block_without_src_ip():
+def test_parse_ossec_block_without_src_ip(tmp_path):
     block = OSSEC_BLOCK.replace("Src IP: 10.10.255.77\n", "")
-    rec = parse_ossec_block(block)
+    [rec], _ = read_ossec_text(tmp_path, block)
     assert "src_ip" not in rec.fields
 
 
-def test_parse_ossec_missing_rule_is_malformed():
+def test_parse_ossec_missing_rule_is_malformed(tmp_path):
     block = "\n".join(
         l for l in OSSEC_BLOCK.splitlines() if not l.startswith("Rule:")
     )
-    with pytest.raises(MalformedBlockError):
-        parse_ossec_block(block)
+    records, stats = read_ossec_text(tmp_path, block)
+    assert records == []
+    assert (stats.lines, stats.skipped) == (1, 1)
 
 
-def test_two_concatenated_blocks_split_cleanly():
+def test_two_concatenated_blocks_split_cleanly(tmp_path):
     second = OSSEC_BLOCK.replace("1446578476.4335", "1446578999.0001")
-    blocks = list(iter_ossec_blocks(OSSEC_BLOCK + "\n" + second))
-    assert len(blocks) == 2
-    records = [parse_ossec_block(b) for b in blocks]
+    records, stats = read_ossec_text(tmp_path, OSSEC_BLOCK + "\n" + second)
+    assert (stats.lines, stats.parsed) == (2, 2)
     assert records[0].timestamp == 1446578476.0
     assert records[1].timestamp == 1446578999.0
 
@@ -246,7 +264,7 @@ def test_ossec_corpus_matches_reference(data_dir):
     stats = ParseStats()
     records = read_ossec_file(path, stats).records()
 
-    blocks = list(iter_ossec_blocks(path.read_text()))
+    blocks = ["\n".join(b) for b in _ossec_blocks(path.read_text().splitlines())]
     expected = [ref_parse_ossec(b) for b in blocks]
     good = [e for e in expected if e is not None]
 
@@ -464,6 +482,8 @@ def test_jsonl_skips_malformed_lines(tmp_path):
     assert stats.parsed + stats.skipped == stats.lines
 
 
-def test_jsonl_coerces_numeric_field_values():
-    rec = parse_jsonl_record('{"source":"snort","ts":1.0,"fields":{"sig_id":215}}')
+def test_jsonl_coerces_numeric_field_values(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"source":"snort","ts":1.0,"fields":{"sig_id":215}}\n')
+    [rec] = read_jsonl_file(path, ParseStats()).records()
     assert rec.fields == {"sig_id": "215"}

@@ -4,6 +4,7 @@ config plumbing. Stream layout comes from the shared conftest fixtures."""
 
 import json
 import shutil
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from conftest import SMALL_ORIGIN, SMALL_SIM, small_pipeline_config
 from artifact.cli import main
 from artifact.ingest import AlertRecord, ParseStats, read_jsonl_file, write_jsonl
 from artifact.pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     PipelineError,
     VALID_LAYERS,
@@ -189,6 +191,17 @@ def test_truncated_bundle_file_is_a_corrupt_bundle(
     ])
     assert rc == 1
     assert "error: corrupt model bundle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["origin", "training_cutoff", "window_length"])
+def test_bundle_without_its_window_grid_is_a_corrupt_bundle(small_trained, tmp_path, key):
+    def drop(bundle):
+        meta = bundle / "metadata.txt"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(l for l in lines if not l.startswith(f"{key} = ")))
+
+    with pytest.raises(PipelineError, match="corrupt model bundle"):
+        load_bundle(corrupted_copy(small_trained.bundle_dir, tmp_path, drop))
 
 
 # --- scoring ---------------------------------------------------------------------
@@ -503,6 +516,11 @@ def test_load_pipeline_config_defaults_survive_sparse_file(tmp_path):
     assert cfg.window_hours == 8.0
     assert cfg.training_days == 7.0
     assert cfg.layer is None and cfg.source is None
+
+
+def test_config_table_sets_every_field_once():
+    names = [name for name, _ in CONFIG_KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_load_pipeline_config_rejects_missing_file(tmp_path):

@@ -6,10 +6,12 @@ search at the arrow, and every reader stops at the timestamp of a line
 before a cutoff. The references below are the readers as they were:
 `_scan_jsonl` on every JSONL line, and a datetime and an unanchored address
 search on every Snort line. Without a cutoff the readers must give the same
-timestamps, key ids, keys and `ParseStats` as the references. The one
-intended difference: a Snort line at or before the epoch is skipped, as
-JSONL and OSSEC already skip one. With a cutoff they must keep exactly the
-reference's alerts at or after it, and count every other line.
+timestamps, key ids, keys and `ParseStats` as the references. The intended
+differences, all in Snort lines: one at or before the epoch is skipped, as
+JSONL and OSSEC already skip one; only a 2-digit year is widened to 20xx;
+and yearless dates follow the year over Dec -> Jan (`conftest.SnortYears`).
+With a cutoff they must keep exactly the reference's alerts at or after it,
+and count every other line.
 """
 
 import json
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import SnortYears
 
 from artifact.ingest import (
     KeyedAlerts,
@@ -45,7 +49,7 @@ CUTOFFS = st.sampled_from([None, T0, T0 + 0.5, T0 + 1.5, T0 + 3600.0, 1e9, 3e11]
 
 # --- references: the scanners as they were -------------------------------------
 
-def reference_scan_snort(line, year):
+def reference_scan_snort(line, years):
     line = line.strip()
     ts_match = _SNORT_TS_RE.match(line)
     if not ts_match:
@@ -53,9 +57,12 @@ def reference_scan_snort(line, year):
     month, day, line_year, hh, mm, ss, frac = ts_match.groups()
     if line_year is not None:
         year = int(line_year)
-        # The one other change: only a 2-digit year is widened to 20xx.
+        # Changed: only a 2-digit year is widened to 20xx.
         if len(line_year) == 2:
             year += 2000
+    else:
+        # Changed: a yearless date follows the year over Dec -> Jan.
+        year = years(int(month), int(day))
     micros = int(frac.ljust(6, "0"))
     try:
         moment = datetime(
@@ -114,7 +121,8 @@ def read_both(fmt, path, cutoff, year=YEAR):
     with open(path, encoding="utf-8", errors="replace") as fp:
         if fmt == "snort":
             got = read_snort_file(path, year, stats, cutoff=cutoff)
-            want = reference_read(filter(str.strip, fp), lambda l: reference_scan_snort(l, year),
+            years = SnortYears(year)
+            want = reference_read(filter(str.strip, fp), lambda l: reference_scan_snort(l, years),
                                   _snort_key, (MalformedLineError,))
         elif fmt == "ossec":
             got = read_ossec_file(path, stats, cutoff=cutoff)
@@ -285,6 +293,22 @@ def test_snort_reader_matches_datetime_scan(lines, year, cutoff):
         assert_reads_like_reference("snort", path, cutoff, year)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    dates=st.lists(st.sampled_from(["01/01", "02/29", "03/15", "04/30", "05/31", "06/30",
+                                    "07/04", "08/31", "09/30", "10/01", "11/30", "12/31",
+                                    "13/01", "00/10"]), max_size=40),
+    year=st.sampled_from([2019, 2020, 9999]),
+    cutoff=CUTOFFS,
+)
+def test_snort_yearless_dates_take_the_reference_years(dates, year, cutoff):
+    """Valid lines whose dates wander over the calendar, so the running
+    year and its latest month move in every way the day cache must follow."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [snort_line([("date", d)]).encode() for d in dates]
+        assert_reads_like_reference("snort", write_lines(tmp, "alert", lines), cutoff, year)
+
+
 def test_snort_epoch_arithmetic_matches_datetime(tmp_path):
     """One line every seven hours over two years, with every fraction width."""
     stamps, lines = [], []
@@ -312,6 +336,24 @@ def test_snort_year_out_of_range_skips_every_yearless_line(tmp_path):
         stats = ParseStats()
         read_snort_file(path, year, stats)
         assert (stats.parsed, stats.skipped) == (parsed, 5 - parsed)
+
+
+@pytest.mark.parametrize("cutoff", [None, datetime(2021, 1, 1, tzinfo=timezone.utc).timestamp()])
+def test_yearless_snort_dates_follow_the_year_over_new_year(tmp_path, cutoff):
+    """With year 2020: Dec 30, Dec 31, Jan 1 of 2021, a late Dec 31 of 2020,
+    then Jan 2 of 2021. A cutoff at the new year changes no timestamp."""
+    dates = ["12/30", "12/31", "01/01", "12/31", "01/02"]
+    path = write_lines(tmp_path, "alert", [
+        f"{d}-23:00:00.0 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2".encode() for d in dates
+    ])
+    stats = ParseStats()
+    alerts = read_snort_file(path, 2020, stats, cutoff=cutoff)
+    days = [(2020, 12, 30), (2020, 12, 31), (2021, 1, 1), (2020, 12, 31), (2021, 1, 2)]
+    want = [datetime(*d, 23, tzinfo=timezone.utc).timestamp() for d in days]
+    if cutoff is not None:
+        want = [ts for ts in want if ts >= cutoff]
+    assert list(alerts.times) == want
+    assert (stats.parsed, stats.training_span) == (len(want), 5 - len(want))
 
 
 # --- OSSEC --------------------------------------------------------------------------
