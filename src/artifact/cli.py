@@ -207,9 +207,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_scenario_config(args.config) if args.config is not None else default_scenario()
     if args.seed is not None:
         cfg.seed = args.seed
-    stream = generate_scenario(cfg)
+    cfg.validate()
     out = args.out_dir if args.out_dir is not None else Path("out")
     out.mkdir(parents=True, exist_ok=True)
+    stream = generate_scenario(cfg)
     path = out / "alerts.jsonl"
     write_jsonl(stream, path)
     print(f"wrote {len(stream)} alerts to {path}")
@@ -238,10 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return COMMANDS[args.command](args)
-    except (PipelineError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PipelineError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -127,6 +127,8 @@ class PipelineConfig:
             raise PipelineError("prune_tolerance must be in (0, 1)")
         if self.max_roles < 1 or self.max_bits < 1:
             raise PipelineError("max_roles and max_bits must be >= 1")
+        if self.seed < 0:
+            raise PipelineError("seed must be >= 0")
         if self.source is not None and self.source not in VALID_SOURCES:
             raise PipelineError(
                 f"unknown source filter {self.source!r}; expected one of {VALID_SOURCES}"
@@ -140,6 +142,10 @@ class PipelineConfig:
                 raise PipelineError(f"input file does not exist: {path}")
         if self.hostmap_path is not None and not Path(self.hostmap_path).exists():
             raise PipelineError(f"hostmap file does not exist: {self.hostmap_path}")
+        out = Path(self.out_dir)
+        nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
+            raise PipelineError(f"output path is not a directory: {nearest}")
 
 
 def _paths(text: str) -> list[Path]:

@@ -120,13 +120,26 @@ def nmf_kl(V, r: int, seed: int = 0, max_iter: int = 200,
     G = avg * np.abs(rng.standard_normal((n, r)))
     F = avg * np.abs(rng.standard_normal((r, f)))
 
-    history = [generalized_kl(V, G @ F)]
+    # generalized_kl(V, GF), with V's masks and entries taken once
+    pos = V > 0
+    nonpos = ~pos
+    V_pos = V[pos]
+
+    def divergence(GF: np.ndarray) -> float:
+        W_pos = np.maximum(GF[pos], EPS)
+        total = float(np.sum(V_pos * np.log(V_pos / W_pos) - V_pos + W_pos))
+        return total + float(np.sum(GF[nonpos]))
+
+    # the product an objective is taken at is the one the next step starts from
+    GF = G @ F
+    history = [divergence(GF)]
     for _ in range(max_iter):
-        W = np.maximum(G @ F, EPS)
+        W = np.maximum(GF, EPS)
         F *= (G.T @ (V / W)) / np.maximum(G.sum(axis=0)[:, None], EPS)
         W = np.maximum(G @ F, EPS)
         G *= ((V / W) @ F.T) / np.maximum(F.sum(axis=1)[None, :], EPS)
-        d = generalized_kl(V, G @ F)
+        GF = G @ F
+        d = divergence(GF)
         history.append(d)
         if history[-2] - d < tol * max(history[-2], EPS):
             break
@@ -154,18 +167,28 @@ def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
     k = 2 ** bits
     centroids = np.quantile(flat, (np.arange(k) + 0.5) / k)
-    assignment = np.zeros(flat.size, dtype=int)
+    dist = np.empty((k, flat.size))
+
+    def nearest(c: np.ndarray) -> np.ndarray:
+        """Index of each entry's nearest centroid, the lowest on a tie."""
+        np.subtract(flat[None, :], c[:, None], out=dist)
+        return np.abs(dist, out=dist).argmin(axis=0)
+
+    assignment = nearest(centroids)
+    changed = range(k)  # clusters whose member set may differ from last time
     for _ in range(100):
-        assignment = np.argmin(np.abs(flat[:, None] - centroids[None, :]), axis=1)
         updated = centroids.copy()
-        for j in range(k):
+        for j in changed:
             members = flat[assignment == j]
             if members.size:
-                updated[j] = members.mean()
+                # ndarray.mean's pairwise sum and division, without its wrapper
+                updated[j] = np.add.reduce(members) / members.size
         if np.array_equal(updated, centroids):
             break
         centroids = updated
-    assignment = np.argmin(np.abs(flat[:, None] - centroids[None, :]), axis=1)
+        previous, assignment = assignment, nearest(centroids)
+        moved = previous != assignment
+        changed = np.union1d(previous[moved], assignment[moved])
     return centroids[assignment].reshape(arr.shape), centroids
 
 

@@ -117,6 +117,8 @@ class ScenarioConfig:
             raise ConfigError("durations must be positive")
         if not 0 < self.training_days < self.duration_days:
             raise ConfigError("training period must fit inside the scenario")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for t in self.templates:
             if t.rate <= 0:
                 raise ConfigError(f"template {t.name!r} has nonpositive rate")

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import artifact
+import artifact.pipeline
 from conftest import SMALL_ORIGIN
 from artifact.cli import build_parser, main
 from artifact.dynamics import SCORE_COLUMNS
@@ -364,6 +365,63 @@ def test_malformed_settings_end_in_an_error_line(
         rc = exc.code
     assert rc == code
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def unread_inputs(monkeypatch):
+    """Fail the test if a command reads an alert file."""
+    def read(*args, **kwargs):
+        raise AssertionError("an input file was read")
+    monkeypatch.setattr(artifact.pipeline, "read_jsonl_file", read)
+
+
+def input_flags(command, small_streams, cli_bundle):
+    """What `command` needs besides its settings: an input, and a bundle."""
+    if command == "simulate":
+        return []
+    flags = ["--jsonl", str(small_streams["full"])]
+    return flags + ["--model", str(cli_bundle)] if command == "score" else flags
+
+
+@pytest.mark.parametrize("command, ini, flags", [
+    ("simulate", None, ["--seed", "-1"]),
+    ("simulate", "[scenario]\nseed = -1\n", []),
+    ("train", None, ["--seed", "-1"]),
+    ("train", "[model]\nseed = -1\n", []),
+    ("score", None, ["--seed", "-1"]),
+], ids=["simulate-flag", "scenario-ini", "train-flag", "train-ini", "score-flag"])
+def test_negative_seed_ends_in_an_error_line(
+    small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, ini, flags
+):
+    argv = [command, *flags, "--out", str(tmp_path / "out"),
+            *input_flags(command, small_streams, cli_bundle)]
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, out, message", [
+    ("train", "taken", "output path is not a directory: {taken}"),
+    ("score", "taken", "output path is not a directory: {taken}"),
+    ("simulate", "taken", "File exists: '{taken}'"),
+    ("train", "taken/sub", "output path is not a directory: {taken}"),
+    ("simulate", "taken/sub", "Not a directory: '{taken}/sub'"),
+])
+def test_output_path_under_a_file_ends_in_an_error_line(
+    small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, out, message
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [command, "--out", str(tmp_path / out),
+            *input_flags(command, small_streams, cli_bundle)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(taken=taken) in err
+    assert taken.read_text() == ""
 
 
 def test_readme_config_example_loads_through_both_loaders(tmp_path):
