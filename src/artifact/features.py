@@ -10,7 +10,6 @@ windows, so every window produces a matrix with identical columns.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -79,10 +78,6 @@ class FeatureSchema:
         if tuple(f.base for f in primaries) != PRIMARY_NAMES:
             raise ValueError("depth-0 entries must be exactly the four primaries")
 
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
-        return digest[:12]
-
     def dumps(self) -> str:
         lines = [
             SCHEMA_FORMAT,
@@ -125,7 +120,6 @@ class FeatureMatrix:
     """Per-node feature values for one graph, rows aligned to `nodes`."""
 
     nodes: list[Vertex]
-    schema_id: str
     values: np.ndarray  # shape (len(nodes), n_features), nonnegative
 
     def validate(self) -> None:
@@ -157,7 +151,7 @@ def _primary_columns(g: ArtifactGraph) -> np.ndarray:
 
 def primary_features(g: ArtifactGraph) -> FeatureMatrix:
     """The four depth-0 structural features for every node of g."""
-    return FeatureMatrix(g.vertices, "primary", _primary_columns(g))
+    return FeatureMatrix(g.vertices, _primary_columns(g))
 
 
 def _degree_groups(g: ArtifactGraph) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -251,14 +245,14 @@ def fit_schema(
 
     schema.validate()
     values = np.column_stack(columns)
-    return schema, FeatureMatrix(g_train.vertices, schema.fingerprint(), values)
+    return schema, FeatureMatrix(g_train.vertices, values)
 
 
 def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
     """Compute exactly the frozen schema's features on g (no re-pruning)."""
     schema.validate()
     if len(g) == 0:
-        return FeatureMatrix([], schema.fingerprint(), np.zeros((0, len(schema))))
+        return FeatureMatrix([], np.zeros((0, len(schema))))
 
     groups = _degree_groups(g)
     columns: list[np.ndarray] = []
@@ -268,4 +262,4 @@ def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
             columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
         else:
             columns.append(_aggregate(groups, columns[f.parent], f.op))
-    return FeatureMatrix(g.vertices, schema.fingerprint(), np.column_stack(columns))
+    return FeatureMatrix(g.vertices, np.column_stack(columns))

@@ -10,12 +10,14 @@ A trained bundle is a plain directory so runs stay auditable:
     registry.tsv           node index with first-seen windows
     role_descriptions.csv  per-role property scores
     training_summary.txt   human-readable training report
+    SHA256SUMS             `sha256sum` digests of the files above, checked on load
 
 Scoring never mutates the bundle; it only reads it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -327,8 +329,21 @@ class TrainResult:
     model: RoleModel
     schema: FeatureSchema
     registry: NodeRegistry
-    graph: ArtifactGraph
     summary: str
+
+
+# The files `train` writes into a bundle, in the order SHA256SUMS lists them.
+BUNDLE_FILES = ("metadata.txt", "schema.txt", "role_features.csv", "grid.csv",
+                "registry.tsv", "role_descriptions.csv", "training_summary.txt")
+CHECKSUMS = "SHA256SUMS"
+
+
+def _checksums(bundle: Path) -> bytes:
+    """The `sha256sum` listing of the bundle files as they are on disk."""
+    return "".join(
+        f"{hashlib.sha256((bundle / name).read_bytes()).hexdigest()}  {name}\n"
+        for name in BUNDLE_FILES
+    ).encode("ascii")
 
 
 def _write_f_csv(model: RoleModel, schema: FeatureSchema, path: Path) -> None:
@@ -385,7 +400,7 @@ def train(cfg: PipelineConfig) -> TrainResult:
         b_range=range(1, cfg.max_bits + 1),
         seed=cfg.seed,
     )
-    best = min(grid, key=lambda p: (p.total, p.r, p.b))
+    best = next(p for p in grid if (p.r, p.b) == (model.n_roles, model.n_bits))
 
     memberships = memberships_fixed_F(fm, model)
     descriptions = role_descriptions(memberships, node_properties(graph))
@@ -403,7 +418,6 @@ def train(cfg: PipelineConfig) -> TrainResult:
             ("n_roles", model.n_roles),
             ("n_bits", model.n_bits),
             ("seed", model.seed),
-            ("schema_fingerprint", schema.fingerprint()),
             ("n_features", len(schema)),
             ("origin", repr(spec.origin)),
             ("training_cutoff", repr(spec.training_cutoff)),
@@ -431,48 +445,42 @@ def train(cfg: PipelineConfig) -> TrainResult:
     ]
     summary_text = "\n".join(text) + "\n"
     (bundle / "training_summary.txt").write_text(summary_text, encoding="utf-8")
+    (bundle / CHECKSUMS).write_bytes(_checksums(bundle))
     logger.info("bundle written to %s", bundle)
-    return TrainResult(bundle, model, schema, registry, graph, summary_text)
+    return TrainResult(bundle, model, schema, registry, summary_text)
 
 
-def _bundle_window_spec(meta: dict[str, str]) -> WindowSpec:
-    """The window grid a bundle was trained on, from its metadata."""
-    return WindowSpec(
-        origin=float(meta["origin"]),
-        length=float(meta["window_length"]),
-        training_cutoff=float(meta["training_cutoff"]),
-    )
-
-
-def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeRegistry, dict[str, str]]:
+def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeRegistry, WindowSpec]:
+    """A bundle's model, schema, registry and window grid, once its files
+    match its SHA256SUMS."""
     bundle = Path(bundle_dir)
     if not (bundle / "metadata.txt").exists():
         raise PipelineError(f"{bundle} is not a model bundle (metadata.txt missing)")
     try:
+        if (bundle / CHECKSUMS).read_bytes() != _checksums(bundle):
+            raise ValueError(f"its files do not match {CHECKSUMS}")
         meta = _read_metadata(bundle / "metadata.txt")
         schema = FeatureSchema.loads(
             (bundle / "schema.txt").read_text(encoding="utf-8")
         )
-        if schema.fingerprint() != meta.get("schema_fingerprint"):
-            raise PipelineError(
-                "bundle schema does not match its recorded fingerprint"
-            )
-        F = _read_f_csv(bundle / "role_features.csv")
         model = RoleModel(
             n_roles=int(meta["n_roles"]),
             n_bits=int(meta["n_bits"]),
-            F=F,
-            schema_id=schema.fingerprint(),
+            F=_read_f_csv(bundle / "role_features.csv"),
             seed=int(meta["seed"]),
         )
         model.validate()
-        _bundle_window_spec(meta)  # score reads its windows from these keys
+        if model.F.shape[1] != len(schema):
+            raise ValueError(f"F has {model.F.shape[1]} columns, the schema {len(schema)}")
+        spec = WindowSpec(
+            origin=float(meta["origin"]),
+            length=float(meta["window_length"]),
+            training_cutoff=float(meta["training_cutoff"]),
+        )
         registry = NodeRegistry.read_tsv(bundle / "registry.tsv")
-    except PipelineError:
-        raise
     except (KeyError, ValueError, OSError) as exc:
         raise PipelineError(f"corrupt model bundle {bundle}: {exc}") from exc
-    return model, schema, registry, meta
+    return model, schema, registry, spec
 
 
 # -- scoring -----------------------------------------------------------------
@@ -493,8 +501,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     predecessor); every later window gets a CSV row. An input with nothing
     after the training cutoff yields a header-only CSV.
     """
-    model, schema, registry, meta = load_bundle(bundle_dir)
-    spec = _bundle_window_spec(meta)
+    model, schema, registry, spec = load_bundle(bundle_dir)
     alerts, stats = read_alerts(cfg, cutoff=spec.training_cutoff)
     logger.info(
         "read %d lines: %d parsed, %d skipped, %d in the training span",

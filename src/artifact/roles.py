@@ -228,7 +228,6 @@ class RoleModel:
     n_roles: int
     n_bits: int
     F: np.ndarray              # n_roles x N_f role-feature definitions
-    schema_id: str
     seed: int
 
     def validate(self) -> None:
@@ -267,7 +266,6 @@ def select_model(
     matrix dimensions are skipped.
     """
     values = _values(V)
-    schema_id = V.schema_id if isinstance(V, FeatureMatrix) else ""
     n, f = values.shape
     r_list = [r for r in r_range if 1 <= r <= min(n, f)]
     b_list = [b for b in b_range if b >= 1]
@@ -291,7 +289,6 @@ def select_model(
         n_roles=n_roles,
         n_bits=n_bits,
         F=factors[n_roles].F.copy(),
-        schema_id=schema_id,
         seed=seed,
     )
     model.validate()
@@ -343,11 +340,6 @@ def memberships_fixed_F(V_t, model: RoleModel) -> Membership:
         raise SchemaMismatchError(
             f"feature matrix has {values.shape[1] if values.ndim == 2 else '?'} "
             f"columns, model expects {model.F.shape[1]}"
-        )
-    if isinstance(V_t, FeatureMatrix) and model.schema_id \
-            and V_t.schema_id != model.schema_id:
-        raise SchemaMismatchError(
-            f"schema {V_t.schema_id} does not match model schema {model.schema_id}"
         )
     _check_nonnegative(values)
 

@@ -103,7 +103,7 @@ class ScenarioConfig:
 
     @property
     def training_windows(self) -> int:
-        return int(round(self.training_days * 24.0 / self.window_hours))
+        return self.window_spec().training_windows
 
     def window_spec(self) -> WindowSpec:
         return WindowSpec(

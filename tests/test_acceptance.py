@@ -242,7 +242,7 @@ def test_criterion_4_membership_and_score_contracts():
     assert np.linalg.matrix_rank(F) == 3
     G0 = rng.uniform(0.0, 1.0, size=(40, 3))
     G0 /= G0.sum(axis=1, keepdims=True)
-    model = RoleModel(n_roles=3, n_bits=3, F=F, schema_id="", seed=0)
+    model = RoleModel(n_roles=3, n_bits=3, F=F, seed=0)
     recovered = memberships_fixed_F(G0 @ F, model)
     err = float(np.max(np.abs(recovered.G - G0)))
     if err >= 1e-6:

@@ -136,7 +136,8 @@ def test_simulate_rejects_config_without_scenario_section(tmp_path, capsys):
 
 def test_cli_train_writes_bundle_and_summary(cli_bundle, capsys):
     for name in ("metadata.txt", "schema.txt", "role_features.csv",
-                  "grid.csv", "registry.tsv", "training_summary.txt"):
+                  "grid.csv", "registry.tsv", "training_summary.txt",
+                  "SHA256SUMS"):
         assert (cli_bundle / name).exists(), name
 
 

@@ -2,6 +2,7 @@
 deterministic retraining, scoring behavior on hot and quiet streams, and the
 config plumbing. Stream layout comes from the shared conftest fixtures."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import fields
@@ -40,6 +41,7 @@ BUNDLE_FILES = (
     "registry.tsv",
     "role_descriptions.csv",
     "training_summary.txt",
+    "SHA256SUMS",
 )
 
 
@@ -65,16 +67,27 @@ def test_bundle_contains_every_artifact(small_trained):
 
 
 def test_metadata_round_trips_the_model(small_trained):
-    model, schema, registry, meta = load_bundle(small_trained.bundle_dir)
+    model, schema, registry, spec = load_bundle(small_trained.bundle_dir)
     assert model.n_roles == small_trained.model.n_roles
     assert model.n_bits == small_trained.model.n_bits
     assert model.seed == small_trained.model.seed
     assert np.allclose(model.F, small_trained.model.F)
-    assert schema.fingerprint() == small_trained.schema.fingerprint()
-    assert int(meta["n_features"]) == len(schema)
-    assert float(meta["origin"]) == SMALL_ORIGIN
-    assert float(meta["training_cutoff"]) == SMALL_ORIGIN + 2 * 86400.0
-    assert float(meta["window_length"]) == WINDOW
+    assert schema.dumps() == small_trained.schema.dumps()
+    assert model.F.shape[1] == len(schema)
+    assert spec.origin == SMALL_ORIGIN
+    assert spec.training_cutoff == SMALL_ORIGIN + 2 * 86400.0
+    assert spec.length == WINDOW
+
+
+def test_checksums_list_every_bundle_file_in_sha256sum_format(small_trained):
+    lines = (small_trained.bundle_dir / "SHA256SUMS").read_text().splitlines()
+    names = []
+    for line in lines:
+        digest, name = line.split("  ")
+        data = (small_trained.bundle_dir / name).read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest(), name
+        names.append(name)
+    assert names == list(BUNDLE_FILES[:-1])
 
 
 def test_bundle_registry_preserves_first_seen(small_trained):
@@ -135,10 +148,72 @@ def test_train_rejects_empty_training_span(tmp_path):
 
 
 def corrupted_copy(bundle_dir, tmp_path, mutate):
+    """A copy of the bundle with `mutate` applied and SHA256SUMS rewritten to
+    match, so that the load reaches the parsers. A deleted file keeps its
+    old line."""
     copy = tmp_path / "bundle"
     shutil.copytree(bundle_dir, copy)
     mutate(copy)
+    sums = copy / "SHA256SUMS"
+    lines = []
+    for line in sums.read_text().splitlines():
+        digest, name = line.split("  ")
+        if (copy / name).exists():
+            digest = hashlib.sha256((copy / name).read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}\n")
+    sums.write_text("".join(lines))
     return copy
+
+
+def score_exit(small_streams, bundle, tmp_path, capsys):
+    """`artifact score` against `bundle`: its exit code and stderr."""
+    rc = main([
+        "score", "--jsonl", str(small_streams["full"]),
+        "--model", str(bundle), "--out", str(tmp_path / "out"),
+    ])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, delete", [
+    *((name, False) for name in BUNDLE_FILES),
+    ("SHA256SUMS", True),
+])
+def test_unsigned_change_is_a_corrupt_bundle(
+    small_streams, small_trained, tmp_path, capsys, name, delete
+):
+    copy = tmp_path / "bundle"
+    shutil.copytree(small_trained.bundle_dir, copy)
+    path = copy / name
+    if delete:
+        path.unlink()
+    else:
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        data[middle] = ord("0") if data[middle] != ord("0") else ord("1")
+        path.write_bytes(bytes(data))
+    with pytest.raises(PipelineError, match="corrupt model bundle"):
+        load_bundle(copy)
+    rc, err = score_exit(small_streams, copy, tmp_path, capsys)
+    assert rc == 1
+    assert "error: corrupt model bundle" in err
+
+
+@pytest.mark.parametrize("resize", [
+    lambda cells: cells[:-1],
+    lambda cells: cells + cells[-1:],
+], ids=["narrower", "wider"])
+def test_role_matrix_off_the_schema_width_is_a_corrupt_bundle(
+    small_streams, small_trained, tmp_path, capsys, resize
+):
+    def reshape(copy):
+        path = copy / "role_features.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(",".join(resize(l.split(","))) + "\n" for l in lines))
+
+    copy = corrupted_copy(small_trained.bundle_dir, tmp_path, reshape)
+    rc, err = score_exit(small_streams, copy, tmp_path, capsys)
+    assert rc == 1
+    assert "error: corrupt model bundle" in err
 
 
 def test_load_bundle_rejects_non_bundle_dir(tmp_path):
@@ -152,7 +227,7 @@ def test_load_bundle_rejects_tampered_schema(small_trained, tmp_path):
         (copy / "schema.txt").write_text("".join(lines[:-1]))
 
     copy = corrupted_copy(small_trained.bundle_dir, tmp_path, chop_schema)
-    with pytest.raises(PipelineError):
+    with pytest.raises(PipelineError, match="corrupt model bundle"):
         load_bundle(copy)
 
 
@@ -185,12 +260,9 @@ def test_truncated_bundle_file_is_a_corrupt_bundle(
     )
     with pytest.raises(PipelineError, match="corrupt model bundle"):
         load_bundle(copy)
-    rc = main([
-        "score", "--jsonl", str(small_streams["full"]),
-        "--model", str(copy), "--out", str(tmp_path / "out"),
-    ])
+    rc, err = score_exit(small_streams, copy, tmp_path, capsys)
     assert rc == 1
-    assert "error: corrupt model bundle" in capsys.readouterr().err
+    assert "error: corrupt model bundle" in err
 
 
 @pytest.mark.parametrize("key", ["origin", "training_cutoff", "window_length"])

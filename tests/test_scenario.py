@@ -286,6 +286,16 @@ def test_attack_inside_training_rejected():
         cfg.validate()
 
 
+@pytest.mark.parametrize("injection", [
+    {"attack_start_window": 3, "spike_window": 5},
+    {"with_attack": False, "spike_window": 3},
+])
+def test_window_partly_inside_training_rejected(injection):
+    # 1.1 training days are 3.3 windows of 8 h: window 3 is partly training.
+    with pytest.raises(SpanError):
+        default_scenario(duration_days=3, training_days=1.1, seed=1, **injection)
+
+
 def test_attack_past_end_rejected():
     cfg = small_cfg(with_attack=True)
     cfg.attack = AttackSpec(start_window=9, waves=cfg.attack.waves)

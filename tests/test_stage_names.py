@@ -42,3 +42,31 @@ def test_graph_build_result_has_the_counts_the_tracer_reads(spans):
     assert tracer.counters["graph.build_calls"] == 1
     assert tracer.counters["graph.nodes"] == len(graph) == 4
     assert tracer.counters["graph.edges"] == graph.edge_count == 4
+
+
+def test_feature_and_role_results_have_the_counts_the_tracer_reads(spans):
+    records = [
+        AlertRecord("snort", 1.0, {"sig_id": "1", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}),
+        AlertRecord("snort", 2.0, {"sig_id": "2", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.3"}),
+        AlertRecord("ossec", 3.0, {"rule_id": "5503", "src_ip": "10.0.0.1"}),
+    ]
+    graph = artifact.pipeline.build_graph(records)
+    stages = spans.STAGES[artifact.pipeline]
+    tracer = spans.Tracer()
+
+    def call(attr, *args, **kwargs):
+        result = getattr(artifact.pipeline, attr)(*args, **kwargs)
+        spans.observe(tracer, stages[attr], args, result)
+        return result
+
+    schema, matrix = call("fit_schema", graph, max_depth=1)
+    applied = call("apply_schema", graph, schema)
+    model, _ = call("select_model", matrix, r_range=range(1, 3), b_range=range(1, 3))
+    call("memberships_fixed_F", applied, model)
+    c = tracer.counters
+    assert c["features.n_features"] == len(schema) > 0
+    assert c["features.cells"] == 2 * matrix.values.size > 0
+    assert c["features.apply_calls"] == 1
+    assert c["roles.chosen_roles"] == model.n_roles > 0
+    assert c["roles.chosen_bits"] == model.n_bits > 0
+    assert c["roles.membership_rows"] == len(graph) > 0
