@@ -138,13 +138,12 @@ class FeatureMatrix:
 
 def _primary_columns(g: ArtifactGraph) -> np.ndarray:
     """Weighted degree, edges among the neighbors (ego excluded), edges
-    leaving the ego net and transitivity, all from integer sparse products."""
-    A = g.matrix(np.ones(len(g.indices), dtype=np.int64))
+    leaving the ego net and transitivity, all from exact integer sums."""
     k = g.degree
-    wdeg = g.matrix(g.weights).sum(axis=1)
-    inter = (A @ A).multiply(A).sum(axis=1) // 2
+    wdeg = np.bincount(g.rows, weights=g.weights, minlength=len(k))
+    inter = g.triangles()
     # each neighbor m of v has deg(m) edges: one to v, |N(m) & N(v)| inside
-    out = A @ k - k - 2 * inter
+    out = g.neighbor_sums(k) - k - 2 * inter
     trans = np.divide(2.0 * inter, k * (k - 1), out=np.zeros(len(k)), where=k >= 2)
     return np.column_stack((wdeg, inter, out, trans))
 
@@ -154,31 +153,17 @@ def primary_features(g: ArtifactGraph) -> FeatureMatrix:
     return FeatureMatrix(g.vertices, _primary_columns(g))
 
 
-def _degree_groups(g: ArtifactGraph) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, gather) per nonzero degree d: the rows of degree d and their
-    neighbor indices as an n_d x d array, each row in insertion order."""
-    k = g.degree
-    groups = []
-    for d in np.unique(k[k > 0]):
-        rows = np.flatnonzero(k == d)
-        gather = g.indices[g.indptr[rows][:, None] + np.arange(d)]
-        groups.append((rows, gather))
-    return groups
-
-
-def _aggregate(
-    groups: list[tuple[np.ndarray, np.ndarray]], column: np.ndarray, op: str,
-) -> np.ndarray:
+def _aggregate(g: ArtifactGraph, column: np.ndarray, op: str) -> np.ndarray:
     """neighbor_sum / neighbor_mean of a column over the unweighted adjacency.
 
-    Each row is reduced on its own, in insertion order, so a sum equals the
-    node's `column[neighbors].sum()` bit for bit; a sparse product would sum
-    in another order."""
-    out = np.zeros(len(column))
-    for rows, gather in groups:
-        total = np.add.reduce(column[gather], axis=1)
-        out[rows] = total if op == "neighbor_sum" else total / gather.shape[1]
-    return out
+    Each row is reduced on its own, so a sum equals the node's
+    `column[neighbors].sum()` bit for bit; a sparse product would sum in
+    another order."""
+    total = g.neighbor_sums(column)
+    if op == "neighbor_sum":
+        return total
+    k = g.degree
+    return np.divide(total, k, out=np.zeros(len(k)), where=k > 0)
 
 
 def _relative_residual(candidate: np.ndarray, retained: np.ndarray) -> float:
@@ -211,8 +196,6 @@ def fit_schema(
     if not 0 < prune_tolerance < 1:
         raise ValueError("prune_tolerance must be in (0, 1)")
 
-    groups = _degree_groups(g_train)
-
     schema = FeatureSchema(prune_tolerance=prune_tolerance, max_depth=max_depth)
     columns: list[np.ndarray] = []
     primaries = _primary_columns(g_train)
@@ -225,7 +208,7 @@ def fit_schema(
         new_frontier: list[int] = []
         for parent in frontier:
             for op in AGG_OPS:
-                candidate = _aggregate(groups, columns[parent], op)
+                candidate = _aggregate(g_train, columns[parent], op)
                 matrix = np.column_stack(columns)
                 rel = _relative_residual(candidate, matrix)
                 if rel <= prune_tolerance:
@@ -254,12 +237,11 @@ def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
     if len(g) == 0:
         return FeatureMatrix([], np.zeros((0, len(schema))))
 
-    groups = _degree_groups(g)
     columns: list[np.ndarray] = []
     primaries = _primary_columns(g)
     for f in schema.features:
         if f.depth == 0:
             columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
         else:
-            columns.append(_aggregate(groups, columns[f.parent], f.op))
+            columns.append(_aggregate(g, columns[f.parent], f.op))
     return FeatureMatrix(g.vertices, np.column_stack(columns))

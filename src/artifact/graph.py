@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from artifact.ingest import AlertRecord, layer_for
 
@@ -38,11 +38,59 @@ class ArtifactGraph:
     def degree(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def matrix(self, data: np.ndarray) -> csr_array:
-        """A sparse matrix with `data` as its entries. It gets its own copy
-        of `indices`, because scipy may sort them in place."""
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, aligned to `indices`."""
+        return np.repeat(np.arange(len(self.vertices)), self.degree)
+
+    @cached_property
+    def degree_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(rows, gather) per nonzero degree d: the rows of degree d and their
+        neighbor indices as an n_d x d array, each row in stored order."""
+        k = self.degree
+        groups = []
+        for d in np.unique(k[k > 0]):
+            rows = np.flatnonzero(k == d)
+            gather = self.indices[self.indptr[rows][:, None] + np.arange(d)]
+            groups.append((rows, gather))
+        return groups
+
+    def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
+        """A @ x over the unweighted adjacency: row i of the result adds up
+        x at i's neighbors, and is 0 for a vertex without edges.
+
+        For a 1-D x each row is summed as `x[neighbors].sum()` sums it. For a
+        2-D x each row adds one neighbor at a time in stored order, as a CSR
+        matrix product does. numpy reduces a lone column pairwise instead, so
+        a one-column x is summed next to a zero column."""
+        if x.ndim == 2 and x.shape[1] == 1:
+            return self.neighbor_sums(np.hstack((x, np.zeros_like(x))))[:, :1]
+        out = np.zeros(x.shape, dtype=x.dtype)
+        for rows, gather in self.degree_groups:
+            out[rows] = np.add.reduce(x[gather], axis=1)
+        return out
+
+    def triangles(self) -> np.ndarray:
+        """The number of edges among each vertex's neighbors, i.e. of the
+        triangles through it. Each triangle is looked up once, from its
+        corner of least (degree, row): among the pairs of that corner's
+        neighbors that rank above it."""
         n = len(self.vertices)
-        return csr_array((data, self.indices.copy(), self.indptr), shape=(n, n))
+        rank = self.degree * n + np.arange(n)
+        up = rank[self.indices] > rank[self.rows]
+        corner, head = self.rows[up], self.indices[up]  # grouped by corner
+        position = np.arange(len(corner)) - np.searchsorted(corner, corner)
+        later = np.bincount(corner, minlength=n)[corner] - position - 1
+        # every (i, j) with j after i in the same corner's list
+        i = np.repeat(np.arange(len(corner)), later)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+        pairs = head[i] * n + head[j]
+        edges = np.sort(self.rows * n + self.indices)
+        at = np.minimum(np.searchsorted(edges, pairs), len(edges) - 1)
+        found = edges[at] == pairs
+        return np.bincount(
+            np.concatenate((corner[i][found], head[i][found], head[j][found])),
+            minlength=n)
 
     # -- queries --------------------------------------------------------
 
@@ -78,9 +126,8 @@ class ArtifactGraph:
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex, int]]:
         """Each undirected edge once, endpoints in sorted order."""
-        rows = np.repeat(np.arange(len(self.vertices)), self.degree)
-        upper = self.indices > rows
-        u, v, w = rows[upper], self.indices[upper], self.weights[upper]
+        upper = self.indices > self.rows
+        u, v, w = self.rows[upper], self.indices[upper], self.weights[upper]
         order = np.lexsort((v, u))
         for i, j, x in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
             yield self.vertices[i], self.vertices[j], x

@@ -65,6 +65,11 @@ def layer_for(key: str) -> str:
     return LAYER_BY_FIELD.get(key, key)
 
 
+class PipelineError(ValueError):
+    """Configuration, input or solver problem that should abort the run; the
+    command line reports it as one `error:` line."""
+
+
 class MalformedLineError(ValueError):
     """A Snort fast line is missing its timestamp, signature triple or IP pair."""
 

@@ -47,6 +47,7 @@ from artifact.ingest import (
     KeyedAlerts,
     LAYER_BY_FIELD,
     ParseStats,
+    PipelineError,
     WindowSpec,
     layer_for,
     load_hostmap,
@@ -76,10 +77,6 @@ logger = logging.getLogger(__name__)
 
 VALID_SOURCES = ("snort", "ossec")
 VALID_LAYERS = tuple(sorted(set(LAYER_BY_FIELD.values())))
-
-
-class PipelineError(ValueError):
-    """Configuration or input problem that should abort the run."""
 
 
 @dataclass

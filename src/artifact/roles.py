@@ -11,6 +11,8 @@ readable by regressing interpretable node properties onto the memberships.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
 from dataclasses import dataclass
@@ -18,8 +20,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.sparse import diags_array
 
 from artifact.features import (
     PRIMARY_NAMES,
@@ -28,6 +28,7 @@ from artifact.features import (
     primary_features,
 )
 from artifact.graph import ArtifactGraph, Vertex
+from artifact.ingest import PipelineError
 
 logger = logging.getLogger(__name__)
 
@@ -304,6 +305,57 @@ def write_grid_csv(grid: Sequence[GridPoint], path: Path | str) -> None:
             )
 
 
+# -- nonnegative least squares -------------------------------------------------
+
+def _load_slsqp_nnls():
+    """scipy's compiled Lawson-Hanson routine `nnls(A, b, maxiter) -> (x,
+    rnorm, info)`, loaded from its extension file without importing the
+    scipy.optimize package, which takes about 0.5 s. None where the file is
+    missing or its routine does not solve a 1 x 1 problem."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    folder = Path(scipy_spec.submodule_search_locations[0], "optimize")
+    paths = [folder / f"_slsqplib{suffix}"
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location("scipy.optimize._slsqplib", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        x, _, _ = module.nnls(np.ones((1, 1)), np.array([2.0]), 3)
+        solved = x.tolist() == [2.0]
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    return module.nnls if solved else None
+
+
+_slsqp_nnls = _load_slsqp_nnls()
+
+_NNLS_CAP = "nonnegative least squares hit its iteration cap"
+
+
+def nnls(A, b) -> np.ndarray:
+    """The x >= 0 that minimizes ||Ax - b||, as `scipy.optimize.nnls(A, b)`
+    finds it, with the same input checks and cap of 3 x columns iterations.
+    A run that hits the cap ends with a PipelineError."""
+    if _slsqp_nnls is None:
+        from scipy.optimize import nnls as public_nnls
+
+        try:
+            return public_nnls(A, b)[0]
+        except RuntimeError:
+            raise PipelineError(_NNLS_CAP) from None
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, _, info = _slsqp_nnls(A, b, 3 * A.shape[1])
+    if info == 3:
+        raise PipelineError(_NNLS_CAP)
+    return x
+
+
 # -- memberships under fixed roles --------------------------------------------
 
 @dataclass
@@ -320,9 +372,6 @@ class Membership:
             raise ValueError("memberships must be nonnegative")
         if self.G.size and not np.allclose(self.G.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("membership rows must sum to 1")
-
-    def row_for(self, node: Vertex) -> np.ndarray:
-        return self.G[self.nodes.index(node)]
 
 
 def memberships_fixed_F(V_t, model: RoleModel) -> Membership:
@@ -346,7 +395,7 @@ def memberships_fixed_F(V_t, model: RoleModel) -> Membership:
     basis = model.F.T  # N_f x r
     G = np.zeros((values.shape[0], model.n_roles))
     for i, row in enumerate(values):
-        g, _ = nnls(basis, row)
+        g = nnls(basis, row)
         total = g.sum()
         if total > 0.0:
             G[i] = g / total
@@ -385,16 +434,18 @@ def _pagerank(g: ArtifactGraph, alpha: float = 0.85, tol: float = 1e-8,
     `_pagerank_scipy` takes it: rows normalized to sum 1, the mass of nodes
     without edges spread uniformly, stop once the L1 change is below N*tol."""
     n = len(g)
-    A = g.matrix(g.weights.astype(float))
-    S = A.sum(axis=1)
+    S = np.bincount(g.rows, weights=g.weights, minlength=n)
     S[S != 0] = 1.0 / S[S != 0]
-    A = diags_array(S).tocsr() @ A
+    # the row-normalized matrix's entries, aligned to g.indices
+    data = S[g.rows] * g.weights
     x = np.repeat(1.0 / n, n)
     p = np.repeat(1.0 / n, n)
     dangling = np.where(S == 0)[0]
     for _ in range(max_iter):
         xlast = x
-        x = alpha * (x @ A + sum(x[dangling]) * p) + (1 - alpha) * p
+        # x @ A: each column adds its terms in row order, as scipy does
+        xA = np.bincount(g.indices, weights=data * x[g.rows], minlength=n)
+        x = alpha * (xA + sum(x[dangling]) * p) + (1 - alpha) * p
         if np.absolute(x - xlast).sum() < n * tol:
             return x
     raise ArithmeticError(f"pagerank did not converge in {max_iter} iterations")
@@ -405,7 +456,6 @@ def _eccentricity_betweenness(g: ArtifactGraph) -> tuple[np.ndarray, np.ndarray]
     betweenness, from level-synchronous breadth-first searches over blocks of
     sources (Brandes' accumulation, one BFS level at a time)."""
     n = len(g)
-    A = g.matrix(np.ones(len(g.indices)))
     eccentricity = np.zeros(n)
     betweenness = np.zeros(n)
     for start in range(0, n, _BFS_BLOCK):
@@ -419,7 +469,7 @@ def _eccentricity_betweenness(g: ArtifactGraph) -> tuple[np.ndarray, np.ndarray]
         frontier = dist == 0
         level = 0
         while frontier.any():
-            paths = A @ np.where(frontier, sigma, 0.0)
+            paths = g.neighbor_sums(np.where(frontier, sigma, 0.0))
             frontier = (paths > 0) & (dist < 0)
             level += 1
             dist[frontier] = level
@@ -432,7 +482,7 @@ def _eccentricity_betweenness(g: ArtifactGraph) -> tuple[np.ndarray, np.ndarray]
             ahead = dist == lv + 1
             coeff = np.zeros_like(sigma)
             coeff[ahead] = (1.0 + delta[ahead]) / sigma[ahead]
-            pulled = A @ coeff
+            pulled = g.neighbor_sums(coeff)
             at = dist == lv
             delta[at] = sigma[at] * pulled[at]
         betweenness += delta.sum(axis=1)
@@ -524,9 +574,8 @@ def role_descriptions(G_nr, M_np) -> RoleDescription:
     E = np.zeros((n_roles, n_props))
     E_single = np.zeros(n_props)
     for j in range(n_props):
-        E[:, j], _ = nnls(G, M[:, j])
-        single, _ = nnls(ones, M[:, j])
-        E_single[j] = single[0]
+        E[:, j] = nnls(G, M[:, j])
+        E_single[j] = nnls(ones, M[:, j])[0]
 
     ratios = np.zeros_like(E)
     nonzero = E_single > 0

@@ -13,10 +13,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import artifact
 import artifact.pipeline
+import artifact.roles
 from conftest import SMALL_ORIGIN
 from artifact.cli import build_parser, main
 from artifact.dynamics import SCORE_COLUMNS
@@ -166,6 +168,22 @@ def test_cli_score_rejects_missing_bundle(small_streams, tmp_path, capsys):
     ])
     assert rc == 1
     assert "not a model bundle" in capsys.readouterr().err
+
+
+def test_cli_score_nnls_iteration_cap_ends_in_an_error_line(
+    small_streams, cli_bundle, tmp_path, monkeypatch, capsys
+):
+    def capped(A, b, maxiter):
+        return np.zeros(A.shape[1]), 0.0, 3  # info 3: the iteration cap
+
+    monkeypatch.setattr(artifact.roles, "_slsqp_nnls", capped)
+    rc = main([
+        "score", "--jsonl", str(small_streams["full"]),
+        "--model", str(cli_bundle), "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: nonnegative least squares hit its iteration cap\n")
 
 
 def test_cli_score_rejects_bad_layer(small_streams, cli_bundle, tmp_path, capsys):
@@ -478,6 +496,19 @@ def test_cli_import_leaves_networkx_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_out():
+    """Only scipy's compiled NNLS extension loads, by itself: importing the
+    scipy package, scipy.sparse or scipy.optimize costs about 0.5 s."""
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, artifact.cli; "
+            "print(*(m in sys.modules for m in ('scipy', 'scipy.sparse', 'scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_scenario_import_leaves_pipeline_and_scipy_out():
