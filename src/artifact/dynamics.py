@@ -53,26 +53,26 @@ class NodeRegistry:
     def __len__(self) -> int:
         return len(self._first_seen)
 
-    def write_tsv(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write("index\tlayer\tvalue\tfirst_seen_window\n")
-            for node, idx in self._index.items():
-                seen = self._first_seen[idx]
-                seen_s = "" if seen is None else str(seen)
-                fp.write(f"{idx}\t{node[0]}\t{node[1]}\t{seen_s}\n")
+    def dumps(self) -> str:
+        """The registry as `registry.tsv` text, one node per line."""
+        lines = ["index\tlayer\tvalue\tfirst_seen_window\n"]
+        for node, idx in self._index.items():
+            seen = self._first_seen[idx]
+            lines.append(f"{idx}\t{node[0]}\t{node[1]}\t{'' if seen is None else seen}\n")
+        return "".join(lines)
 
     @classmethod
-    def read_tsv(cls, path: Path | str) -> "NodeRegistry":
+    def loads(cls, text: str) -> "NodeRegistry":
+        """Parse `dumps` text. Lines end only at "\\n": field values may hold
+        other characters that `str.splitlines` breaks on."""
+        if not text:
+            raise ValueError("registry is empty")
         registry = cls()
-        with open(path, "r", encoding="utf-8") as fp:
-            if not fp.readline():
-                raise ValueError(f"{path} is empty")
-            for line in fp:
-                idx_s, layer, value, seen_s = line.rstrip("\n").split("\t")
-                window = int(seen_s) if seen_s else None
-                got = registry.get_or_add((layer, value), window)
-                if got != int(idx_s):
-                    raise ValueError(f"registry file indices out of order: {line!r}")
+        for line in text.removesuffix("\n").split("\n")[1:]:
+            idx_s, layer, value, seen_s = line.split("\t")
+            window = int(seen_s) if seen_s else None
+            if registry.get_or_add((layer, value), window) != int(idx_s):
+                raise ValueError(f"registry indices out of order: {line!r}")
         return registry
 
 

@@ -150,6 +150,9 @@ def valid_timestamp(ts: float) -> bool:
 # The bundle's registry.tsv is split on these, so no field key or value may
 # hold one.
 _TSV_BREAKS = re.compile(r"[\t\n\r]")
+# Lone surrogates, the only str code points UTF-8 cannot encode; JSON "\ud800"
+# escapes make them.
+_SURROGATES = re.compile(r"[\ud800-\udfff]")
 
 
 def check_fields(fields: dict[str, str]) -> None:
@@ -160,6 +163,8 @@ def check_fields(fields: dict[str, str]) -> None:
             raise ValueError(f"empty or non-string value for field {key!r}")
         if _TSV_BREAKS.search(key) or _TSV_BREAKS.search(value):
             raise ValueError(f"tab or line break in field {key!r}: {value!r}")
+        if _SURROGATES.search(key) or _SURROGATES.search(value):
+            raise ValueError(f"field {key!r} does not encode as UTF-8: {value!r}")
 
 
 @dataclass
@@ -233,20 +238,25 @@ def _is_ipv4(text: str) -> bool:
 
 
 def load_hostmap(path: str | Path) -> HostMap:
-    """Load a "hostname ip" per line text file; '#' starts a comment."""
+    """Load a UTF-8 "hostname ip" per line text file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"hostmap {path} is not UTF-8 text: {exc}") from exc
     entries: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"hostmap {path} line {lineno}"
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"hostmap line needs 'hostname ip': {raw!r}")
+            raise PipelineError(f"{where} needs 'hostname ip': {raw!r}")
         name, ip = parts[0].lower(), parts[1]
         if not _is_ipv4(ip):
-            raise ValueError(f"hostmap value is not an IPv4 address: {raw!r}")
+            raise PipelineError(f"{where}: {ip!r} is not an IPv4 address")
         if name in entries:
-            raise ValueError(f"duplicate hostname in hostmap: {name!r}")
+            raise PipelineError(f"{where} repeats hostname {name!r}")
         entries[name] = ip
     return HostMap(entries)
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,11 +67,11 @@ from artifact.graph import build_graph  # noqa: F401
 from artifact.ingest import window_partition  # noqa: F401
 from artifact.roles import (
     RoleModel,
+    grid_csv,
     memberships_fixed_F,
     node_properties,
     role_descriptions,
     select_model,
-    write_grid_csv,
 )
 
 logger = logging.getLogger(__name__)
@@ -114,18 +115,17 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
-        if self.window_hours <= 0:
-            raise PipelineError("window_hours must be positive")
-        if self.training_days <= 0:
-            raise PipelineError("training_days must be positive")
-        if self.threshold <= 0:
-            raise PipelineError("threshold must be positive")
+        for name in ("window_hours", "training_days", "threshold"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise PipelineError(f"{name} must be finite and positive")
         if self.max_depth < 0:
             raise PipelineError("max_depth must be >= 0")
         if not 0 < self.prune_tolerance < 1:
             raise PipelineError("prune_tolerance must be in (0, 1)")
-        if self.max_roles < 1 or self.max_bits < 1:
-            raise PipelineError("max_roles and max_bits must be >= 1")
+        if self.max_roles < 1:
+            raise PipelineError("max_roles must be >= 1")
+        if not 1 <= self.max_bits <= 16:
+            raise PipelineError("max_bits must be in 1..16")
         if self.seed < 0:
             raise PipelineError("seed must be >= 0")
         if self.source is not None and self.source not in VALID_SOURCES:
@@ -335,44 +335,29 @@ BUNDLE_FILES = ("metadata.txt", "schema.txt", "role_features.csv", "grid.csv",
 CHECKSUMS = "SHA256SUMS"
 
 
-def _checksums(bundle: Path) -> bytes:
-    """The `sha256sum` listing of the bundle files as they are on disk."""
+def _checksums(files: Mapping[str, bytes]) -> bytes:
+    """The `sha256sum` listing of the bundle files' bytes."""
     return "".join(
-        f"{hashlib.sha256((bundle / name).read_bytes()).hexdigest()}  {name}\n"
-        for name in BUNDLE_FILES
+        f"{hashlib.sha256(files[name]).hexdigest()}  {name}\n" for name in BUNDLE_FILES
     ).encode("ascii")
 
 
-def _write_f_csv(model: RoleModel, schema: FeatureSchema, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write("role," + ",".join(f"f{f.fid}" for f in schema.features) + "\n")
-        for r in range(model.n_roles):
-            cells = ",".join(repr(float(x)) for x in model.F[r])
-            fp.write(f"{r},{cells}\n")
+def _role_csv(columns: Sequence[str], rows: np.ndarray) -> str:
+    """One line per role: its id, then its row of floats."""
+    lines = ["role," + ",".join(columns) + "\n"]
+    for r, row in enumerate(rows):
+        lines.append(f"{r}," + ",".join(repr(float(x)) for x in row) + "\n")
+    return "".join(lines)
 
 
-def _read_f_csv(path: Path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append([float(x) for x in cells[1:]])
+def _parse_f_csv(text: str) -> np.ndarray:
+    rows = [[float(x) for x in line.split(",")[1:]] for line in text.splitlines()[1:]]
     return np.asarray(rows, dtype=float)
 
 
-def _write_metadata(path: Path, pairs: list[tuple[str, object]]) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for key, value in pairs:
-            fp.write(f"{key} = {value}\n")
-
-
-def _read_metadata(path: Path) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if " = " in line:
-            key, value = line.split(" = ", 1)
-            meta[key.strip()] = value.strip()
-    return meta
+def _parse_metadata(text: str) -> dict[str, str]:
+    pairs = (line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+    return {key.strip(): value.strip() for key, value in pairs}
 
 
 def train(cfg: PipelineConfig) -> TrainResult:
@@ -388,6 +373,8 @@ def train(cfg: PipelineConfig) -> TrainResult:
 
     registry, graph = training_graph(alerts, spec, stats)
     summary = graph_summary(graph)
+    if not summary.edge_count:
+        raise PipelineError("no training alert links two field values: the graph has no edges")
     schema, fm = fit_schema(
         graph, max_depth=cfg.max_depth, prune_tolerance=cfg.prune_tolerance
     )
@@ -401,27 +388,6 @@ def train(cfg: PipelineConfig) -> TrainResult:
 
     memberships = memberships_fixed_F(fm, model)
     descriptions = role_descriptions(memberships, node_properties(graph))
-
-    bundle = Path(cfg.out_dir) / "model"
-    bundle.mkdir(parents=True, exist_ok=True)
-    (bundle / "schema.txt").write_text(schema.dumps(), encoding="utf-8")
-    _write_f_csv(model, schema, bundle / "role_features.csv")
-    write_grid_csv(grid, bundle / "grid.csv")
-    registry.write_tsv(bundle / "registry.tsv")
-    descriptions.write_csv(bundle / "role_descriptions.csv")
-    _write_metadata(
-        bundle / "metadata.txt",
-        [
-            ("n_roles", model.n_roles),
-            ("n_bits", model.n_bits),
-            ("seed", model.seed),
-            ("n_features", len(schema)),
-            ("origin", repr(spec.origin)),
-            ("training_cutoff", repr(spec.training_cutoff)),
-            ("window_length", repr(spec.length)),
-            ("best_total_cost", repr(best.total)),
-        ],
-    )
 
     text = [
         "training summary",
@@ -441,8 +407,33 @@ def train(cfg: PipelineConfig) -> TrainResult:
         f"(description length {best.total!r})",
     ]
     summary_text = "\n".join(text) + "\n"
-    (bundle / "training_summary.txt").write_text(summary_text, encoding="utf-8")
-    (bundle / CHECKSUMS).write_bytes(_checksums(bundle))
+    metadata = [
+        ("n_roles", model.n_roles),
+        ("n_bits", model.n_bits),
+        ("seed", model.seed),
+        ("n_features", len(schema)),
+        ("origin", repr(spec.origin)),
+        ("training_cutoff", repr(spec.training_cutoff)),
+        ("window_length", repr(spec.length)),
+        ("best_total_cost", repr(best.total)),
+    ]
+    texts = {
+        "metadata.txt": "".join(f"{key} = {value}\n" for key, value in metadata),
+        "schema.txt": schema.dumps(),
+        "role_features.csv": _role_csv([f"f{f.fid}" for f in schema.features], model.F),
+        "grid.csv": grid_csv(grid),
+        "registry.tsv": registry.dumps(),
+        "role_descriptions.csv": _role_csv(descriptions.property_names, descriptions.scores),
+        "training_summary.txt": summary_text,
+    }
+    # Render everything before writing anything, so a failure leaves no
+    # half-written bundle.
+    files = {name: texts[name].encode("utf-8") for name in BUNDLE_FILES}
+    bundle = Path(cfg.out_dir) / "model"
+    bundle.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (bundle / name).write_bytes(data)
+    (bundle / CHECKSUMS).write_bytes(_checksums(files))
     logger.info("bundle written to %s", bundle)
     return TrainResult(bundle, model, schema, registry, summary_text)
 
@@ -454,16 +445,17 @@ def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeR
     if not (bundle / "metadata.txt").exists():
         raise PipelineError(f"{bundle} is not a model bundle (metadata.txt missing)")
     try:
-        if (bundle / CHECKSUMS).read_bytes() != _checksums(bundle):
+        files = {name: (bundle / name).read_bytes() for name in BUNDLE_FILES}
+        if (bundle / CHECKSUMS).read_bytes() != _checksums(files):
             raise ValueError(f"its files do not match {CHECKSUMS}")
-        meta = _read_metadata(bundle / "metadata.txt")
-        schema = FeatureSchema.loads(
-            (bundle / "schema.txt").read_text(encoding="utf-8")
-        )
+        # The parsers read the very bytes just checked.
+        texts = {name: data.decode("utf-8") for name, data in files.items()}
+        meta = _parse_metadata(texts["metadata.txt"])
+        schema = FeatureSchema.loads(texts["schema.txt"])
         model = RoleModel(
             n_roles=int(meta["n_roles"]),
             n_bits=int(meta["n_bits"]),
-            F=_read_f_csv(bundle / "role_features.csv"),
+            F=_parse_f_csv(texts["role_features.csv"]),
             seed=int(meta["seed"]),
         )
         model.validate()
@@ -474,7 +466,7 @@ def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeR
             length=float(meta["window_length"]),
             training_cutoff=float(meta["training_cutoff"]),
         )
-        registry = NodeRegistry.read_tsv(bundle / "registry.tsv")
+        registry = NodeRegistry.loads(texts["registry.tsv"])
     except (KeyError, ValueError, OSError) as exc:
         raise PipelineError(f"corrupt model bundle {bundle}: {exc}") from exc
     return model, schema, registry, spec

@@ -296,13 +296,10 @@ def select_model(
     return model, grid
 
 
-def write_grid_csv(grid: Sequence[GridPoint], path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write("roles,bits,model_cost,error_cost,total\n")
-        for p in grid:
-            fp.write(
-                f"{p.r},{p.b},{p.model_cost!r},{p.error_cost!r},{p.total!r}\n"
-            )
+def grid_csv(grid: Sequence[GridPoint]) -> str:
+    """The description-length surface as `grid.csv` text."""
+    rows = [f"{p.r},{p.b},{p.model_cost!r},{p.error_cost!r},{p.total!r}\n" for p in grid]
+    return "roles,bits,model_cost,error_cost,total\n" + "".join(rows)
 
 
 # -- nonnegative least squares -------------------------------------------------
@@ -538,13 +535,6 @@ class RoleDescription:
     def validate(self) -> None:
         if np.any(self.E < 0) or not np.all(np.isfinite(self.E)):
             raise ValueError("E entries must be nonnegative and finite")
-
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write("role," + ",".join(self.property_names) + "\n")
-            for r, row in enumerate(self.scores):
-                cells = ",".join(repr(float(x)) for x in row)
-                fp.write(f"{r},{cells}\n")
 
 
 def role_descriptions(G_nr, M_np) -> RoleDescription:

@@ -113,8 +113,8 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
-        if self.duration_days <= 0 or self.window_hours <= 0:
-            raise ConfigError("durations must be positive")
+        if not (0 < self.duration_days < math.inf and 0 < self.window_hours < math.inf):
+            raise ConfigError("durations must be finite and positive")
         if not 0 < self.training_days < self.duration_days:
             raise ConfigError("training period must fit inside the scenario")
         if self.seed < 0:

@@ -281,8 +281,10 @@ def test_report_rejects_missing_file(tmp_path, capsys):
 
 # One alert of each in the tiny scenario's training day and one after it.
 ODD_TIMES = (SMALL_ORIGIN + 3600.0, SMALL_ORIGIN + 37 * 3600.0)
-# Each breaks the tab-separated registry.tsv; such an alert is a counted skip.
-BREAKS = ("\t", "\n", "\r")
+# Each breaks the tab-separated, UTF-8 registry.tsv: tabs and line breaks
+# split it, and a lone surrogate does not encode. Such an alert is a counted
+# skip.
+BREAKS = ("\t", "\n", "\r", "\ud800")
 
 
 def odd_jsonl_lines():
@@ -402,6 +404,17 @@ def input_flags(command, small_streams, cli_bundle):
     return flags + ["--model", str(cli_bundle)] if command == "score" else flags
 
 
+def run_with_settings(command, ini, flags, small_streams, cli_bundle, tmp_path):
+    """Run `command` with its inputs, `flags` and an INI file holding `ini`."""
+    argv = [command, *flags, "--out", str(tmp_path / "out"),
+            *input_flags(command, small_streams, cli_bundle)]
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    return main(argv)
+
+
 @pytest.mark.parametrize("command, ini, flags", [
     ("simulate", None, ["--seed", "-1"]),
     ("simulate", "[scenario]\nseed = -1\n", []),
@@ -412,15 +425,45 @@ def input_flags(command, small_streams, cli_bundle):
 def test_negative_seed_ends_in_an_error_line(
     small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, ini, flags
 ):
-    argv = [command, *flags, "--out", str(tmp_path / "out"),
-            *input_flags(command, small_streams, cli_bundle)]
-    if ini is not None:
-        path = tmp_path / "run.ini"
-        path.write_text(ini)
-        argv += ["--config", str(path)]
-    assert main(argv) == 1
+    assert run_with_settings(command, ini, flags, small_streams, cli_bundle, tmp_path) == 1
     assert "error: seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, ini, flags, message", [
+    ("train", None, ["--window-hours", "nan"], "window_hours"),
+    ("train", None, ["--window-hours", "inf"], "window_hours"),
+    ("train", None, ["--training-days", "nan"], "training_days"),
+    ("train", None, ["--training-days", "inf"], "training_days"),
+    ("score", None, ["--threshold", "nan"], "threshold"),
+    ("score", "[scoring]\nthreshold = inf\n", [], "threshold"),
+    ("simulate", "[scenario]\nwindow_hours = nan\n", [], "durations"),
+    ("simulate", "[scenario]\nduration_days = inf\n", [], "durations"),
+], ids=["window-nan", "window-inf", "training-nan", "training-inf", "threshold-nan",
+        "threshold-ini-inf", "scenario-window-nan", "scenario-duration-inf"])
+def test_non_finite_settings_end_in_an_error_line(
+    small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, ini, flags, message
+):
+    assert run_with_settings(command, ini, flags, small_streams, cli_bundle, tmp_path) == 1
+    assert f"error: {message} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"host1 10.0.0.1 extra\n", "line 1 needs 'hostname ip'"),
+    (b"host1 10.0.0.1\nHOST1 10.0.0.2\n", "line 2 repeats hostname 'host1'"),
+    (b"# hosts\nhost1 999.0.0.1\n", "line 2: '999.0.0.1' is not an IPv4 address"),
+    (b"host1 10.0.0.1\nh\xf6st2 10.0.0.2\n", "is not UTF-8 text"),
+], ids=["three-fields", "duplicate", "not-ipv4", "not-utf8"])
+def test_bad_hostmap_ends_in_an_error_line(
+    small_streams, unread_inputs, tmp_path, capsys, text, message
+):
+    hostmap = tmp_path / "hosts.map"
+    hostmap.write_bytes(text)
+    assert main(["train", "--jsonl", str(small_streams["full"]), "--hostmap", str(hostmap),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: hostmap {hostmap}") and message in err
 
 
 @pytest.mark.parametrize("command, out, message", [

@@ -329,16 +329,27 @@ def test_registry_fills_first_seen_once():
     assert reg.first_seen(A) == 4
 
 
-def test_registry_tsv_round_trip(tmp_path):
+def test_registry_tsv_round_trip():
     reg = NodeRegistry()
     reg.get_or_add(A, window=0)
     reg.get_or_add(C)
-    path = tmp_path / "registry.tsv"
-    reg.write_tsv(path)
-    back = NodeRegistry.read_tsv(path)
+    text = reg.dumps()
+    assert text.splitlines()[0] == "index\tlayer\tvalue\tfirst_seen_window"
+    back = NodeRegistry.loads(text)
     assert back.nodes() == reg.nodes()
     assert back.first_seen(A) == 0
     assert back.first_seen(C) is None
+
+
+def test_registry_round_trips_values_that_splitlines_breaks_on():
+    """Only "\\n" ends a registry line; field values may hold the other
+    characters `str.splitlines` breaks on."""
+    reg = NodeRegistry()
+    for window, ch in enumerate(("\x85", "\x1c", "\x0b", "\u2028")):
+        reg.get_or_add(("logfile", f"/var/log/a{ch}b"), window=window)
+    back = NodeRegistry.loads(reg.dumps())
+    assert back.nodes() == reg.nodes()
+    assert [back.first_seen(node) for node in back.nodes()] == [0, 1, 2, 3]
 
 
 # --- writers -----------------------------------------------------------------------

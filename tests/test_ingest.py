@@ -482,6 +482,22 @@ def test_jsonl_skips_malformed_lines(tmp_path):
     assert stats.parsed + stats.skipped == stats.lines
 
 
+def test_jsonl_skips_fields_that_do_not_encode_as_utf8(tmp_path):
+    """A JSON escape of a lone surrogate decodes to a str that UTF-8 output
+    files cannot hold; an escaped surrogate pair is one valid character."""
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        '{"source":"snort","ts":5.0,"fields":{"sig_id":"1"}}\n'
+        '{"source":"snort","ts":6.0,"fields":{"sig_id":"\\ud800"}}\n'
+        '{"source":"snort","ts":7.0,"fields":{"sig\\udfffid":"1"}}\n'
+        '{"source":"snort","ts":8.0,"fields":{"sig_id":"\\ud83d\\ude00"}}\n'
+    )
+    stats = ParseStats()
+    records = read_jsonl_file(path, stats).records()
+    assert [r.fields["sig_id"] for r in records] == ["1", "\U0001f600"]
+    assert stats.parsed == 2 and stats.skipped == 2
+
+
 def test_jsonl_coerces_numeric_field_values(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"source":"snort","ts":1.0,"fields":{"sig_id":215}}\n')

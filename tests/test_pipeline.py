@@ -2,9 +2,11 @@
 deterministic retraining, scoring behavior on hot and quiet streams, and the
 config plumbing. Stream layout comes from the shared conftest fixtures."""
 
+import builtins
 import hashlib
 import json
 import shutil
+from collections import Counter
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import SMALL_ORIGIN, SMALL_SIM, small_pipeline_config
 from artifact.cli import main
+from artifact.dynamics import NodeRegistry
 from artifact.ingest import AlertRecord, ParseStats, read_jsonl_file, write_jsonl
 from artifact.pipeline import (
     CONFIG_KEYS,
@@ -115,10 +118,51 @@ def test_training_summary_mentions_the_essentials(small_trained):
 
 def test_retraining_is_byte_identical(small_streams, small_trained, tmp_path):
     again = train(small_pipeline_config(small_streams, tmp_path))
-    for name in ("schema.txt", "role_features.csv", "grid.csv", "registry.tsv"):
+    for name in BUNDLE_FILES:
         first = (small_trained.bundle_dir / name).read_bytes()
         second = (again.bundle_dir / name).read_bytes()
         assert first == second, name
+
+
+def test_load_bundle_reads_each_file_once(small_trained, monkeypatch):
+    opened = Counter()
+    path_open, builtin_open = Path.open, builtins.open
+
+    def counted_path_open(self, *args, **kwargs):
+        opened[self.name] += 1
+        return path_open(self, *args, **kwargs)
+
+    def counted_open(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_path_open)
+    monkeypatch.setattr(builtins, "open", counted_open)
+    load_bundle(small_trained.bundle_dir)
+    assert opened == {name: 1 for name in BUNDLE_FILES}
+
+
+def test_failed_render_writes_no_bundle(small_streams, tmp_path, monkeypatch):
+    def fail(self):
+        raise RuntimeError("cannot render the registry")
+
+    monkeypatch.setattr(NodeRegistry, "dumps", fail)
+    cfg = small_pipeline_config(small_streams, tmp_path / "out",
+                                max_depth=2, max_roles=3, max_bits=2)
+    with pytest.raises(RuntimeError, match="cannot render"):
+        train(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_training_span_without_links_ends_in_an_error_line(tmp_path, capsys):
+    """One-field alerts give a graph without edges, hence no features to fit."""
+    path = tmp_path / "lonely.jsonl"
+    write_jsonl([AlertRecord("snort", SMALL_ORIGIN + i, {"sig_id": str(i)}) for i in (1, 2)],
+                path)
+    assert main(["train", "--jsonl", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no training alert links two field values")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_empty_input(tmp_path):
@@ -612,6 +656,8 @@ def test_load_pipeline_config_rejects_missing_file(tmp_path):
         ({"layer": "nope"}, "unknown layer"),
         ({"jsonl_paths": [Path("/definitely/not/here.jsonl")]}, "does not exist"),
         ({"hostmap_path": Path("/definitely/not/here.map")}, "hostmap"),
+        ({"max_bits": 17}, "max_bits"),
+        ({"threshold": float("nan")}, "threshold"),
     ],
 )
 def test_validate_rejects_bad_configs(overrides, message):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import link_graph, weighted_graphs
 from artifact.features import EmptyGraphError
+from artifact.pipeline import _role_csv
 from artifact.roles import (
     DimensionError,
     Membership,
@@ -19,13 +20,13 @@ from artifact.roles import (
     SchemaMismatchError,
     description_length,
     generalized_kl,
+    grid_csv,
     memberships_fixed_F,
     nmf_kl,
     node_properties,
     quantize,
     role_descriptions,
     select_model,
-    write_grid_csv,
 )
 
 
@@ -269,13 +270,11 @@ def test_select_model_skips_infeasible_ranks():
         select_model(V, r_range=[20], b_range=[2], seed=0)
 
 
-def test_grid_csv_export(tmp_path):
+def test_grid_csv_export():
     rng = np.random.default_rng(14)
     V = rng.uniform(0, 2, size=(8, 6))
     _, grid = select_model(V, r_range=range(1, 3), b_range=range(1, 3), seed=1)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
-    lines = path.read_text().splitlines()
+    lines = grid_csv(grid).splitlines()
     assert lines[0] == "roles,bits,model_cost,error_cost,total"
     assert len(lines) == 1 + len(grid)
     r, b, m, e, total = lines[1].split(",")
@@ -487,10 +486,8 @@ def test_description_node_count_mismatch():
         role_descriptions(np.ones((4, 2)), np.ones((5, 3)))
 
 
-def test_description_csv(tmp_path):
+def test_description_csv():
     desc = role_descriptions(np.ones((6, 1)), np.full((6, 3), 2.0))
-    path = tmp_path / "roles.csv"
-    desc.write_csv(path)
-    lines = path.read_text().splitlines()
+    lines = _role_csv(desc.property_names, desc.scores).splitlines()
     assert lines[0] == "role,p0,p1,p2"
     assert len(lines) == 2
