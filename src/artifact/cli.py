@@ -143,25 +143,28 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _read_scores_csv(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PipelineError(f"{path} is empty") from None
-        if tuple(header) != SCORE_COLUMNS:
-            raise PipelineError(
-                f"{path} does not look like a scores CSV "
-                f"(expected columns {list(SCORE_COLUMNS)}, found {header})"
-            )
-        rows = []
-        for line in reader:
-            if len(line) != len(SCORE_COLUMNS):
+    try:
+        with open(path, newline="", encoding="utf-8") as fp:
+            reader = csv.reader(fp)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise PipelineError(f"{path} is empty") from None
+            if tuple(header) != SCORE_COLUMNS:
                 raise PipelineError(
-                    f"{path}: row has {len(line)} cells, expected {len(SCORE_COLUMNS)}"
+                    f"{path} does not look like a scores CSV "
+                    f"(expected columns {list(SCORE_COLUMNS)}, found {header})"
                 )
-            rows.append(dict(zip(SCORE_COLUMNS, line)))
-        return rows
+            rows = []
+            for line in reader:
+                if len(line) != len(SCORE_COLUMNS):
+                    raise PipelineError(
+                        f"{path}: row has {len(line)} cells, expected {len(SCORE_COLUMNS)}"
+                    )
+                rows.append(dict(zip(SCORE_COLUMNS, line)))
+            return rows
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,62 +27,14 @@ from artifact.roles import Membership
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class NodeRegistry:
-    """Append-only identity map for nodes; indices are stable forever."""
-
-    _index: dict[Vertex, int] = field(default_factory=dict)
-    _first_seen: list[int | None] = field(default_factory=list)
-
-    def get_or_add(self, node: Vertex, window: int | None = None) -> int:
-        idx = self._index.get(node)
-        if idx is None:
-            idx = len(self._first_seen)
-            self._index[node] = idx
-            self._first_seen.append(window)
-        elif window is not None and self._first_seen[idx] is None:
-            self._first_seen[idx] = window
-        return idx
-
-    def first_seen(self, node: Vertex) -> int | None:
-        return self._first_seen[self._index[node]]
-
-    def nodes(self) -> list[Vertex]:
-        return list(self._index)
-
-    def __len__(self) -> int:
-        return len(self._first_seen)
-
-    def dumps(self) -> str:
-        """The registry as `registry.tsv` text, one node per line."""
-        lines = ["index\tlayer\tvalue\tfirst_seen_window\n"]
-        for node, idx in self._index.items():
-            seen = self._first_seen[idx]
-            lines.append(f"{idx}\t{node[0]}\t{node[1]}\t{'' if seen is None else seen}\n")
-        return "".join(lines)
-
-    @classmethod
-    def loads(cls, text: str) -> "NodeRegistry":
-        """Parse `dumps` text. Lines end only at "\\n": field values may hold
-        other characters that `str.splitlines` breaks on."""
-        if not text:
-            raise ValueError("registry is empty")
-        registry = cls()
-        for line in text.removesuffix("\n").split("\n")[1:]:
-            idx_s, layer, value, seen_s = line.split("\t")
-            window = int(seen_s) if seen_s else None
-            if registry.get_or_add((layer, value), window) != int(idx_s):
-                raise ValueError(f"registry indices out of order: {line!r}")
-        return registry
-
-
 class MembershipSeries:
-    """The node registry and, per folded window, that window's update: the
-    registry indices of the nodes that appeared in it, each one's maximum
-    role-membership probability P_n and its arg-max role."""
+    """The node registry, each node's index in order of first appearance,
+    and, per folded window, that window's update: the registry indices of
+    the nodes that appeared in it, each one's maximum role-membership
+    probability P_n and its arg-max role."""
 
-    def __init__(self, registry: NodeRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else NodeRegistry()
+    def __init__(self) -> None:
+        self.registry: dict[Vertex, int] = {}
         self.windows: list[int] = []
         self.updates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -92,16 +44,16 @@ def update_series(
 ) -> MembershipSeries:
     """Fold one window's memberships into the series.
 
-    This is where a scored window's nodes enter the registry, with the window
-    as their first-seen one if they are new. Arg-max ties go to the lowest
-    role id.
+    This is where a scored window's nodes enter the registry, new ones at
+    the next free index. Arg-max ties go to the lowest role id.
     """
     if series.windows and window <= series.windows[-1]:
         raise ValueError(
             f"window {window} is not after the last processed {series.windows[-1]}"
         )
+    registry = series.registry
     idx = np.array(
-        [series.registry.get_or_add(node, window=window) for node in membership.nodes],
+        [registry.setdefault(node, len(registry)) for node in membership.nodes],
         dtype=np.int64,
     )
     G = np.asarray(membership.G, dtype=float)
@@ -132,7 +84,7 @@ def score_windows(series: MembershipSeries,
     layer's nodes; `argmax_flips`, a diagnostic outside the score, counts
     nodes of every layer.
     """
-    nodes = series.registry.nodes()
+    nodes = list(series.registry)
     P = np.full(len(nodes), np.nan)
     roles_now = np.full(len(nodes), -1, dtype=np.int64)
     in_layer = np.array([layer is None or v[0] == layer for v in nodes], dtype=bool)

@@ -147,8 +147,8 @@ def valid_timestamp(ts: float) -> bool:
     return 0.0 < ts < MAX_TIMESTAMP
 
 
-# The bundle's registry.tsv is split on these, so no field key or value may
-# hold one.
+# Field values become lines of the bundle's tab-separated registry.tsv, so
+# no field key or value may hold one of these.
 _TSV_BREAKS = re.compile(r"[\t\n\r]")
 # Lone surrogates, the only str code points UTF-8 cannot encode; JSON "\ud800"
 # escapes make them.
@@ -228,11 +228,11 @@ class HostMap:
         return len(self.entries)
 
 
-_IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
+_IPV4_RE = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}", re.ASCII)
 
 
 def _is_ipv4(text: str) -> bool:
-    if not _IPV4_RE.match(text):
+    if not _IPV4_RE.fullmatch(text):
         return False
     return all(int(part) <= 255 for part in text.split("."))
 

@@ -7,12 +7,13 @@ A trained bundle is a plain directory so runs stay auditable:
     schema.txt             the recursive feature schema (re-applied verbatim)
     role_features.csv      the frozen role-definition matrix F
     grid.csv               the (roles, bits) description-length surface
-    registry.tsv           node index with first-seen windows
+    registry.tsv           the training nodes' indices and first windows, for audit
     role_descriptions.csv  per-role property scores
     training_summary.txt   human-readable training report
     SHA256SUMS             `sha256sum` digests of the files above, checked on load
 
-Scoring never mutates the bundle; it only reads it.
+Scoring never mutates the bundle; it only reads it. Of registry.tsv it only
+checks the digest, since scoring indexes each node as it first appears.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from artifact.dynamics import (
     MembershipSeries,
-    NodeRegistry,
     WindowScore,
     detect_anomalies,
     score_windows,
@@ -40,6 +40,7 @@ from artifact.features import FeatureSchema, apply_schema, fit_schema
 from artifact.graph import (
     ArtifactGraph,
     FieldTuple,
+    Vertex,
     build_weighted_graph,
     graph_summary,
 )
@@ -118,6 +119,10 @@ class PipelineConfig:
         for name in ("window_hours", "training_days", "threshold"):
             if not 0 < getattr(self, name) < math.inf:
                 raise PipelineError(f"{name} must be finite and positive")
+        if not math.isfinite(self.window_length):
+            raise PipelineError("window_hours overflows in seconds")
+        if not math.isfinite(self.training_days * 86400.0 / self.window_length):
+            raise PipelineError("training_days overflows in seconds or in windows")
         if self.max_depth < 0:
             raise PipelineError("max_depth must be >= 0")
         if not 0 < self.prune_tolerance < 1:
@@ -293,17 +298,17 @@ def derive_window_spec(cfg: PipelineConfig, timestamps: Sequence[float]) -> Wind
 
 def training_graph(
     alerts: Alerts, spec: WindowSpec, stats: ParseStats
-) -> tuple[NodeRegistry, ArtifactGraph]:
-    """Register the training span's nodes window by window, in order of first
+) -> tuple[dict[Vertex, int], ArtifactGraph]:
+    """Map the training span's nodes to their first window, in order of first
     appearance, and build the span's co-occurrence graph. Alerts before the
-    origin are counted and left out of the registry, not out of the graph."""
+    origin are counted and left out of the map, not out of the graph."""
     n_training = alerts.before(spec.training_cutoff)
-    registry = NodeRegistry()
+    first_seen: dict[Vertex, int] = {}
     for window, start, stop in window_slices(alerts.times[:n_training], spec, stats):
         for fields, _ in alerts.field_counts(start, stop):
             for key, value in fields:
-                registry.get_or_add((layer_for(key), value), window=window)
-    return registry, build_weighted_graph(alerts.field_counts(0, n_training))
+                first_seen.setdefault((layer_for(key), value), window)
+    return first_seen, build_weighted_graph(alerts.field_counts(0, n_training))
 
 
 def scoring_graphs(
@@ -325,7 +330,7 @@ class TrainResult:
     bundle_dir: Path
     model: RoleModel
     schema: FeatureSchema
-    registry: NodeRegistry
+    registry: dict[Vertex, int]  # training node -> first window
     summary: str
 
 
@@ -347,6 +352,14 @@ def _role_csv(columns: Sequence[str], rows: np.ndarray) -> str:
     lines = ["role," + ",".join(columns) + "\n"]
     for r, row in enumerate(rows):
         lines.append(f"{r}," + ",".join(repr(float(x)) for x in row) + "\n")
+    return "".join(lines)
+
+
+def _registry_tsv(registry: Mapping[Vertex, int]) -> str:
+    """One line per node: its index, layer, value and first window."""
+    lines = ["index\tlayer\tvalue\tfirst_seen_window\n"]
+    for idx, ((layer, value), window) in enumerate(registry.items()):
+        lines.append(f"{idx}\t{layer}\t{value}\t{window}\n")
     return "".join(lines)
 
 
@@ -422,7 +435,7 @@ def train(cfg: PipelineConfig) -> TrainResult:
         "schema.txt": schema.dumps(),
         "role_features.csv": _role_csv([f"f{f.fid}" for f in schema.features], model.F),
         "grid.csv": grid_csv(grid),
-        "registry.tsv": registry.dumps(),
+        "registry.tsv": _registry_tsv(registry),
         "role_descriptions.csv": _role_csv(descriptions.property_names, descriptions.scores),
         "training_summary.txt": summary_text,
     }
@@ -438,9 +451,9 @@ def train(cfg: PipelineConfig) -> TrainResult:
     return TrainResult(bundle, model, schema, registry, summary_text)
 
 
-def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeRegistry, WindowSpec]:
-    """A bundle's model, schema, registry and window grid, once its files
-    match its SHA256SUMS."""
+def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, WindowSpec]:
+    """A bundle's model, schema and window grid, once its files match its
+    SHA256SUMS."""
     bundle = Path(bundle_dir)
     if not (bundle / "metadata.txt").exists():
         raise PipelineError(f"{bundle} is not a model bundle (metadata.txt missing)")
@@ -466,10 +479,9 @@ def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, NodeR
             length=float(meta["window_length"]),
             training_cutoff=float(meta["training_cutoff"]),
         )
-        registry = NodeRegistry.loads(texts["registry.tsv"])
     except (KeyError, ValueError, OSError) as exc:
         raise PipelineError(f"corrupt model bundle {bundle}: {exc}") from exc
-    return model, schema, registry, spec
+    return model, schema, spec
 
 
 # -- scoring -----------------------------------------------------------------
@@ -490,7 +502,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     predecessor); every later window gets a CSV row. An input with nothing
     after the training cutoff yields a header-only CSV.
     """
-    model, schema, registry, spec = load_bundle(bundle_dir)
+    model, schema, spec = load_bundle(bundle_dir)
     alerts, stats = read_alerts(cfg, cutoff=spec.training_cutoff)
     logger.info(
         "read %d lines: %d parsed, %d skipped, %d in the training span",
@@ -498,7 +510,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     )
     logger.info("scoring %d post-training records", len(alerts))
 
-    series = MembershipSeries(registry)
+    series = MembershipSeries()
     alert_counts: dict[int, int] = {}
     for window, count, graph in scoring_graphs(alerts, spec):
         fm = apply_schema(graph, schema)

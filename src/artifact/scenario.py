@@ -115,6 +115,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not (0 < self.duration_days < math.inf and 0 < self.window_hours < math.inf):
             raise ConfigError("durations must be finite and positive")
+        if not math.isfinite(self.window_length):
+            raise ConfigError("window_hours overflows in seconds")
+        if not math.isfinite(self.duration_days * 86400.0 / self.window_length):
+            raise ConfigError("duration_days overflows in seconds or in windows")
         if not 0 < self.training_days < self.duration_days:
             raise ConfigError("training period must fit inside the scenario")
         if self.seed < 0:

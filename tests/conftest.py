@@ -94,6 +94,15 @@ def small_trained(small_streams, tmp_path_factory):
     return train(small_pipeline_config(small_streams, out))
 
 
+def read_registry_tsv(text: str) -> list[tuple[int, str, str, int]]:
+    """A bundle's `registry.tsv` text as (index, layer, value, first window)
+    rows, after checking its header. Only "\\n" ends a line."""
+    header, *lines = text.removesuffix("\n").split("\n")
+    assert header == "index\tlayer\tvalue\tfirst_seen_window"
+    rows = [line.split("\t") for line in lines]
+    return [(int(idx), layer, value, int(window)) for idx, layer, value, window in rows]
+
+
 def make_random_records(seed: int, count: int, base_ts: float = 1_000_000.0) -> list[AlertRecord]:
     """Synthetic normalized records mixing snort/ossec shapes; some records
     carry src_ip == dst_ip to exercise the same-vertex skip."""

@@ -271,6 +271,15 @@ def test_report_rejects_empty_file(tmp_path, capsys):
     assert "is empty" in capsys.readouterr().err
 
 
+def test_report_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "binary.csv"
+    bad.write_bytes(b"\xff\xfe" + ",".join(SCORE_COLUMNS).encode("utf-16-le"))
+    rc = main(["report", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_rejects_missing_file(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert rc == 1
@@ -449,12 +458,29 @@ def test_non_finite_settings_end_in_an_error_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, ini, flags, message", [
+    ("train", None, ["--training-days", "1e305"], "training_days overflows in seconds"),
+    ("train", "[window]\nhours = 1e306\n", [], "window_hours overflows in seconds"),
+    ("train", None, ["--window-hours", "1e-320"], "training_days overflows in seconds or in windows"),
+    ("simulate", "[scenario]\ntraining_days = 1e305\nduration_days = 1e306\n", [],
+     "duration_days overflows in seconds"),
+    ("simulate", "[scenario]\nwindow_hours = 1e306\n", [], "window_hours overflows in seconds"),
+], ids=["training-days", "window-hours-ini", "window-count", "scenario-span", "scenario-window"])
+def test_finite_settings_that_overflow_in_seconds_end_in_an_error_line(
+    small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, ini, flags, message
+):
+    assert run_with_settings(command, ini, flags, small_streams, cli_bundle, tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     (b"host1 10.0.0.1 extra\n", "line 1 needs 'hostname ip'"),
     (b"host1 10.0.0.1\nHOST1 10.0.0.2\n", "line 2 repeats hostname 'host1'"),
     (b"# hosts\nhost1 999.0.0.1\n", "line 2: '999.0.0.1' is not an IPv4 address"),
     (b"host1 10.0.0.1\nh\xf6st2 10.0.0.2\n", "is not UTF-8 text"),
-], ids=["three-fields", "duplicate", "not-ipv4", "not-utf8"])
+    ("db1 \u0661\u0660.0.0.1\n".encode(), "line 1: '\u0661\u0660.0.0.1' is not an IPv4 address"),
+], ids=["three-fields", "duplicate", "not-ipv4", "not-utf8", "non-ascii-digits"])
 def test_bad_hostmap_ends_in_an_error_line(
     small_streams, unread_inputs, tmp_path, capsys, text, message
 ):

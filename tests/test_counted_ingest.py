@@ -14,7 +14,6 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from artifact.dynamics import NodeRegistry
 from artifact.ingest import (
     AlertRecord,
     ParseStats,
@@ -85,12 +84,12 @@ def reference_load(cfg):
 
 def reference_train(records, spec, stats):
     training = [r for r in records if r.timestamp < spec.training_cutoff]
-    registry = NodeRegistry()
+    first_seen = {}
     for window, bucket in window_partition(training, spec, stats):
         for record in bucket:
             for key, value in record.fields.items():
-                registry.get_or_add((layer_for(key), value), window=window)
-    return registry, reference_build_graph(training)
+                first_seen.setdefault((layer_for(key), value), window)
+    return first_seen, reference_build_graph(training)
 
 
 def reference_scoring(records, spec):
@@ -179,10 +178,7 @@ def test_counted_ingest_matches_per_alert_pipeline(alerts, hostmap, source, orig
         registry, graph = training_graph(counted, spec, stats)
         want_registry, want_graph = reference_train(records, spec, want_stats)
         assert stats == want_stats
-        assert registry.nodes() == want_registry.nodes()
-        assert [registry.first_seen(v) for v in registry.nodes()] == [
-            want_registry.first_seen(v) for v in want_registry.nodes()
-        ]
+        assert list(registry.items()) == list(want_registry.items())
         assert_same_graph(graph, want_graph)
 
         scoring = list(scoring_graphs(counted, spec))

@@ -9,7 +9,6 @@ import pytest
 from artifact.dynamics import (
     AnomalyReport,
     MembershipSeries,
-    NodeRegistry,
     WindowScore,
     detect_anomalies,
     score_windows,
@@ -17,7 +16,10 @@ from artifact.dynamics import (
     write_anomalies_json,
     write_score_csv,
 )
+from artifact.pipeline import _registry_tsv
 from artifact.roles import Membership
+
+from conftest import read_registry_tsv
 
 A, B, C = ("ip", "10.0.0.1"), ("ip", "10.0.0.2"), ("rule", "5503")
 
@@ -116,7 +118,7 @@ def test_late_node_is_null_before_first_appearance():
     assert entries[2].n_defined == 2  # C is not counted before it appears
     assert (C, pytest.approx(0.6)) in entries[3].contributions
     assert entries[3].n_defined == 3
-    assert series.registry.first_seen(C) == 3
+    assert list(series.registry) == [A, B, C]
 
 
 def test_absent_node_keeps_previous_probability():
@@ -133,12 +135,13 @@ def test_update_requires_increasing_windows():
 
 
 def test_update_registers_new_nodes_with_their_first_window():
+    """A node's index first turns up in the update of its first window."""
     series = MembershipSeries()
-    series.registry.get_or_add(A, window=0)  # a training node
     update_series(series, 4, member([(B, [1.0, 0.0]), (A, [0.5, 0.5])]))
     update_series(series, 6, member([(C, [1.0, 0.0]), (B, [0.5, 0.5])]))
-    assert series.registry.nodes() == [A, B, C]
-    assert [series.registry.first_seen(v) for v in (A, B, C)] == [0, 4, 6]
+    assert series.registry == {B: 0, A: 1, C: 2}
+    assert series.windows == [4, 6]
+    assert [idx.tolist() for idx, _, _ in series.updates] == [[0, 1], [2, 0]]
 
 
 # --- score arithmetic -------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_role_flip_at_equal_confidence_scores_zero_but_counts_flip():
 
 def test_never_appearing_node_is_excluded():
     series = MembershipSeries()
-    series.registry.get_or_add(("ip", "ghost"))  # registered, never appears
+    series.registry[("ip", "ghost")] = 0  # registered, never appears
     update_series(series, 1, member([(A, [1.0, 0.0])]))
     update_series(series, 2, member([(A, [0.5, 0.5])]))
     # denominator counts only A; ghost contributes nothing
@@ -310,46 +313,30 @@ def test_threshold_must_be_positive():
 # --- registry ---------------------------------------------------------------------
 
 def test_registry_indices_are_stable_and_dense():
-    reg = NodeRegistry()
-    assert reg.get_or_add(A, window=0) == 0
-    assert reg.get_or_add(B, window=1) == 1
-    assert reg.get_or_add(A, window=5) == 0  # re-adding never moves
-    assert reg.first_seen(A) == 0
-    assert len(reg) == 2
-    assert reg.nodes() == [A, B]
-
-
-def test_registry_fills_first_seen_once():
-    reg = NodeRegistry()
-    reg.get_or_add(A)  # registered without a window (e.g. from training)
-    assert reg.first_seen(A) is None
-    reg.get_or_add(A, window=4)
-    assert reg.first_seen(A) == 4
-    reg.get_or_add(A, window=9)
-    assert reg.first_seen(A) == 4
+    series = MembershipSeries()
+    update_series(series, 1, member([(A, [1.0, 0.0])]))
+    update_series(series, 2, member([(B, [1.0, 0.0]), (A, [0.5, 0.5])]))
+    update_series(series, 5, member([(A, [0.5, 0.5]), (C, [1.0, 0.0]), (B, [0.0, 1.0])]))
+    assert series.registry == {A: 0, B: 1, C: 2}  # re-appearing never moves
 
 
 def test_registry_tsv_round_trip():
-    reg = NodeRegistry()
-    reg.get_or_add(A, window=0)
-    reg.get_or_add(C)
-    text = reg.dumps()
+    text = _registry_tsv({A: 0, C: 3})
     assert text.splitlines()[0] == "index\tlayer\tvalue\tfirst_seen_window"
-    back = NodeRegistry.loads(text)
-    assert back.nodes() == reg.nodes()
-    assert back.first_seen(A) == 0
-    assert back.first_seen(C) is None
+    assert text.endswith("\n")
+    assert read_registry_tsv(text) == [(0, *A, 0), (1, *C, 3)]
 
 
 def test_registry_round_trips_values_that_splitlines_breaks_on():
     """Only "\\n" ends a registry line; field values may hold the other
     characters `str.splitlines` breaks on."""
-    reg = NodeRegistry()
-    for window, ch in enumerate(("\x85", "\x1c", "\x0b", "\u2028")):
-        reg.get_or_add(("logfile", f"/var/log/a{ch}b"), window=window)
-    back = NodeRegistry.loads(reg.dumps())
-    assert back.nodes() == reg.nodes()
-    assert [back.first_seen(node) for node in back.nodes()] == [0, 1, 2, 3]
+    registry = {("logfile", f"/var/log/a{ch}b"): window
+                for window, ch in enumerate(("\x85", "\x1c", "\x0b", "\u2028"))}
+    text = _registry_tsv(registry)
+    assert text.count("\n") == 1 + len(registry)
+    assert read_registry_tsv(text) == [
+        (idx, *node, window) for idx, (node, window) in enumerate(registry.items())
+    ]
 
 
 # --- writers -----------------------------------------------------------------------

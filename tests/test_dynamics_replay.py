@@ -5,6 +5,11 @@ vectors. The reference below keeps, as the series used to, a full P and
 arg-max vector per window, padded to the registry, and scores a window with a
 loop over every registry node. Both must agree exactly: window, score,
 n_defined, contributions in order, argmax_flips and the flag.
+
+The reference registry starts seeded, as one loaded from the training span
+did: with ghost nodes that never appear and with nodes that appear later,
+at other indices. The series under test starts empty. Equal scores show
+that no scored quantity depends on the nodes registered before scoring.
 """
 
 import numpy as np
@@ -12,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from artifact.dynamics import (
     MembershipSeries,
-    NodeRegistry,
     detect_anomalies,
     score_windows,
     update_series,
@@ -25,15 +29,15 @@ THRESHOLD = 0.05
 
 
 class ReferenceSeries:
-    def __init__(self, registry):
-        self.registry = registry
+    def __init__(self, seeded):
+        self.registry = {node: i for i, node in enumerate(seeded)}
         self.windows = []
         self._P = []
         self._argmax = []
 
 
 def reference_update(series, window, membership):
-    idx = [series.registry.get_or_add(node, window=window) for node in membership.nodes]
+    idx = [series.registry.setdefault(node, len(series.registry)) for node in membership.nodes]
     size = len(series.registry)
     P = np.full(size, np.nan)
     A = np.full(size, -1, dtype=int)
@@ -58,7 +62,7 @@ def reference_window_deltas(series, position, layer=None):
     prev_full[: len(prev)] = prev
 
     deltas = []
-    nodes = series.registry.nodes()
+    nodes = list(series.registry)
     n_defined = 0
     for idx in range(len(now)):
         if np.isnan(now[idx]):
@@ -103,14 +107,12 @@ GHOSTS = [("ip", "10.9.9.9"), ("rule", "1"), ("logfile", "/var/log/none")]
 
 @st.composite
 def histories(draw):
-    """Registry nodes that may never appear, then windows with gaps whose
+    """Seeded registry nodes, some never appearing, then windows with gaps whose
     memberships hold any subset of the universe in any order. Integer weights
     make tied roles, tied deltas across nodes and equal P under a changed
     arg-max common."""
     n_roles = draw(st.integers(1, 3))
-    ghosts = draw(st.lists(st.sampled_from(GHOSTS), unique=True, max_size=3))
-    ghost_windows = draw(st.lists(st.none() | st.integers(0, 3),
-                                  min_size=len(ghosts), max_size=len(ghosts)))
+    seeded = draw(st.lists(st.sampled_from(GHOSTS + UNIVERSE), unique=True, max_size=5))
     row = st.lists(st.integers(0, 3), min_size=n_roles, max_size=n_roles).filter(any)
     window, updates = -1, []
     for _ in range(draw(st.integers(0, 8))):
@@ -120,29 +122,20 @@ def histories(draw):
                            dtype=float).reshape(len(nodes), n_roles)
         G = weights / weights.sum(axis=1, keepdims=True) if len(nodes) else weights
         updates.append((window, Membership(list(nodes), G)))
-    return list(zip(ghosts, ghost_windows)), updates
-
-
-def registry_with(ghosts):
-    registry = NodeRegistry()
-    for node, window in ghosts:
-        registry.get_or_add(node, window=window)
-    return registry
+    return seeded, updates
 
 
 @settings(deadline=None, max_examples=300)
 @given(history=histories(), layer=st.sampled_from([None, "ip", "rule", "logfile"]))
 def test_replay_matches_padded_history(history, layer):
-    ghosts, updates = history
-    series = MembershipSeries(registry_with(ghosts))
-    reference = ReferenceSeries(registry_with(ghosts))
+    seeded, updates = history
+    series = MembershipSeries()
+    reference = ReferenceSeries(seeded)
     for window, membership in updates:
         update_series(series, window, membership)
         reference_update(reference, window, membership)
-    assert series.registry.nodes() == reference.registry.nodes()
-    assert [series.registry.first_seen(v) for v in series.registry.nodes()] == [
-        reference.registry.first_seen(v) for v in reference.registry.nodes()
-    ]
+    appeared = [node for _, membership in updates for node in membership.nodes]
+    assert list(series.registry) == list(dict.fromkeys(appeared))
 
     report = detect_anomalies(score_windows(series, layer=layer), THRESHOLD)
     got = [(e.window, e.score, e.n_defined, e.contributions, e.argmax_flips, e.flagged)

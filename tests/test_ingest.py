@@ -141,7 +141,7 @@ def ref_parse_ossec(block: str):
 
 def read_snort_text(tmp_path, text):
     path = tmp_path / "alert"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     stats = ParseStats()
     return read_snort_file(path, YEAR, stats).records(), stats
 
@@ -190,6 +190,15 @@ def test_snort_corpus_matches_reference(data_dir):
     assert stats.parsed + stats.skipped == stats.lines
     assert stats.parsed == len(good)
     assert [(r.timestamp, r.fields) for r in records] == good
+
+
+def test_parse_snort_address_with_non_ascii_digits_is_a_counted_skip(tmp_path):
+    """Arabic-Indic digits are decimal digits to `int`, not to an IPv4 address."""
+    good = "11/30-20:00:01.000000 [**] [1:215:3] MSG [**] {TCP} 10.0.0.1:4444 -> 10.0.0.2:80"
+    odd = good.replace("10.0.0.1", "\u0661\u0660.0.0.1")
+    records, stats = read_snort_text(tmp_path, f"{odd}\n{good}\n")
+    assert [r.fields["src_ip"] for r in records] == ["10.0.0.1"]
+    assert (stats.lines, stats.parsed, stats.skipped) == (2, 1, 1)
 
 
 @pytest.mark.parametrize("anchor, skipped", [(b"MSG", 0), (b"10.10.255.77", 1)])

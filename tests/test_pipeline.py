@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SMALL_ORIGIN, SMALL_SIM, small_pipeline_config
+from conftest import SMALL_ORIGIN, SMALL_SIM, read_registry_tsv, small_pipeline_config
+import artifact.pipeline
 from artifact.cli import main
-from artifact.dynamics import NodeRegistry
 from artifact.ingest import AlertRecord, ParseStats, read_jsonl_file, write_jsonl
 from artifact.pipeline import (
     CONFIG_KEYS,
@@ -70,7 +70,7 @@ def test_bundle_contains_every_artifact(small_trained):
 
 
 def test_metadata_round_trips_the_model(small_trained):
-    model, schema, registry, spec = load_bundle(small_trained.bundle_dir)
+    model, schema, spec = load_bundle(small_trained.bundle_dir)
     assert model.n_roles == small_trained.model.n_roles
     assert model.n_bits == small_trained.model.n_bits
     assert model.seed == small_trained.model.seed
@@ -94,18 +94,16 @@ def test_checksums_list_every_bundle_file_in_sha256sum_format(small_trained):
 
 
 def test_bundle_registry_preserves_first_seen(small_trained):
-    _, _, registry, _ = load_bundle(small_trained.bundle_dir)
-    original = small_trained.registry
-    assert registry.nodes() == original.nodes()
-    assert all(
-        registry.first_seen(n) == original.first_seen(n) for n in original.nodes()
-    )
+    text = (small_trained.bundle_dir / "registry.tsv").read_text(encoding="utf-8")
+    assert read_registry_tsv(text) == [
+        (idx, layer, value, window)
+        for idx, ((layer, value), window) in enumerate(small_trained.registry.items())
+    ]
 
 
 def test_registry_first_seen_inside_training_span(small_trained):
-    registry = small_trained.registry
-    seen = [registry.first_seen(n) for n in registry.nodes()]
-    assert all(s is not None and 0 <= s <= 5 for s in seen)
+    seen = list(small_trained.registry.values())
+    assert all(0 <= s <= 5 for s in seen)
     assert min(seen) == 0  # the busy background starts in the first window
 
 
@@ -143,10 +141,10 @@ def test_load_bundle_reads_each_file_once(small_trained, monkeypatch):
 
 
 def test_failed_render_writes_no_bundle(small_streams, tmp_path, monkeypatch):
-    def fail(self):
+    def fail(registry):
         raise RuntimeError("cannot render the registry")
 
-    monkeypatch.setattr(NodeRegistry, "dumps", fail)
+    monkeypatch.setattr(artifact.pipeline, "_registry_tsv", fail)
     cfg = small_pipeline_config(small_streams, tmp_path / "out",
                                 max_depth=2, max_roles=3, max_bits=2)
     with pytest.raises(RuntimeError, match="cannot render"):
@@ -294,7 +292,6 @@ def test_load_bundle_rejects_missing_registry(small_trained, tmp_path):
 
 @pytest.mark.parametrize("name, text", [
     ("schema.txt", "artifact-feature-schema v1\n"),
-    ("registry.tsv", ""),
 ])
 def test_truncated_bundle_file_is_a_corrupt_bundle(
     small_streams, small_trained, tmp_path, capsys, name, text
@@ -321,6 +318,17 @@ def test_bundle_without_its_window_grid_is_a_corrupt_bundle(small_trained, tmp_p
 
 
 # --- scoring ---------------------------------------------------------------------
+
+
+def test_score_reads_nothing_from_registry_tsv(small_streams, small_trained, scored, tmp_path):
+    """Scoring indexes its own nodes: an emptied registry.tsv, re-listed in
+    SHA256SUMS, leaves every output byte as it was."""
+    copy = corrupted_copy(
+        small_trained.bundle_dir, tmp_path, lambda c: (c / "registry.tsv").write_text("")
+    )
+    again = score(small_pipeline_config(small_streams, tmp_path / "out"), copy)
+    assert again.csv_path.read_bytes() == scored.csv_path.read_bytes()
+    assert again.json_path.read_bytes() == scored.json_path.read_bytes()
 
 
 def test_score_writes_one_row_per_scored_window(scored):
@@ -451,9 +459,6 @@ def test_score_reads_the_same_with_and_without_its_cutoff(
         small_streams, tmp_path, jsonl_paths=[jsonl], snort_paths=[snort],
         ossec_paths=[ossec], snort_year=2021,
     )
-
-    import artifact.pipeline
-
     read_alerts = artifact.pipeline.read_alerts
     seen = []
 

@@ -6,10 +6,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import artifact.pipeline
+from artifact.dynamics import MembershipSeries
 from artifact.ingest import AlertRecord
+from artifact.roles import Membership
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -70,3 +73,19 @@ def test_feature_and_role_results_have_the_counts_the_tracer_reads(spans):
     assert c["roles.chosen_roles"] == model.n_roles > 0
     assert c["roles.chosen_bits"] == model.n_bits > 0
     assert c["roles.membership_rows"] == len(graph) > 0
+
+
+def test_dynamics_results_have_the_counts_the_tracer_reads(spans):
+    A, B, C = ("ip", "10.0.0.1"), ("ip", "10.0.0.2"), ("rule", "5503")
+    stages = spans.STAGES[artifact.pipeline]
+    tracer = spans.Tracer()
+    series = MembershipSeries()
+    for window, nodes in ((1, [A, B]), (2, [B]), (4, [C, A])):
+        G = np.full((len(nodes), 2), 0.5)
+        series = artifact.pipeline.update_series(series, window, Membership(nodes, G))
+        spans.observe(tracer, stages["update_series"], (series, window), series)
+    assert tracer.counters["dynamics.registry_size"] == len(series.registry) == 3
+
+    scores = artifact.pipeline.score_windows(series)
+    spans.observe(tracer, stages["score_windows"], (series,), scores)
+    assert tracer.counters["dynamics.windows_scored"] == len(scores) == 2
