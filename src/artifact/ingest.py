@@ -271,12 +271,17 @@ class WindowSpec:
     training_cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("window length must be positive")
         if self.training_cutoff is None:
             object.__setattr__(self, "training_cutoff", self.origin)
+        if not all(map(math.isfinite, (self.origin, self.length, self.training_cutoff))):
+            raise ValueError("window origin, length and training cutoff must be finite")
+        if self.length <= 0:
+            raise ValueError("window length must be positive")
         if self.training_cutoff < self.origin:
             raise ValueError("training_cutoff must be >= origin")
+        # `window_slices` casts the window index of every valid timestamp to int64
+        if max(abs(self.origin), abs(MAX_TIMESTAMP - self.origin)) / self.length >= 2.0**63:
+            raise ValueError("window length is too short: window indexes overflow 64 bits")
 
     def window_of(self, ts: float) -> int:
         return math.floor((ts - self.origin) / self.length)

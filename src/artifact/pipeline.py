@@ -123,6 +123,13 @@ class PipelineConfig:
             raise PipelineError("window_hours overflows in seconds")
         if not math.isfinite(self.training_days * 86400.0 / self.window_length):
             raise PipelineError("training_days overflows in seconds or in windows")
+        try:
+            # an origin derived from the input lies in [0, MAX_TIMESTAMP), where
+            # 0 leaves the widest span of window indexes to fit
+            origin = self.origin or 0.0
+            WindowSpec(origin, self.window_length, origin + self.training_days * 86400.0)
+        except ValueError as exc:
+            raise PipelineError(str(exc)) from None
         if self.max_depth < 0:
             raise PipelineError("max_depth must be >= 0")
         if not 0 < self.prune_tolerance < 1:
@@ -393,7 +400,7 @@ def train(cfg: PipelineConfig) -> TrainResult:
     )
     model, grid = select_model(
         fm,
-        r_range=range(1, cfg.max_roles + 1),
+        r_range=range(1, min(cfg.max_roles, *fm.values.shape) + 1),
         b_range=range(1, cfg.max_bits + 1),
         seed=cfg.seed,
     )
@@ -479,7 +486,7 @@ def load_bundle(bundle_dir: Path | str) -> tuple[RoleModel, FeatureSchema, Windo
             length=float(meta["window_length"]),
             training_cutoff=float(meta["training_cutoff"]),
         )
-    except (KeyError, ValueError, OSError) as exc:
+    except (LookupError, ValueError, OSError) as exc:
         raise PipelineError(f"corrupt model bundle {bundle}: {exc}") from exc
     return model, schema, spec
 

@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ PROPERTY_NAMES = (
     "eccentricity",
     "betweenness",
 )
-
-DEFAULT_R_RANGE = range(1, 11)
-DEFAULT_B_RANGE = range(1, 7)
 
 
 class DimensionError(ValueError):
@@ -75,18 +72,27 @@ def _check_nonnegative(V: np.ndarray) -> None:
 
 # -- factorization ---------------------------------------------------------
 
+def _divergence_from(V: np.ndarray) -> Callable[[np.ndarray], float]:
+    """`generalized_kl(V, .)` for one V, with V's masks and entries taken once."""
+    pos = V > 0
+    nonpos = ~pos
+    V_pos = V[pos]
+
+    def divergence(W: np.ndarray) -> float:
+        W_pos = np.maximum(W[pos], EPS)
+        total = float(np.sum(V_pos * np.log(V_pos / W_pos) - V_pos + W_pos))
+        return total + float(np.sum(W[nonpos]))
+
+    return divergence
+
+
 def generalized_kl(V: np.ndarray, W: np.ndarray) -> float:
     """sum(V*log(V/W) - V + W) with 0*log0 := 0; W clamped to EPS where V > 0."""
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
     if V.shape != W.shape:
         raise DimensionError(f"shape mismatch {V.shape} vs {W.shape}")
-    pos = V > 0
-    W_pos = np.maximum(W[pos], EPS)
-    V_pos = V[pos]
-    total = float(np.sum(V_pos * np.log(V_pos / W_pos) - V_pos + W_pos))
-    total += float(np.sum(W[~pos]))
-    return total
+    return _divergence_from(V)(W)
 
 
 class NMFResult(NamedTuple):
@@ -121,16 +127,7 @@ def nmf_kl(V, r: int, seed: int = 0, max_iter: int = 200,
     G = avg * np.abs(rng.standard_normal((n, r)))
     F = avg * np.abs(rng.standard_normal((r, f)))
 
-    # generalized_kl(V, GF), with V's masks and entries taken once
-    pos = V > 0
-    nonpos = ~pos
-    V_pos = V[pos]
-
-    def divergence(GF: np.ndarray) -> float:
-        W_pos = np.maximum(GF[pos], EPS)
-        total = float(np.sum(V_pos * np.log(V_pos / W_pos) - V_pos + W_pos))
-        return total + float(np.sum(GF[nonpos]))
-
+    divergence = _divergence_from(V)
     # the product an objective is taken at is the one the next step starts from
     GF = G @ F
     history = [divergence(GF)]
@@ -253,11 +250,9 @@ class GridPoint(NamedTuple):
 
 def select_model(
     V,
-    r_range: Iterable[int] = DEFAULT_R_RANGE,
-    b_range: Iterable[int] = DEFAULT_B_RANGE,
+    r_range: Iterable[int],
+    b_range: Iterable[int],
     seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-7,
 ) -> tuple[RoleModel, list[GridPoint]]:
     """Grid-search role count and bit width for the minimum description length.
 
@@ -274,24 +269,17 @@ def select_model(
         raise DimensionError("no feasible (roles, bits) grid points")
 
     grid: list[GridPoint] = []
-    best: tuple[float, int, int] | None = None
-    factors: dict[int, NMFResult] = {}
+    best: tuple[float, int, int, np.ndarray] | None = None
     for r in r_list:
-        result = nmf_kl(values, r, seed=seed * 1009 + r, max_iter=max_iter, tol=tol)
-        factors[r] = result
+        result = nmf_kl(values, r, seed=seed * 1009 + r)
         for b in b_list:
             cost = description_length(values, result.G, result.F, b)
             grid.append(GridPoint(r, b, *cost))
             if best is None or cost.total < best[0]:
-                best = (cost.total, r, b)
-    _, n_roles, n_bits = best
-    logger.info("selected %d roles at %d bits (L=%.6g)", n_roles, n_bits, best[0])
-    model = RoleModel(
-        n_roles=n_roles,
-        n_bits=n_bits,
-        F=factors[n_roles].F.copy(),
-        seed=seed,
-    )
+                best = (cost.total, r, b, result.F)
+    total, n_roles, n_bits, F = best
+    logger.info("selected %d roles at %d bits (L=%.6g)", n_roles, n_bits, total)
+    model = RoleModel(n_roles=n_roles, n_bits=n_bits, F=F, seed=seed)
     model.validate()
     return model, grid
 

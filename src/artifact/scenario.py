@@ -19,9 +19,12 @@ from __future__ import annotations
 import configparser
 import logging
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -121,6 +124,10 @@ class ScenarioConfig:
             raise ConfigError("duration_days overflows in seconds or in windows")
         if not 0 < self.training_days < self.duration_days:
             raise ConfigError("training period must fit inside the scenario")
+        try:
+            self.window_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for t in self.templates:
@@ -162,87 +169,66 @@ def _child_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def generate_background(cfg: ScenarioConfig) -> list[AlertRecord]:
-    """Poisson-sampled background alerts, sorted by timestamp."""
-    cfg.validate()
-    rng, _, _ = _child_rngs(cfg.seed)
-    length = cfg.window_length
+_timestamp = attrgetter("timestamp")
+
+
+def _alerts(template: AlertTemplate, count: int, start: float, length: float,
+            rng: np.random.Generator) -> Iterator[AlertRecord]:
+    """`count` alerts of one template, each timed uniformly over the window
+    that opens at `start`."""
+    for _ in range(count):
+        ts = start + float(rng.uniform(0.0, length))
+        yield AlertRecord(template.source, ts, template.sample_fields(rng))
+
+
+def _attack_alerts(cfg: ScenarioConfig, rng: np.random.Generator) -> list[AlertRecord]:
+    """The attack's alerts in draw order, wave by wave."""
     records: list[AlertRecord] = []
-    for w in range(cfg.n_windows):
-        start = cfg.origin + w * length
-        for template in cfg.templates:
-            count = int(rng.poisson(template.rate))
-            for _ in range(count):
-                ts = start + float(rng.uniform(0.0, length))
-                records.append(
-                    AlertRecord(template.source, ts, template.sample_fields(rng))
-                )
-    records.sort(key=lambda r: r.timestamp)
-    logger.info("generated %d background alerts over %d windows",
-                len(records), cfg.n_windows)
+    if cfg.attack is not None:
+        for wave in cfg.attack.waves:
+            window = cfg.attack.start_window + wave.window_offset
+            start = cfg.origin + window * cfg.window_length
+            records.extend(_alerts(wave.template, wave.count, start, cfg.window_length, rng))
     return records
 
 
 def attack_records(cfg: ScenarioConfig) -> list[AlertRecord]:
-    """The injected attack alerts alone (deterministic per seed)."""
+    """The injected attack alerts alone (deterministic per seed), sorted."""
     cfg.validate()
-    if cfg.attack is None:
-        return []
-    _, rng, _ = _child_rngs(cfg.seed)
-    length = cfg.window_length
-    records: list[AlertRecord] = []
-    for wave in cfg.attack.waves:
-        start = cfg.origin + (cfg.attack.start_window + wave.window_offset) * length
-        for _ in range(wave.count):
-            ts = start + float(rng.uniform(0.0, length))
-            records.append(
-                AlertRecord(wave.template.source, ts,
-                            wave.template.sample_fields(rng))
-            )
-    records.sort(key=lambda r: r.timestamp)
-    return records
+    return sorted(_attack_alerts(cfg, _child_rngs(cfg.seed)[1]), key=_timestamp)
 
 
-def inject_attack(stream: list[AlertRecord], cfg: ScenarioConfig) -> list[AlertRecord]:
-    merged = stream + attack_records(cfg)
-    merged.sort(key=lambda r: r.timestamp)
-    return merged
-
-
-def spike_duplicates(cfg: ScenarioConfig,
-                     stream: list[AlertRecord]) -> list[AlertRecord]:
-    """Extra copies of the spike window's alerts with re-drawn timestamps."""
-    cfg.validate()
-    if cfg.spike is None:
-        return []
-    _, _, rng = _child_rngs(cfg.seed)
-    length = cfg.window_length
-    start = cfg.origin + cfg.spike.window * length
-    end = start + length
-    originals = [r for r in stream if start <= r.timestamp < end]
-    copies: list[AlertRecord] = []
-    for record in originals:
-        for _ in range(cfg.spike.multiplier - 1):
-            ts = start + float(rng.uniform(0.0, length))
-            copies.append(AlertRecord(record.source, ts, dict(record.fields)))
-    copies.sort(key=lambda r: r.timestamp)
-    return copies
-
-
-def inject_volume_spike(stream: list[AlertRecord],
-                        cfg: ScenarioConfig) -> list[AlertRecord]:
-    merged = stream + spike_duplicates(cfg, stream)
-    merged.sort(key=lambda r: r.timestamp)
-    return merged
+def generate_background(cfg: ScenarioConfig) -> list[AlertRecord]:
+    """Poisson-sampled background alerts, sorted by timestamp."""
+    return generate_scenario(replace(cfg, attack=None, spike=None))
 
 
 def generate_scenario(cfg: ScenarioConfig) -> list[AlertRecord]:
-    """Background plus whatever injections the config declares, sorted."""
-    stream = generate_background(cfg)
-    if cfg.attack is not None:
-        stream = inject_attack(stream, cfg)
+    """Background plus whatever injections the config declares, sorted by
+    timestamp. The sorts are stable, so equal timestamps keep background
+    before attack before spike copies, and each stream's draw order."""
+    cfg.validate()
+    background_rng, attack_rng, spike_rng = _child_rngs(cfg.seed)
+    length = cfg.window_length
+    stream: list[AlertRecord] = []
+    for w in range(cfg.n_windows):
+        start = cfg.origin + w * length
+        for template in cfg.templates:
+            count = int(background_rng.poisson(template.rate))
+            stream.extend(_alerts(template, count, start, length, background_rng))
+    stream += _attack_alerts(cfg, attack_rng)
+    stream.sort(key=_timestamp)
     if cfg.spike is not None:
-        stream = inject_volume_spike(stream, cfg)
+        # re-drawn copies of every alert timed in [start, start + length)
+        start = cfg.origin + cfg.spike.window * length
+        lo = bisect_left(stream, start, key=_timestamp)
+        hi = bisect_left(stream, start + length, key=_timestamp)
+        for record in stream[lo:hi]:
+            for _ in range(cfg.spike.multiplier - 1):
+                ts = start + float(spike_rng.uniform(0.0, length))
+                stream.append(AlertRecord(record.source, ts, dict(record.fields)))
+        stream.sort(key=_timestamp)
+    logger.info("generated %d alerts over %d windows", len(stream), cfg.n_windows)
     return stream
 
 

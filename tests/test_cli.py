@@ -465,7 +465,11 @@ def test_non_finite_settings_end_in_an_error_line(
     ("simulate", "[scenario]\ntraining_days = 1e305\nduration_days = 1e306\n", [],
      "duration_days overflows in seconds"),
     ("simulate", "[scenario]\nwindow_hours = 1e306\n", [], "window_hours overflows in seconds"),
-], ids=["training-days", "window-hours-ini", "window-count", "scenario-span", "scenario-window"])
+    ("train", None, ["--window-hours", "1e-300"], "window length is too short"),
+    ("simulate", "[scenario]\nwindow_hours = 1e-15\nwith_attack = no\nwith_spike = no\n", [],
+     "window length is too short"),
+], ids=["training-days", "window-hours-ini", "window-count", "scenario-span", "scenario-window",
+        "window-index", "scenario-window-index"])
 def test_finite_settings_that_overflow_in_seconds_end_in_an_error_line(
     small_streams, cli_bundle, unread_inputs, tmp_path, capsys, command, ini, flags, message
 ):

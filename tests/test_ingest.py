@@ -4,12 +4,14 @@ import ipaddress
 import math
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SnortYears
 
 from artifact.ingest import (
+    MAX_TIMESTAMP,
     AlertRecord,
     HostMap,
     ParseStats,
@@ -21,6 +23,7 @@ from artifact.ingest import (
     read_ossec_file,
     read_snort_file,
     window_partition,
+    window_slices,
     write_jsonl,
 )
 
@@ -448,6 +451,27 @@ def test_partition_is_exhaustive_and_disjoint(ts_list, length):
         lo, hi = spec.span(k)
         for r in rs:
             assert lo <= r.timestamp < hi
+
+
+@pytest.mark.parametrize("origin, length, cutoff", [
+    (math.nan, 100.0, 0.0),
+    (0.0, math.inf, 0.0),
+    (0.0, 100.0, math.inf),
+    (0.0, 1e-300, 0.0),
+    (1e20, 1.0, 1e20),
+])
+def test_window_spec_rejects_a_grid_it_cannot_index(origin, length, cutoff):
+    with pytest.raises(ValueError):
+        WindowSpec(origin=origin, length=length, training_cutoff=cutoff)
+
+
+def test_window_spec_accepts_a_short_grid_whose_indexes_fit_int64():
+    length = MAX_TIMESTAMP / 2.0**62
+    spec = WindowSpec(origin=0.0, length=length)
+    times = np.array([1.0, MAX_TIMESTAMP * (1 - 1e-16)])
+    assert [w for w, _, _ in window_slices(times, spec)] == [
+        math.floor(t / length) for t in times
+    ]
 
 
 def test_training_windows_count():

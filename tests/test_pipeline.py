@@ -152,6 +152,36 @@ def test_failed_render_writes_no_bundle(small_streams, tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_max_roles_grids_only_the_feasible_ranks(tmp_path, monkeypatch):
+    """Ranks above min(nodes, features) are infeasible: a huge max_roles
+    hands select_model no more ranks, and trains the same bundle."""
+    path = tmp_path / "alerts.jsonl"
+    write_jsonl([
+        AlertRecord("snort", SMALL_ORIGIN + 60.0 * i,
+                    {"sig_id": str(100 + i % 3), "src_ip": f"10.0.0.{i % 4}",
+                     "dst_ip": "10.0.1.1"})
+        for i in range(12)
+    ], path)
+    real = artifact.pipeline.select_model
+    shapes = []
+
+    def select_model(V, r_range, **kwargs):
+        shapes.append(V.values.shape)
+        assert len(r_range) <= min(V.values.shape)
+        return real(V, r_range=r_range, **kwargs)
+
+    monkeypatch.setattr(artifact.pipeline, "select_model", select_model)
+
+    def bundle(max_roles):
+        cfg = PipelineConfig(jsonl_paths=[path], origin=SMALL_ORIGIN, max_roles=max_roles,
+                             out_dir=tmp_path / str(max_roles))
+        model = train(cfg).bundle_dir
+        return {name: (model / name).read_bytes() for name in BUNDLE_FILES}
+
+    huge = bundle(10**12)
+    assert huge == bundle(min(shapes[0]))
+
+
 def test_training_span_without_links_ends_in_an_error_line(tmp_path, capsys):
     """One-field alerts give a graph without edges, hence no features to fit."""
     path = tmp_path / "lonely.jsonl"
@@ -292,6 +322,8 @@ def test_load_bundle_rejects_missing_registry(small_trained, tmp_path):
 
 @pytest.mark.parametrize("name, text", [
     ("schema.txt", "artifact-feature-schema v1\n"),
+    pytest.param("schema.txt", "artifact-feature-schema v1\nprune_tolerance 0.0005\nmax_depth\n",
+                 id="schema-header-without-a-value"),
 ])
 def test_truncated_bundle_file_is_a_corrupt_bundle(
     small_streams, small_trained, tmp_path, capsys, name, text
@@ -315,6 +347,28 @@ def test_bundle_without_its_window_grid_is_a_corrupt_bundle(small_trained, tmp_p
 
     with pytest.raises(PipelineError, match="corrupt model bundle"):
         load_bundle(corrupted_copy(small_trained.bundle_dir, tmp_path, drop))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("origin", "nan"),
+    ("window_length", "inf"),
+    ("training_cutoff", "inf"),
+    ("window_length", "1e-300"),
+])
+def test_window_grid_that_cannot_index_is_a_corrupt_bundle(
+    small_streams, small_trained, tmp_path, capsys, key, value
+):
+    def rewrite(bundle):
+        meta = bundle / "metadata.txt"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(f"{key} = {value}\n" if l.startswith(f"{key} = ") else l
+                                for l in lines))
+
+    copy = corrupted_copy(small_trained.bundle_dir, tmp_path, rewrite)
+    rc, err = score_exit(small_streams, copy, tmp_path, capsys)
+    assert rc == 1
+    assert "error: corrupt model bundle" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- scoring ---------------------------------------------------------------------

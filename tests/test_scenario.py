@@ -24,10 +24,7 @@ from artifact.scenario import (
     default_templates,
     generate_background,
     generate_scenario,
-    inject_attack,
-    inject_volume_spike,
     load_scenario_config,
-    spike_duplicates,
 )
 
 ORIGIN = 1614556800.0  # 2021-03-01T00:00:00Z
@@ -112,19 +109,33 @@ def test_streams_sorted_by_timestamp():
         assert ts == sorted(ts)
 
 
-def test_background_unchanged_by_injection_flags():
+@pytest.mark.parametrize("with_attack, with_spike",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_scenario_is_background_plus_injections(with_attack, with_spike):
     # the three child RNG streams are independent: toggling the attack or the
     # spike must not perturb a single background draw
-    base = generate_background(small_cfg(seed=9))
-    for with_attack, with_spike in ((True, False), (False, True), (True, True)):
-        cfg = small_cfg(seed=9, with_attack=with_attack, with_spike=with_spike)
-        assert generate_background(cfg) == base
+    cfg = small_cfg(seed=9, with_attack=with_attack, with_spike=with_spike)
+    rest = collections.Counter(record_key(r) for r in generate_scenario(cfg))
+    rest.subtract(record_key(r) for r in attack_records(cfg))
+    assert min(rest.values(), default=0) >= 0
+    rest = +rest
+    background = collections.Counter(record_key(r) for r in generate_background(cfg))
+    if not with_spike:
+        assert rest == background
+        return
+    start, end = cfg.window_spec().span(cfg.spike.window)
+
+    def inside(counts):
+        return collections.Counter({k: n for k, n in counts.items() if start <= k[1] < end})
+
+    assert rest - inside(rest) == background - inside(background)
+    assert inside(background) <= inside(rest)
 
 
 def test_attack_purity_merge_minus_attack_is_background():
     cfg = small_cfg(seed=4, with_attack=True)
     background = generate_background(cfg)
-    merged = inject_attack(list(background), cfg)
+    merged = generate_scenario(cfg)
     injected = attack_records(cfg)
     merged_counts = collections.Counter(record_key(r) for r in merged)
     for r in injected:
@@ -234,7 +245,7 @@ def test_spike_preserves_node_and_edge_sets():
     cfg = small_cfg(seed=6, with_spike=True)
     spec = cfg.window_spec()
     plain = generate_background(cfg)
-    spiked = inject_volume_spike(list(plain), cfg)
+    spiked = generate_scenario(cfg)
     w = cfg.spike.window
     plain_win = [r for r in plain
                  if spec.window_of(r.timestamp) == w]
@@ -255,7 +266,7 @@ def test_spike_leaves_other_windows_untouched():
     cfg = small_cfg(seed=6, with_spike=True)
     spec = cfg.window_spec()
     plain = generate_background(cfg)
-    spiked = inject_volume_spike(list(plain), cfg)
+    spiked = generate_scenario(cfg)
     for w in range(cfg.n_windows):
         if w == cfg.spike.window:
             continue
@@ -264,9 +275,9 @@ def test_spike_leaves_other_windows_untouched():
         assert a == b
 
 
-def test_spike_duplicates_empty_without_spec():
+def test_scenario_without_injections_is_background():
     cfg = small_cfg(with_spike=False)
-    assert spike_duplicates(cfg, generate_background(cfg)) == []
+    assert generate_scenario(cfg) == generate_background(cfg)
 
 
 # -- validation -----------------------------------------------------------------
