@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from artifact.ingest import AlertRecord, layer_for
+from artifact.ingest import AlertRecord, FieldTuple, layer_for
 
 Vertex = tuple[str, str]  # (layer, value)
 
@@ -157,12 +157,10 @@ class GraphSummary(NamedTuple):
     layer_counts: dict[str, int]
 
 
-FieldTuple = tuple[tuple[str, str], ...]  # an alert's (key, value) pairs, in order
-
-
 def build_weighted_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> ArtifactGraph:
-    """Build the co-occurrence graph of one window from its distinct field
-    tuples and how many alerts carry each.
+    """Build the co-occurrence graph of one window from its field tuples
+    and how many alerts carry each. A tuple may come more than once; its
+    counts then add up, as if it came once at its first place.
 
     Every field value becomes a vertex in its canonical layer. Every unordered
     pair of distinct field keys whose values map to distinct vertices adds the

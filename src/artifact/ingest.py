@@ -181,37 +181,50 @@ class AlertRecord:
         check_fields(self.fields)
 
 
-class KeyedAlerts:
-    """Alerts as two typed columns, a float64 timestamp and the id of the
-    alert's distinct (source, fields) key, plus the keys by id.
+FieldTuple = tuple[tuple[str, str], ...]  # an alert's (key, value) pairs, in order
 
-    An alert costs 16 bytes; its source and fields are stored once per
-    distinct key, so memory grows with the keys rather than the alerts.
+
+class Alerts:
+    """Alerts as two typed columns, a float64 timestamp and the id of the
+    alert's key, plus the keys by id as (source, fields).
+
+    An alert costs 16 bytes; its source and fields are stored once per key,
+    so memory grows with the keys rather than the alerts. The readers append
+    to `array` columns in reading order and give each distinct raw key of a
+    file the next id, so equal keys may have several ids. `read_alerts`
+    normalizes the keys and swaps in numpy columns sorted by time.
     """
 
     def __init__(self) -> None:
         self.times = array("d")
         self.ids = array("q")
-        self.keys: list[tuple[str, dict[str, str]]] = []
-        self._id_of: dict[tuple[str, tuple[tuple[str, str], ...]], int] = {}
+        self.keys: list[tuple[str, FieldTuple]] = []
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def key_id(self, source: str, fields: dict[str, str]) -> int:
-        key = (source, tuple(fields.items()))
-        kid = self._id_of.get(key)
-        if kid is None:
-            kid = self._id_of[key] = len(self.keys)
-            self.keys.append((source, fields))
-        return kid
+    def before(self, ts: float) -> int:
+        """How many alerts come before `ts`; in time order they are a prefix."""
+        return int(np.searchsorted(self.times, ts))
+
+    def field_counts(self, start: int, stop: int) -> list[tuple[FieldTuple, int]]:
+        """The key ids of alerts start..stop-1 as field tuples with counts, in
+        the order of each id's first alert. Equal tuples of two ids come twice."""
+        ids, first, counts = np.unique(
+            self.ids[start:stop], return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        return [
+            (self.keys[k][1], n)
+            for k, n in zip(ids[order].tolist(), counts[order].tolist())
+        ]
 
     def records(self) -> list[AlertRecord]:
-        """One record per alert, in reading order."""
+        """One record per alert, in table order."""
         keys = self.keys
         return [
             AlertRecord(keys[k][0], t, dict(keys[k][1]))
-            for t, k in zip(self.times, self.ids)
+            for t, k in zip(self.times.tolist(), self.ids.tolist())
         ]
 
 
@@ -675,7 +688,7 @@ def _open_text(path: str | Path) -> TextIO:
 
 
 def _read_into(
-    alerts: KeyedAlerts,
+    alerts: Alerts,
     items: Iterable,
     scan: Callable,
     build: Callable,
@@ -686,9 +699,10 @@ def _read_into(
 ) -> None:
     """Scan each item into (timestamp, raw key) and append it to `alerts`,
     counting it as parsed or skipped. `build` checks a raw key and makes its
-    (source, fields); it runs once per distinct raw key of the file. An item
-    before `cutoff` is counted in `training_span`; its scanner may stop at
-    the timestamp and give None for the raw key."""
+    (source, fields); it runs once per distinct raw key of the file, which
+    gets the next key id. An item before `cutoff` is counted in
+    `training_span`; its scanner may stop at the timestamp and give None
+    for the raw key."""
     limit = -math.inf if cutoff is None else cutoff
     key_ids: dict = {}
     add_time, add_id = alerts.times.append, alerts.ids.append
@@ -706,7 +720,9 @@ def _read_into(
         kid = key_ids.get(raw)
         if kid is None:
             try:
-                kid = alerts.key_id(*build(raw))
+                source, fields = build(raw)
+                kid = len(alerts.keys)
+                alerts.keys.append((source, tuple(fields.items())))
             except errors as exc:
                 kid = _INVALID
                 logger.debug("skipping every %s with fields %r (%s)", what, raw, exc)
@@ -725,15 +741,15 @@ def read_snort_file(
     path: str | Path,
     year: int,
     stats: ParseStats,
-    alerts: KeyedAlerts | None = None,
+    alerts: Alerts | None = None,
     *,
     cutoff: float | None = None,
-) -> KeyedAlerts:
+) -> Alerts:
     """Append the alerts of a Snort fast log to `alerts` (a new table when
     None) and return the table. Blank lines are not counted. A line with a
     valid timestamp before `cutoff` is counted in `stats.training_span` and
     read no further; so are the lines and blocks of the readers below."""
-    alerts = KeyedAlerts() if alerts is None else alerts
+    alerts = Alerts() if alerts is None else alerts
     with _open_text(path) as fp:
         _read_into(alerts, filter(str.strip, fp), _snort_scanner(year, cutoff),
                    _snort_key, (MalformedLineError,), stats, "snort line", cutoff)
@@ -743,13 +759,13 @@ def read_snort_file(
 def read_ossec_file(
     path: str | Path,
     stats: ParseStats,
-    alerts: KeyedAlerts | None = None,
+    alerts: Alerts | None = None,
     *,
     cutoff: float | None = None,
-) -> KeyedAlerts:
+) -> Alerts:
     """Append the alerts of an OSSEC alerts.log to `alerts`; one block is
     one counted line."""
-    alerts = KeyedAlerts() if alerts is None else alerts
+    alerts = Alerts() if alerts is None else alerts
     with _open_text(path) as fp:
         _read_into(alerts, _ossec_blocks(fp), partial(_scan_ossec, cutoff=cutoff), _ossec_key,
                    (MalformedBlockError,), stats, "ossec block", cutoff)
@@ -759,14 +775,14 @@ def read_ossec_file(
 def read_jsonl_file(
     path: str | Path,
     stats: ParseStats,
-    alerts: KeyedAlerts | None = None,
+    alerts: Alerts | None = None,
     *,
     cutoff: float | None = None,
-) -> KeyedAlerts:
+) -> Alerts:
     """Append the alerts of a JSONL file to `alerts`. A line that is not a
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
-    alerts = KeyedAlerts() if alerts is None else alerts
+    alerts = Alerts() if alerts is None else alerts
     with _open_text(path) as fp:
         _read_into(alerts, filter(str.strip, fp), _jsonl_scanner(), _jsonl_key,
                    (ValueError, KeyError, TypeError, OverflowError), stats, "jsonl line",
@@ -802,18 +818,10 @@ def window_partition(
     return [(k, buckets.get(k, [])) for k in range(min(buckets), max(buckets) + 1)]
 
 
-def window_slices(
-    times: np.ndarray, spec: WindowSpec, stats: ParseStats | None = None
-) -> list[tuple[int, int, int]]:
-    """The occupied windows of time-sorted timestamps as (window, start,
-    stop) slices of `times`, in window order. Timestamps before the origin
-    are dropped with a warning count, as in `window_partition`."""
+def window_slices(times: np.ndarray, spec: WindowSpec) -> list[tuple[int, int, int]]:
+    """The occupied windows of time-sorted timestamps, none before the
+    origin, as (window, start, stop) slices of `times`, in window order."""
     index = np.floor((times - spec.origin) / spec.length).astype(np.int64)
-    first = int(np.searchsorted(index, 0))
-    if first:
-        if stats:
-            stats.dropped_before_origin += first
-        logger.warning("%d records precede window origin %s; dropped", first, spec.origin)
-    windows, starts = np.unique(index[first:], return_index=True)
-    stops = np.append(starts[1:], len(index) - first)
-    return list(zip(windows.tolist(), (starts + first).tolist(), (stops + first).tolist()))
+    windows, starts = np.unique(index, return_index=True)
+    stops = np.append(starts[1:], len(index))
+    return list(zip(windows.tolist(), starts.tolist(), stops.tolist()))

@@ -37,17 +37,12 @@ from artifact.dynamics import (
     write_score_csv,
 )
 from artifact.features import FeatureSchema, apply_schema, fit_schema
-from artifact.graph import (
-    ArtifactGraph,
-    FieldTuple,
-    Vertex,
-    build_weighted_graph,
-    graph_summary,
-)
+from artifact.graph import ArtifactGraph, Vertex, build_weighted_graph, graph_summary
 from artifact.ingest import (
     AlertRecord,
-    KeyedAlerts,
+    Alerts,
     LAYER_BY_FIELD,
+    MAX_TIMESTAMP,
     ParseStats,
     PipelineError,
     WindowSpec,
@@ -193,46 +188,11 @@ def load_pipeline_config(path: Path | str) -> PipelineConfig:
 # -- input loading ---------------------------------------------------------------
 
 
-@dataclass
-class Alerts:
-    """Normalized, source-filtered alerts in time order: per alert a
-    timestamp and the id of its distinct normalized (source, fields) tuple."""
-
-    times: np.ndarray  # float64, ascending
-    ids: np.ndarray  # int64 indices into `tuples`
-    tuples: list[tuple[str, FieldTuple]]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def before(self, ts: float) -> int:
-        """How many alerts come before `ts`; they are a prefix."""
-        return int(np.searchsorted(self.times, ts))
-
-    def field_counts(self, start: int, stop: int) -> list[tuple[FieldTuple, int]]:
-        """The distinct field tuples of alerts start..stop-1 with their
-        counts, in the order of each tuple's first alert."""
-        ids, first, counts = np.unique(
-            self.ids[start:stop], return_index=True, return_counts=True
-        )
-        order = np.argsort(first)
-        return [
-            (self.tuples[k][1], n)
-            for k, n in zip(ids[order].tolist(), counts[order].tolist())
-        ]
-
-    def records(self) -> list[AlertRecord]:
-        return [
-            AlertRecord(self.tuples[k][0], t, dict(self.tuples[k][1]))
-            for t, k in zip(self.times.tolist(), self.ids.tolist())
-        ]
-
-
 def read_alerts(
     cfg: PipelineConfig, cutoff: float | None = None
 ) -> tuple[Alerts, ParseStats]:
     """Read every configured input file in one pass each, normalize each
-    distinct alert key once, filter by source and sort by time.
+    file's distinct alert keys once, filter by source and sort by time.
 
     The sort is stable, so alerts with equal timestamps keep file order.
     With a `cutoff`, alerts before it are only counted, in
@@ -241,43 +201,36 @@ def read_alerts(
     cfg.validate()
     stats = ParseStats()
     hostmap = load_hostmap(cfg.hostmap_path) if cfg.hostmap_path is not None else None
-    raw = KeyedAlerts()
+    alerts = Alerts()
     for fmt, path in cfg.input_paths():
         if fmt == "snort":
-            read_snort_file(path, cfg.snort_year, stats, raw, cutoff=cutoff)
+            read_snort_file(path, cfg.snort_year, stats, alerts, cutoff=cutoff)
         elif fmt == "ossec":
-            read_ossec_file(path, stats, raw, cutoff=cutoff)
+            read_ossec_file(path, stats, alerts, cutoff=cutoff)
         else:
-            read_jsonl_file(path, stats, raw, cutoff=cutoff)
-        logger.info("read %s (%s): %d records so far", path, fmt, len(raw))
+            read_jsonl_file(path, stats, alerts, cutoff=cutoff)
+        logger.info("read %s (%s): %d records so far", path, fmt, len(alerts))
 
-    raw_ids = np.frombuffer(raw.ids, dtype=np.int64)
-    occurrences = np.bincount(raw_ids, minlength=len(raw.keys)).tolist()
-    normalized = np.full(len(raw.keys), -1, dtype=np.int64)  # -1: filtered out
-    tuples: list[tuple[str, FieldTuple]] = []
-    tuple_ids: dict[tuple[str, FieldTuple], int] = {}
-    for kid, ((source, fields), n) in enumerate(zip(raw.keys, occurrences)):
+    ids = np.frombuffer(alerts.ids, dtype=np.int64)
+    occurrences = np.bincount(ids, minlength=len(alerts.keys)).tolist()
+    kept = np.ones(len(alerts.keys), dtype=bool)
+    for kid, ((source, fields), n) in enumerate(zip(alerts.keys, occurrences)):
         # Normalization reads no timestamp. It counts hostname problems per
         # call, and the key stands for n alerts.
         key_stats = ParseStats()
-        record = normalize_record(AlertRecord(source, 0.0, fields), hostmap, key_stats)
+        record = normalize_record(AlertRecord(source, 0.0, dict(fields)), hostmap, key_stats)
         stats.unresolved_hostnames += n * key_stats.unresolved_hostnames
         stats.hostname_collisions += n * key_stats.hostname_collisions
-        if cfg.source is not None and record.source != cfg.source:
-            continue
-        key = (record.source, tuple(record.fields.items()))
-        if key not in tuple_ids:
-            tuple_ids[key] = len(tuples)
-            tuples.append(key)
-        normalized[kid] = tuple_ids[key]
+        alerts.keys[kid] = (record.source, tuple(record.fields.items()))
+        kept[kid] = cfg.source is None or record.source == cfg.source
 
-    ids = normalized[raw_ids]
-    times = np.frombuffer(raw.times, dtype=np.float64)
+    times = np.frombuffer(alerts.times, dtype=np.float64)
     if cfg.source is not None:
-        kept = ids >= 0
-        ids, times = ids[kept], times[kept]
+        mask = kept[ids]
+        ids, times = ids[mask], times[mask]
     order = np.argsort(times, kind="stable")
-    return Alerts(times[order], ids[order], tuples), stats
+    alerts.times, alerts.ids = times[order], ids[order]
+    return alerts, stats
 
 
 def load_records(cfg: PipelineConfig) -> tuple[list[AlertRecord], ParseStats]:
@@ -304,18 +257,20 @@ def derive_window_spec(cfg: PipelineConfig, timestamps: Sequence[float]) -> Wind
 
 
 def training_graph(
-    alerts: Alerts, spec: WindowSpec, stats: ParseStats
+    alerts: Alerts, spec: WindowSpec
 ) -> tuple[dict[Vertex, int], ArtifactGraph]:
-    """Map the training span's nodes to their first window, in order of first
-    appearance, and build the span's co-occurrence graph. Alerts before the
-    origin are counted and left out of the map, not out of the graph."""
-    n_training = alerts.before(spec.training_cutoff)
+    """Map the training span's nodes to the window of their first alert, in
+    order of first appearance, and build the span's co-occurrence graph. The
+    span runs from the origin to the training cutoff."""
+    start, stop = alerts.before(spec.origin), alerts.before(spec.training_cutoff)
+    counts = alerts.field_counts(start, stop)
+    _, first = np.unique(alerts.ids[start:stop], return_index=True)
     first_seen: dict[Vertex, int] = {}
-    for window, start, stop in window_slices(alerts.times[:n_training], spec, stats):
-        for fields, _ in alerts.field_counts(start, stop):
-            for key, value in fields:
-                first_seen.setdefault((layer_for(key), value), window)
-    return first_seen, build_weighted_graph(alerts.field_counts(0, n_training))
+    for (fields, _), ts in zip(counts, alerts.times[start + np.sort(first)].tolist()):
+        window = spec.window_of(ts)
+        for key, value in fields:
+            first_seen.setdefault((layer_for(key), value), window)
+    return first_seen, build_weighted_graph(counts)
 
 
 def scoring_graphs(
@@ -387,11 +342,15 @@ def train(cfg: PipelineConfig) -> TrainResult:
     if not len(alerts):
         raise PipelineError("no records parsed from the configured inputs")
     spec = derive_window_spec(cfg, alerts.times)
-    n_training = alerts.before(spec.training_cutoff)
+    n_before = alerts.before(spec.origin)
+    if n_before:
+        stats.dropped_before_origin += n_before
+        logger.warning("%d records precede window origin %s; dropped", n_before, spec.origin)
+    n_training = alerts.before(spec.training_cutoff) - n_before
     if not n_training:
         raise PipelineError("no records fall inside the training span")
 
-    registry, graph = training_graph(alerts, spec, stats)
+    registry, graph = training_graph(alerts, spec)
     summary = graph_summary(graph)
     if not summary.edge_count:
         raise PipelineError("no training alert links two field values: the graph has no edges")
@@ -528,6 +487,12 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     scores = score_windows(series, layer=cfg.layer)
     report = detect_anomalies(scores, cfg.threshold)
     spans = {s.window: spec.span(s.window) for s in report.entries}
+    for window, (_, end) in spans.items():
+        if end >= MAX_TIMESTAMP:
+            raise PipelineError(
+                f"window {window} ends past 9999-12-31T23:59:59Z, "
+                "the last UTC time scores.csv can write"
+            )
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

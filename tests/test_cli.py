@@ -22,7 +22,13 @@ import artifact.roles
 from conftest import SMALL_ORIGIN
 from artifact.cli import build_parser, main
 from artifact.dynamics import SCORE_COLUMNS
-from artifact.ingest import ParseStats, read_jsonl_file, write_jsonl
+from artifact.ingest import (
+    MAX_TIMESTAMP,
+    AlertRecord,
+    ParseStats,
+    read_jsonl_file,
+    write_jsonl,
+)
 from artifact.pipeline import PipelineConfig, load_pipeline_config
 from artifact.scenario import SpikeSpec, load_scenario_config
 
@@ -184,6 +190,30 @@ def test_cli_score_nnls_iteration_cap_ends_in_an_error_line(
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: nonnegative least squares hit its iteration cap\n")
+
+
+def test_cli_score_window_ending_in_year_10000_ends_in_an_error_line(tmp_path, capsys):
+    """Alerts in the six days before MAX_TIMESTAMP: the last 7-hour window
+    ends in year 10000, which no UTC date can show. `score` names it before
+    it writes anything."""
+    path = tmp_path / "late.jsonl"
+    write_jsonl([
+        AlertRecord("snort", MAX_TIMESTAMP - 6 * 86400.0 + 3600.0 * i + 1,
+                    {"sig_id": str(100 + i % 3), "src_ip": f"10.0.0.{i % 5}",
+                     "dst_ip": f"10.0.1.{i % 2}"})
+        for i in range(6 * 24)
+    ], path)
+    out = tmp_path / "out"
+    assert main(["train", "--jsonl", str(path), "--training-days", "2",
+                 "--window-hours", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["score", "--jsonl", str(path), "--model", str(out / "model"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: window 20 ends past 9999-12-31T23:59:59Z, "
+        "the last UTC time scores.csv can write\n")
+    assert not (out / "scores.csv").exists() and not (out / "anomalies.json").exists()
 
 
 def test_cli_score_rejects_bad_layer(small_streams, cli_bundle, tmp_path, capsys):

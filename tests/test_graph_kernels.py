@@ -184,9 +184,9 @@ def test_nnls_matches_scipy_on_a_transposed_basis():
 
 def test_nnls_matches_scipy_on_trained_feature_rows(small_streams, small_trained, tmp_path):
     cfg = small_pipeline_config(small_streams, tmp_path)
-    alerts, stats = read_alerts(cfg)
+    alerts, _ = read_alerts(cfg)
     spec = derive_window_spec(cfg, alerts.times)
-    graphs = [training_graph(alerts, spec, stats)[1]]
+    graphs = [training_graph(alerts, spec)[1]]
     graphs += [g for _, _, g in scoring_graphs(alerts, spec)]
     basis = small_trained.model.F.T
     rows = 0

@@ -216,6 +216,33 @@ def test_train_rejects_empty_training_span(tmp_path):
         train(cfg)
 
 
+def test_alert_before_the_origin_is_left_out_of_training(tmp_path):
+    """An alert an hour before an explicit origin, with its own signature and
+    addresses, is in no window: the graph, the registry and the span count
+    are those of the input without it. Only the parse count tells them apart."""
+    records = [
+        AlertRecord("snort", SMALL_ORIGIN + 60.0 * i,
+                    {"sig_id": str(100 + i % 3), "src_ip": f"10.0.0.{i % 4}",
+                     "dst_ip": "10.0.1.1"})
+        for i in range(12)
+    ]
+    early = AlertRecord("snort", SMALL_ORIGIN - 3600.0,
+                        {"sig_id": "999", "src_ip": "10.9.9.9", "dst_ip": "10.9.9.8"})
+
+    def bundle(stream, name):
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(stream, path)
+        cfg = PipelineConfig(jsonl_paths=[path], origin=SMALL_ORIGIN, out_dir=tmp_path / name)
+        model = train(cfg).bundle_dir
+        return {f: (model / f).read_text() for f in BUNDLE_FILES if f != "SHA256SUMS"}
+
+    with_early, without = bundle([early, *records], "early"), bundle(records, "plain")
+    assert "records in training span: 12\n" in without["training_summary.txt"]
+    without["training_summary.txt"] = without["training_summary.txt"].replace(
+        "records parsed: 12 (skipped 0 of 12 lines)", "records parsed: 13 (skipped 0 of 13 lines)")
+    assert with_early == without
+
+
 # --- bundle corruption ----------------------------------------------------------
 
 

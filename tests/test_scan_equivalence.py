@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SnortYears
 
 from artifact.ingest import (
-    KeyedAlerts,
+    Alerts,
     MalformedBlockError,
     MalformedLineError,
     ParseStats,
@@ -88,8 +88,8 @@ def reference_scan_snort(line, years):
 
 def reference_read(items, scan, build, errors):
     """The per-item reader loop: every item scanned in full, each distinct
-    raw key built once."""
-    alerts, stats, kids = KeyedAlerts(), ParseStats(), {}
+    raw key built once and given the next key id."""
+    alerts, stats, kids = Alerts(), ParseStats(), {}
     for item in items:
         stats.lines += 1
         try:
@@ -99,7 +99,9 @@ def reference_read(items, scan, build, errors):
             continue
         if raw not in kids:
             try:
-                kids[raw] = alerts.key_id(*build(raw))
+                source, fields = build(raw)
+                kids[raw] = len(alerts.keys)
+                alerts.keys.append((source, tuple(fields.items())))
             except errors:
                 kids[raw] = None
         if kids[raw] is None:
