@@ -12,16 +12,24 @@ Three input formats are supported:
   year in the line (MM/DD/YY-) wins, and only a 2-digit one is read as 20YY.
   Only the signature id (the middle integer of the [gid:sid:rev] triple) and the two
   IP addresses are kept; message, classification, priority, protocol and
-  ports are parsed past and discarded.
+  ports are parsed past and discarded. Yearless lines of the canonical shape
+  above, with six fraction digits and a "{PROTO} ip:port -> ip:port" tail,
+  take a block path: one match per 256 KiB piece, timestamps in numpy.
 
 * OSSEC ``alerts.log`` blocks ("** Alert <epoch>..." through a blank line).
   Kept fields: rule id, the log file from the location suffix, and the source
   IP when a "Src IP:" line is present. The hostname in the location prefix is
   carried along for :func:`normalize_record` to resolve against a host map.
+  Blocks of header, "(host) ip->logfile" location, Rule, Src IP, one free
+  line and an empty line take the block path too.
 
 * A JSONL interchange format, one record per line:
   ``{"source": ..., "ts": ..., "fields": {...}}``. Sources other than
   snort/ossec are accepted as-is so third-party IDSs can feed the pipeline.
+
+From the first piece that holds any other line or block to the end of the
+file, and for every JSONL line, a per-line scanner reads the file; a line or
+block gives the same timestamp, key and counts on either path.
 """
 
 from __future__ import annotations
@@ -331,6 +339,29 @@ _SNORT_ADDR_RE = re.compile(
 _ADDR_RUN = "".join(c for c in map(chr, range(128)) if re.fullmatch(r"[\d.:\s]", c))
 
 
+# The canonical fast line: a yearless date, a valid time of day with six
+# fraction digits, the signature triple right after "[**]", and a
+# "{PROTO} src:port -> dst:port" tail that ends the line. Its groups are the
+# raw key the scanner gives the line, provided the line has no other "->"
+# (the scanner's address search starts at the first arrow). ASCII only:
+# \d, and the time digits read at fixed offsets.
+_SNORT_LINE_RE = re.compile(
+    r"^\d\d/\d\d-(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d\.\d{6} \[\*\*\] \[\d+:(\d+):\d+\]"
+    r".*\{\w+\} (\d{1,3}(?:\.\d{1,3}){3}):\d{1,5} -> (\d{1,3}(?:\.\d{1,3}){3}):\d{1,5}$",
+    re.ASCII | re.M,
+)
+# The date (MMDD), second of day and microseconds of such a line, as the
+# weights of the digits at each offset of its "MM/DD-HH:MM:SS.ffffff".
+_SNORT_STAMP = (
+    {0: 1000, 1: 100, 3: 10, 4: 1},
+    {6: 36000, 7: 3600, 9: 600, 10: 60, 12: 10, 13: 1},
+    {15 + k: 10 ** (5 - k) for k in range(6)},
+)
+# Past 2**53 microseconds (2255-06-05) int64 -> float64 rounds before the
+# division does; those timestamps are divided exactly, in Python.
+_EXACT_MICROS = 2**53
+
+
 def _utc_day_start(year: int, month: int, day: int) -> int | None:
     """Epoch second of 00:00 UTC on a date; None when the date does not exist."""
     try:
@@ -357,8 +388,45 @@ def _snort_year(year: int, top: int | None, month: int) -> tuple[int, int, int]:
     return year, year, max(top, month)
 
 
+class _SnortDays:
+    """The midnights of one file's Snort dates, and the running year and its
+    latest month that place a yearless date.
+
+    `year` is the year of the first yearless date; later ones follow it over
+    the new year by `_snort_year`. Every yearless date that exists moves the
+    running year, so the block path, which asks once per run of equal dates,
+    and the per-line scanner, which asks once per line, leave the same state:
+    equal dates in a row always hit the cache.
+    """
+
+    def __init__(self, year: int) -> None:
+        self.year = year
+        self.top: int | None = None
+        self.cache: dict[tuple[str, str, str | None], int | None] = {}
+
+    def midnight(self, month: str, day: str, line_year: str | None) -> int | None:
+        """Epoch second of 00:00 UTC on a line's date; None when it does not exist."""
+        key = month, day, line_year
+        try:
+            return self.cache[key]
+        except KeyError:
+            pass
+        if line_year is not None:
+            y = int(line_year) + (2000 if len(line_year) == 2 else 0)
+            midnight = _utc_day_start(y, int(month), int(day))
+        else:
+            y, running, latest = _snort_year(self.year, self.top, int(month))
+            midnight = _utc_day_start(y, int(month), int(day))
+            if midnight is not None and (running, latest) != (self.year, self.top):
+                # The cached yearless dates were placed from the old state.
+                self.cache.clear()
+                self.year, self.top = running, latest
+        self.cache[key] = midnight
+        return midnight
+
+
 def _snort_scanner(
-    year: int, cutoff: float | None = None
+    days: _SnortDays, cutoff: float | None = None
 ) -> Callable[[str], tuple[float, tuple[str, str, str] | None]]:
     """A scanner of one file's Snort fast lines: each line's timestamp and
     raw key, with None for the key of a line before `cutoff`.
@@ -366,37 +434,19 @@ def _snort_scanner(
     The timestamp comes first and without a datetime per line: each date is
     checked once, and the time of day is added to its midnight in whole
     microseconds, which is the arithmetic of `datetime.timestamp()`. A line
-    before `cutoff` is not searched for its signature or addresses.
-
-    `year` is the year of the first yearless date; later ones follow it over
-    the new year by `_snort_year`. Every yearless line whose date exists
-    moves the running year, parsed or not, so a cutoff changes no timestamp.
+    before `cutoff` is not searched for its signature or addresses. Every
+    line whose date exists moves the running year in `days`, parsed or not,
+    so a cutoff changes no timestamp.
     """
-    days: dict[tuple[str, str, str | None], int | None] = {}
-    top: int | None = None
     limit = -math.inf if cutoff is None else cutoff
 
     def scan(line: str) -> tuple[float, tuple[str, str, str] | None]:
-        nonlocal year, top
         line = line.strip()
         ts_match = _SNORT_TS_RE.match(line)
         if not ts_match:
             raise MalformedLineError("no leading timestamp")
         month, day, line_year, hh, mm, ss, frac = ts_match.groups()
-        try:
-            midnight = days[month, day, line_year]
-        except KeyError:
-            if line_year is not None:
-                y = int(line_year) + (2000 if len(line_year) == 2 else 0)
-                midnight = _utc_day_start(y, int(month), int(day))
-            else:
-                y, running, latest = _snort_year(year, top, int(month))
-                midnight = _utc_day_start(y, int(month), int(day))
-                if midnight is not None and (running, latest) != (year, top):
-                    # The cached yearless dates were placed from the old state.
-                    days.clear()
-                    year, top = running, latest
-            days[month, day, line_year] = midnight
+        midnight = days.midnight(month, day, line_year)
         if midnight is None:
             raise MalformedLineError("invalid date")
         h, m, s = int(hh), int(mm), int(ss)
@@ -430,6 +480,32 @@ def _snort_scanner(
     return scan
 
 
+def _snort_times(text: str, days: _SnortDays) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamps of `text`'s lines, all canonical, and whether each is
+    valid: its date exists and its timestamp passes `valid_timestamp`.
+
+    The scanner's arithmetic in int64, then one float64 division, which is
+    the correctly rounded quotient below `_EXACT_MICROS`. `days` is asked
+    once per run of equal dates.
+    """
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))
+    date, second, micros = (
+        sum((buf[starts + k] - 48).astype(np.int64) * w for k, w in weights.items())
+        for weights in _SNORT_STAMP
+    )
+    firsts = np.concatenate(([0], np.flatnonzero(np.diff(date)) + 1))
+    midnights = [days.midnight(f"{d // 100:02d}", f"{d % 100:02d}", None)
+                 for d in date[firsts].tolist()]
+    lengths = np.diff(np.append(firsts, len(date)))
+    exists = np.repeat([m is not None for m in midnights], lengths)
+    total = (np.repeat([m or 0 for m in midnights], lengths) + second) * 1_000_000 + micros
+    times = total / 1e6
+    big = np.flatnonzero(total >= _EXACT_MICROS)
+    times[big] = [t / 1_000_000 for t in total[big].tolist()]
+    return times, exists & (times > 0.0) & (times < MAX_TIMESTAMP)
+
+
 def _snort_key(raw: tuple[str, str, str]) -> tuple[str, dict[str, str]]:
     sig_id, src_ip, dst_ip = raw
     if not (_is_ipv4(src_ip) and _is_ipv4(dst_ip)):
@@ -445,6 +521,22 @@ _OSSEC_LOCATION_RE = re.compile(
     r"^\d{4} \w{3}\s+\d{1,2} \d{2}:\d{2}:\d{2} (?P<loc>.+?)->(?P<logfile>\S+)\s*$"
 )
 _OSSEC_SRC_IP_RE = re.compile(r"^Src IP: (\S+)")
+
+# The canonical alerts.log block: a header with an epoch of at most 15
+# digits, a "(host) ip->logfile" location, a Rule line, a Src IP line, one
+# free line and an empty line. Hosts, logfiles and sources are printable
+# ASCII that `strip` keeps, so its groups (epoch, host, logfile, rule, src)
+# are what `_scan_ossec` reads from the block.
+_OSSEC_BLOCK_RE = re.compile(
+    r"^\*\* Alert (\d{1,15})\.\d+:.*\n"
+    r"\d{4} [A-Za-z]{3} \d\d \d\d:\d\d:\d\d \(([!-'*-=?-~]+)\) [\d.]+->([!-~]+)\n"
+    r"Rule: (\d+) .*\n"
+    r"Src IP: ([!-'*-~]+)\n"
+    r"(?!\*\* Alert).*[!-~].*\n"
+    r"\n",
+    re.ASCII | re.M,
+)
+
 
 OssecKey = tuple[str, str, "str | None", "str | None"]  # rule, logfile, src ip, host
 
@@ -670,71 +762,159 @@ def normalize_record(
 
 # --- File readers -----------------------------------------------------------
 #
-# One pass per file, line by line. Bytes that are not UTF-8 decode to U+FFFD,
-# so a damaged byte costs at most the line or block it sits in.
+# One pass per file. Snort and OSSEC files are read a piece at a time, cut
+# after the last whole line (Snort) or before the last block (OSSEC). A Snort
+# piece whose lines all have the shape of `_SNORT_LINE_RE`, or an OSSEC piece
+# whose blocks all have the shape of `_OSSEC_BLOCK_RE`, takes the block path:
+# one match of the whole piece, timestamps and the cutoff in numpy, then a
+# dict lookup per kept key. The first piece that is not all canonical, and
+# every piece after it, goes through the per-line scanners, whose timestamps,
+# key ids and counts the block path reproduces: a file that mixes shapes
+# would otherwise pay the match and the scan on most of its pieces. JSONL is
+# read line by line. Bytes that are not UTF-8 decode to U+FFFD, so a damaged
+# byte costs at most the line or block it sits in.
 
 _INVALID = -1
 
-# Files are read in 4 MiB blocks. Freeing a block this large also raises
-# glibc's mmap threshold, so the 100-200 KB numpy temporaries of feature and
-# role fitting reuse heap memory instead of being mapped, page-faulted and
-# unmapped each time: with the default 8 KiB buffer, training on a 390-node
-# graph took ten times the page faults and 0.5 s more system time.
+# JSONL files are read through a 4 MiB buffer. Freeing a block this large
+# also raises glibc's mmap threshold, so the 100-200 KB numpy temporaries of
+# feature and role fitting reuse heap memory instead of being mapped,
+# page-faulted and unmapped each time: with the default 8 KiB buffer,
+# training on a 390-node graph took ten times the page faults and 0.5 s more
+# system time.
 _READ_BUFFER = 1 << 22
+
+# Snort and OSSEC pieces are 256 KiB, which still lifts that threshold past
+# those temporaries. The block path holds a piece, its bytes and its matches
+# at once: with 4 MiB pieces the peak RSS of `train` and `score` on the
+# sensors workload rose from 49 to 74-79 MB; with 256 KiB pieces it stayed
+# at 49-51 MB, and they ran no slower.
+_PIECE = 1 << 18
 
 
 def _open_text(path: str | Path) -> TextIO:
     return open(path, encoding="utf-8", errors="replace", buffering=_READ_BUFFER)
 
 
-def _read_into(
-    alerts: Alerts,
-    items: Iterable,
-    scan: Callable,
-    build: Callable,
-    errors: tuple[type[Exception], ...],
-    stats: ParseStats,
-    what: str,
-    cutoff: float | None,
-) -> None:
-    """Scan each item into (timestamp, raw key) and append it to `alerts`,
-    counting it as parsed or skipped. `build` checks a raw key and makes its
-    (source, fields); it runs once per distinct raw key of the file, which
-    gets the next key id. An item before `cutoff` is counted in
-    `training_span`; its scanner may stop at the timestamp and give None
-    for the raw key."""
-    limit = -math.inf if cutoff is None else cutoff
-    key_ids: dict = {}
-    add_time, add_id = alerts.times.append, alerts.ids.append
-    before = len(alerts)
-    count = training = 0
-    for count, item in enumerate(items, 1):
-        try:
-            ts, raw = scan(item)
-        except errors as exc:
-            logger.debug("skipping %s (%s): %r", what, exc, str(item)[:120])
-            continue
-        if raw is None or ts < limit:
-            training += 1
-            continue
-        kid = key_ids.get(raw)
+def _pieces(path: str | Path, cut: Callable[[str], int]) -> Iterator[str]:
+    """The text of a file, decoded as `_open_text` decodes it and read
+    `_PIECE` characters at a time. Each piece ends where `cut` says in the
+    text just read (0 for nowhere), and the rest is carried into the next;
+    what is left at the end comes last. A line or block longer than a piece
+    is carried as a list of parts, so it costs time in proportion to its
+    length. Against an unbuffered binary read with its own incremental
+    decoders, this took the same time and peak RSS (within 0.2 MB) on the
+    sensors workload.
+    """
+    parts: list[str] = []
+    with open(path, encoding="utf-8", errors="replace") as fp:
+        while text := fp.read(_PIECE):
+            end = cut(text)
+            if not end:
+                parts.append(text)
+                continue
+            parts.append(text[:end])
+            piece, parts = "".join(parts), [text[end:]]
+            del text  # only the piece stays alive while the caller reads it
+            yield piece
+            del piece
+    if rest := "".join(parts):
+        yield rest
+
+
+def _after_last_line(text: str) -> int:
+    return text.rfind("\n") + 1
+
+
+def _before_last_block(text: str) -> int:
+    """Where `_ossec_blocks` starts afresh last in `text`, whatever came
+    before it: after an empty line, or at a line that starts with "** Alert"."""
+    empty = text.rfind("\n\n")
+    return max(empty + 2 if empty >= 0 else 0, text.rfind("\n** Alert") + 1)
+
+
+class _FileReader:
+    """Appends one file's alerts to `alerts` and counts them in `stats`.
+
+    `build` checks a raw key and makes its (source, fields); it runs once
+    per distinct raw key of the file, which gets the next key id. An alert
+    with a valid timestamp before `cutoff` is counted in `training_span`.
+    """
+
+    def __init__(
+        self,
+        alerts: Alerts,
+        build: Callable,
+        errors: tuple[type[Exception], ...],
+        stats: ParseStats,
+        what: str,
+        cutoff: float | None,
+    ) -> None:
+        self.alerts, self.build, self.errors = alerts, build, errors
+        self.stats, self.what = stats, what
+        self.limit = -math.inf if cutoff is None else cutoff
+        self.key_ids: dict = {}
+
+    def _key_id(self, raw) -> int:
+        """The id of a raw key, or _INVALID when `build` rejects it."""
+        kid = self.key_ids.get(raw)
         if kid is None:
             try:
-                source, fields = build(raw)
-                kid = len(alerts.keys)
-                alerts.keys.append((source, tuple(fields.items())))
-            except errors as exc:
+                source, fields = self.build(raw)
+                kid = len(self.alerts.keys)
+                self.alerts.keys.append((source, tuple(fields.items())))
+            except self.errors as exc:
                 kid = _INVALID
-                logger.debug("skipping every %s with fields %r (%s)", what, raw, exc)
-            key_ids[raw] = kid
-        if kid != _INVALID:
-            add_time(ts)
-            add_id(kid)
-    parsed = len(alerts) - before
-    stats.lines += count
-    stats.parsed += parsed
-    stats.training_span += training
-    stats.skipped += count - parsed - training
+                logger.debug("skipping every %s with fields %r (%s)", self.what, raw, exc)
+            self.key_ids[raw] = kid
+        return kid
+
+    def _count(self, lines: int, parsed: int, training: int) -> None:
+        self.stats.lines += lines
+        self.stats.parsed += parsed
+        self.stats.training_span += training
+        self.stats.skipped += lines - parsed - training
+
+    def items(self, items: Iterable, scan: Callable) -> None:
+        """The per-line path: scan each item into (timestamp, raw key) and
+        append it. A scanner may stop at the timestamp of an item before the
+        cutoff and give None for its raw key."""
+        alerts, key_ids, limit = self.alerts, self.key_ids, self.limit
+        add_time, add_id = alerts.times.append, alerts.ids.append
+        before = len(alerts)
+        count = training = 0
+        for count, item in enumerate(items, 1):
+            try:
+                ts, raw = scan(item)
+            except self.errors as exc:
+                logger.debug("skipping %s (%s): %r", self.what, exc, str(item)[:120])
+                continue
+            if raw is None or ts < limit:
+                training += 1
+                continue
+            kid = key_ids.get(raw)
+            if kid is None:
+                kid = self._key_id(raw)
+            if kid != _INVALID:
+                add_time(ts)
+                add_id(kid)
+        self._count(count, len(alerts) - before, training)
+
+    def rows(self, times: np.ndarray, valid: np.ndarray, raw_of: Callable[[int], object]) -> None:
+        """The block path: append the rows with a valid timestamp at or
+        after the cutoff, taking row i's raw key from `raw_of(i)`; the other
+        valid rows are training-span lines, the invalid ones skips."""
+        kept = np.flatnonzero(valid & (times >= self.limit))
+        raws = list(map(raw_of, kept.tolist()))
+        kids = list(map(self.key_ids.get, raws))
+        if None in kids:  # new keys, built in the order they first appear
+            kids = [self._key_id(raw) if kid is None else kid for raw, kid in zip(raws, kids)]
+        ids = np.array(kids, dtype=np.int64)
+        good = ids != _INVALID
+        self.alerts.times.frombytes(times[kept[good]].tobytes())
+        self.alerts.ids.frombytes(ids[good].tobytes())
+        self._count(len(times), int(np.count_nonzero(good)),
+                    int(np.count_nonzero(valid)) - len(kept))
 
 
 def read_snort_file(
@@ -750,10 +930,32 @@ def read_snort_file(
     valid timestamp before `cutoff` is counted in `stats.training_span` and
     read no further; so are the lines and blocks of the readers below."""
     alerts = Alerts() if alerts is None else alerts
-    with _open_text(path) as fp:
-        _read_into(alerts, filter(str.strip, fp), _snort_scanner(year, cutoff),
-                   _snort_key, (MalformedLineError,), stats, "snort line", cutoff)
+    reader = _FileReader(alerts, _snort_key, (MalformedLineError,), stats, "snort line", cutoff)
+    days = _SnortDays(year)
+    scan = _snort_scanner(days, cutoff)
+    fast = True
+    for piece in _pieces(path, _after_last_line):
+        if fast:
+            keys = _SNORT_LINE_RE.findall(piece)
+            lines = piece.count("\n") + (not piece.endswith("\n"))
+            # A match is a whole line with at least one arrow.
+            fast = len(keys) == lines == piece.count("->")
+        if fast:
+            reader.rows(*_snort_times(piece, days), keys.__getitem__)
+        else:
+            reader.items(filter(str.strip, piece.split("\n")), scan)
     return alerts
+
+
+def _ossec_rows(blocks: list[tuple[str, ...]], reader: _FileReader) -> None:
+    times = np.array([int(block[0]) for block in blocks], dtype=np.float64)
+    valid = (times > 0.0) & (times < MAX_TIMESTAMP)
+
+    def raw_of(i: int) -> OssecKey:
+        _, host, logfile, rule, src = blocks[i]
+        return rule, logfile, src, host
+
+    reader.rows(times, valid, raw_of)
 
 
 def read_ossec_file(
@@ -766,9 +968,19 @@ def read_ossec_file(
     """Append the alerts of an OSSEC alerts.log to `alerts`; one block is
     one counted line."""
     alerts = Alerts() if alerts is None else alerts
-    with _open_text(path) as fp:
-        _read_into(alerts, _ossec_blocks(fp), partial(_scan_ossec, cutoff=cutoff), _ossec_key,
-                   (MalformedBlockError,), stats, "ossec block", cutoff)
+    reader = _FileReader(alerts, _ossec_key, (MalformedBlockError,), stats, "ossec block",
+                         cutoff)
+    scan = partial(_scan_ossec, cutoff=cutoff)
+    fast = True
+    for piece in _pieces(path, _before_last_block):
+        if fast:
+            blocks = _OSSEC_BLOCK_RE.findall(piece)
+            # Every block starts at a header line, and each match holds one.
+            fast = len(blocks) == piece.count("\n** Alert") + piece.startswith("** Alert")
+        if fast:
+            _ossec_rows(blocks, reader)
+        else:
+            reader.items(_ossec_blocks(piece.split("\n")), scan)
     return alerts
 
 
@@ -783,10 +995,10 @@ def read_jsonl_file(
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
     alerts = Alerts() if alerts is None else alerts
+    reader = _FileReader(alerts, _jsonl_key, (ValueError, KeyError, TypeError, OverflowError),
+                         stats, "jsonl line", cutoff)
     with _open_text(path) as fp:
-        _read_into(alerts, filter(str.strip, fp), _jsonl_scanner(), _jsonl_key,
-                   (ValueError, KeyError, TypeError, OverflowError), stats, "jsonl line",
-                   cutoff)
+        reader.items(filter(str.strip, fp), _jsonl_scanner())
     return alerts
 
 

@@ -374,6 +374,8 @@ def train(cfg: PipelineConfig) -> TrainResult:
         f"records parsed: {stats.parsed} (skipped {stats.skipped} of {stats.lines} lines)",
         f"unresolved hostnames: {stats.unresolved_hostnames}",
         f"hostname collisions: {stats.hostname_collisions}",
+        *([f"records before origin: {stats.dropped_before_origin}"]
+          if stats.dropped_before_origin else []),
         f"records in training span: {n_training}",
         f"training windows: {spec.training_windows}",
         f"graph: {summary.node_count} nodes, {summary.edge_count} edges, "

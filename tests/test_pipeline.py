@@ -219,7 +219,8 @@ def test_train_rejects_empty_training_span(tmp_path):
 def test_alert_before_the_origin_is_left_out_of_training(tmp_path):
     """An alert an hour before an explicit origin, with its own signature and
     addresses, is in no window: the graph, the registry and the span count
-    are those of the input without it. Only the parse count tells them apart."""
+    are those of the input without it. Only the parse count and the count of
+    records before the origin tell them apart."""
     records = [
         AlertRecord("snort", SMALL_ORIGIN + 60.0 * i,
                     {"sig_id": str(100 + i % 3), "src_ip": f"10.0.0.{i % 4}",
@@ -238,8 +239,10 @@ def test_alert_before_the_origin_is_left_out_of_training(tmp_path):
 
     with_early, without = bundle([early, *records], "early"), bundle(records, "plain")
     assert "records in training span: 12\n" in without["training_summary.txt"]
+    assert "records before origin" not in without["training_summary.txt"]
     without["training_summary.txt"] = without["training_summary.txt"].replace(
-        "records parsed: 12 (skipped 0 of 12 lines)", "records parsed: 13 (skipped 0 of 13 lines)")
+        "records parsed: 12 (skipped 0 of 12 lines)", "records parsed: 13 (skipped 0 of 13 lines)"
+    ).replace("records in training span", "records before origin: 1\nrecords in training span")
     assert with_early == without
 
 

@@ -3,27 +3,35 @@
 `read_jsonl_file` decodes each distinct record once, `read_snort_file`
 computes timestamps without a datetime per line and starts its address
 search at the arrow, and every reader stops at the timestamp of a line
-before a cutoff. The references below are the readers as they were:
-`_scan_jsonl` on every JSONL line, and a datetime and an unanchored address
-search on every Snort line. Without a cutoff the readers must give the same
-timestamps, key ids, keys and `ParseStats` as the references. The intended
-differences, all in Snort lines: one at or before the epoch is skipped, as
-JSONL and OSSEC already skip one; only a 2-digit year is widened to 20xx;
-and yearless dates follow the year over Dec -> Jan (`conftest.SnortYears`).
-With a cutoff they must keep exactly the reference's alerts at or after it,
-and count every other line.
+before a cutoff. `read_snort_file` and `read_ossec_file` also read a piece of
+canonical lines or blocks with one match, timestamps in numpy. The tests
+draw the read buffer too, so that lines and blocks straddle pieces, and mix
+canonical lines and blocks with odd ones in one piece.
+
+The references below are the readers as they were: `_scan_jsonl` on every
+JSONL line, `_scan_ossec` on every OSSEC block, and a datetime and an
+unanchored address search on every Snort line. Without a cutoff the readers
+must give the same timestamps, key ids, keys and `ParseStats` as the
+references. The intended differences, all in Snort lines: one at or before
+the epoch, or at 10000-01-01 after rounding, is skipped, as JSONL and OSSEC
+already skip one; only a 2-digit year is widened to 20xx; and yearless dates
+follow the year over Dec -> Jan (`conftest.SnortYears`). With a cutoff they
+must keep exactly the reference's alerts at or after it, and count every
+other line.
 """
 
 import json
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SnortYears
 
+from artifact import ingest
 from artifact.ingest import (
     Alerts,
     MalformedBlockError,
@@ -41,10 +49,14 @@ from artifact.ingest import (
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
+    valid_timestamp,
 )
 
 T0 = 1614556800.0  # 2021-03-01T00:00:00Z
 CUTOFFS = st.sampled_from([None, T0, T0 + 0.5, T0 + 1.5, T0 + 3600.0, 1e9, 3e11])
+# The real piece size, and a few dozen bytes, so that lines and OSSEC blocks
+# straddle the pieces the readers cut.
+BUFFERS = st.sampled_from([ingest._PIECE, 23, 61])
 
 
 # --- references: the scanners as they were -------------------------------------
@@ -80,8 +92,9 @@ def reference_scan_snort(line, years):
     if not addr_match:
         raise MalformedLineError("no 'src -> dst' IP pair")
     ts = moment.timestamp()
-    # The one change: the epoch and earlier are no longer read.
-    if ts <= 0:
+    # Changed: the epoch and earlier are no longer read, nor is a time of
+    # 9999-12-31 that rounds to 10000-01-01.
+    if not valid_timestamp(ts):
         raise MalformedLineError("timestamp at or before the epoch")
     return ts, (sig_match.group(2), addr_match.group(1), addr_match.group(2))
 
@@ -136,9 +149,11 @@ def read_both(fmt, path, cutoff, year=YEAR):
     return got, stats, *want
 
 
-def assert_reads_like_reference(fmt, path, cutoff, year=YEAR):
-    """Read `path` both ways and compare; return the reader's stats."""
-    got, stats, want, want_stats = read_both(fmt, path, cutoff, year)
+def assert_reads_like_reference(fmt, path, cutoff, year=YEAR, buffer=ingest._PIECE):
+    """Read `path` both ways, the reader in pieces of `buffer` bytes, and
+    compare; return the reader's stats."""
+    with patch.object(ingest, "_PIECE", buffer):
+        got, stats, want, want_stats = read_both(fmt, path, cutoff, year)
     assert stats.lines == stats.parsed + stats.skipped + stats.training_span
     if cutoff is None:
         assert got.times.tobytes() == want.times.tobytes()
@@ -283,16 +298,71 @@ def snort_line(odd):
             f"[Priority: 2] {{TCP}} {p['addr']}")
 
 
+def canonical_snort_line(date, time="00:00:01", frac=500000, sid="215", src="10.0.0.1",
+                         dst="10.0.0.2", msg="synthetic alert"):
+    """A line of the shape `perfbench/workloads.py` writes, which the block
+    path reads."""
+    return (f"{date}-{time}.{frac:06d} [**] [1:{sid}:1] {msg} {sid} [**] "
+            f"[Classification: Misc activity] [Priority: 3] {{TCP}} {src}:40000 -> {dst}:80")
+
+
+# Canonical lines around T0 and each cutoff, over the new year, on dates
+# that do not exist, and with an address that is no dotted quad.
+CANONICAL_SNORT = st.builds(
+    canonical_snort_line,
+    date=st.sampled_from(["03/01", "03/01", "02/28", "12/31", "01/01", "02/29", "13/01"]),
+    time=st.sampled_from(["00:00:00", "00:00:01", "01:00:00", "23:59:59"]),
+    frac=st.sampled_from([0, 1, 499999, 500000, 999999]),
+    sid=st.sampled_from(["215", "9"]),
+    src=st.sampled_from(["10.0.0.1", "10.0.0.3", "999.0.0.1"]),
+    # Non-ASCII moves the byte offsets of the lines after it.
+    msg=st.sampled_from(["synthetic alert", "s\u00ffnth\u00e9tic\u2028\x85alert",
+                         "{UDP} 1.2.3.4:5"]),
+)
+# Lines the block path must leave to the scanner, most of them a canonical
+# line with one change, and blank lines, one of them a lone \x1c. A "\r"
+# ends a line as "\n" does.
+ODD_SNORT = (odd_parts(SNORT_ODD).map(snort_line)
+             | st.sampled_from(["garbage", "", " ", "\x1c", "\t\x1c "])
+             | CANONICAL_SNORT.map(lambda l: l.replace("synthetic", "a -> b"))
+             | CANONICAL_SNORT.map(lambda l: l.replace("synthetic", "scan 10.0.0.9 -> 10.0.0.8"))
+             | CANONICAL_SNORT.map(lambda l: l.replace("-", "/2021-", 1))
+             | CANONICAL_SNORT.map(lambda l: " " + l)
+             | CANONICAL_SNORT.map(lambda l: l + " ")
+             | CANONICAL_SNORT.map(lambda l: l + "\r")  # "\r\n" reads as "\n"
+             | CANONICAL_SNORT.map(lambda l: l.replace(" [**] [Class", "\r[**] [Class")))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    lines=st.lists(CANONICAL_SNORT | ODD_SNORT, max_size=40),
+    year=st.sampled_from([2021, 2020, 2300, 9999, 1969]),
+    cutoff=CUTOFFS,
+    buffer=BUFFERS,
+    final_newline=st.booleans(),
+)
+def test_snort_block_path_matches_datetime_scan(lines, year, cutoff, buffer, final_newline):
+    """Canonical lines and odd ones in one file and one piece: the fast path
+    and the scanner meet, and share the running year."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "alert", [l.encode() for l in lines], final_newline)
+        stats = assert_reads_like_reference("snort", path, cutoff, year, buffer)
+        # Lines end at "\n" after "\r" is read as one, not where splitlines ends them.
+        text = path.read_text(encoding="utf-8")
+        assert stats.lines == sum(1 for l in text.split("\n") if l.strip())
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     lines=st.lists(odd_parts(SNORT_ODD).map(snort_line) | st.just("garbage"), max_size=30),
     year=st.sampled_from([2021, 2016, 1969, 0, 10000]),
     cutoff=CUTOFFS,
+    buffer=BUFFERS,
 )
-def test_snort_reader_matches_datetime_scan(lines, year, cutoff):
+def test_snort_reader_matches_datetime_scan(lines, year, cutoff, buffer):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_lines(tmp, "alert", [l.encode() for l in lines])
-        assert_reads_like_reference("snort", path, cutoff, year)
+        assert_reads_like_reference("snort", path, cutoff, year, buffer)
 
 
 @settings(deadline=None, max_examples=300)
@@ -302,13 +372,18 @@ def test_snort_reader_matches_datetime_scan(lines, year, cutoff):
                                     "13/01", "00/10"]), max_size=40),
     year=st.sampled_from([2019, 2020, 9999]),
     cutoff=CUTOFFS,
+    buffer=BUFFERS,
 )
-def test_snort_yearless_dates_take_the_reference_years(dates, year, cutoff):
+def test_snort_yearless_dates_take_the_reference_years(dates, year, cutoff, buffer):
     """Valid lines whose dates wander over the calendar, so the running
-    year and its latest month move in every way the day cache must follow."""
+    year and its latest month move in every way the day cache must follow:
+    as lines the per-line scanner reads, and as canonical lines the block
+    path reads."""
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [snort_line([("date", d)]).encode() for d in dates]
-        assert_reads_like_reference("snort", write_lines(tmp, "alert", lines), cutoff, year)
+        for name, line in (("scanned", lambda d: snort_line([("date", d)])),
+                           ("canonical", canonical_snort_line)):
+            path = write_lines(tmp, name, [line(d).encode() for d in dates])
+            assert_reads_like_reference("snort", path, cutoff, year, buffer)
 
 
 def test_snort_epoch_arithmetic_matches_datetime(tmp_path):
@@ -322,6 +397,25 @@ def test_snort_epoch_arithmetic_matches_datetime(tmp_path):
     path = write_lines(tmp_path, "alert", [l.encode() for l in lines])
     alerts = read_snort_file(path, YEAR, ParseStats())
     assert list(alerts.times) == stamps
+
+
+def test_snort_epoch_past_2255_is_exact(tmp_path):
+    """Past 2**53 microseconds int64 -> float64 rounds once before the
+    division rounds again; at this time of 2300-06-06 that double rounding
+    is one ulp off the correctly rounded quotient. The yearless line takes
+    the block path, the line with its year the scanner."""
+    time, frac = "12:34:56", 345679
+    total = (int(datetime(2300, 6, 6, 12, 34, 56, tzinfo=timezone.utc).timestamp()) * 10**6
+             + frac)
+    assert total >= 2**53 and float(total) / 1e6 != total / 10**6
+    path = write_lines(tmp_path, "alert", [
+        canonical_snort_line("06/06", time, frac).encode(),
+        canonical_snort_line("06/06/2300", time, frac).encode(),
+    ])
+    stats = assert_reads_like_reference("snort", path, None, 2300)
+    alerts = read_snort_file(path, 2300, ParseStats())
+    assert list(alerts.times) == [total / 10**6] * 2
+    assert (stats.parsed, stats.skipped) == (2, 0)
 
 
 def test_snort_year_out_of_range_skips_every_yearless_line(tmp_path):
@@ -375,13 +469,136 @@ OSSEC_BODIES = st.lists(st.sampled_from([
 ]), max_size=5)
 
 
+def canonical_ossec_block(epoch="1614556800", host="host-10-0-0-5", ip="10.0.0.5",
+                          logfile="/var/log/auth.log", rule="5503",
+                          free="synthetic log line for rule 5503"):
+    """A block of the shape `perfbench/workloads.py` writes, which the block
+    path reads, as its lines with the closing empty one."""
+    return [f"** Alert {epoch}.{len(logfile)}: - syslog,",
+            f"2021 Mar 01 00:00:00 ({host}) {ip}->{logfile}",
+            f"Rule: {rule} (level 5) -> 'synthetic rule {rule}'",
+            f"Src IP: {ip}", free, ""]
+
+
+CANONICAL_OSSEC = st.builds(
+    canonical_ossec_block,
+    epoch=st.sampled_from(["1614556800", "1614556801", "1614560400", "0", "999999999999",
+                           "999999999999999"]),
+    host=st.sampled_from(["host-10-0-0-5", "web1"]),
+    ip=st.sampled_from(["10.0.0.5", "10.0.0.6"]),
+    rule=st.sampled_from(["5503", "5715"]),
+    free=st.sampled_from(["synthetic log line", "Src IP: 10.9.9.9", " x"]),
+)
+# Blocks the block path must leave to `_scan_ossec`, and lines between blocks.
+ODD_OSSEC = (
+    st.tuples(OSSEC_HEADS, OSSEC_BODIES).map(lambda b: [b[0], *b[1], ""])
+    | CANONICAL_OSSEC.map(lambda b: b[:4] + b[5:])  # no free line
+    | CANONICAL_OSSEC.map(lambda b: [b[0], b[2], b[1], *b[3:]])  # Rule before location
+    | CANONICAL_OSSEC.map(lambda b: [b[0].replace(".", "\u0661.", 1), *b[1:]])
+    | CANONICAL_OSSEC.map(lambda b: b[:3] + ["Src IP: (none)"] + b[4:])
+    | CANONICAL_OSSEC.map(lambda b: b[:1] + [b[1] + " "] + b[2:])
+    | CANONICAL_OSSEC.map(lambda b: [line + "\r" for line in b])
+    | st.sampled_from([["stray line"], [""], [" "], ["\x1c"], ["\r"]])
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocks=st.lists(CANONICAL_OSSEC | ODD_OSSEC, max_size=14), cutoff=CUTOFFS,
+       buffer=BUFFERS)
+def test_ossec_block_path_matches_the_block_scan(blocks, cutoff, buffer):
+    """Canonical blocks and odd ones in one file and one piece."""
+    lines = [line for block in blocks for line in block]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_lines(tmp, "alerts.log", [l.encode() for l in lines])
+        assert_reads_like_reference("ossec", path, cutoff, buffer=buffer)
+
+
 @settings(deadline=None, max_examples=150)
-@given(blocks=st.lists(st.tuples(OSSEC_HEADS, OSSEC_BODIES), max_size=12), cutoff=CUTOFFS)
-def test_ossec_reader_with_cutoff_keeps_the_later_alerts(blocks, cutoff):
+@given(blocks=st.lists(st.tuples(OSSEC_HEADS, OSSEC_BODIES), max_size=12), cutoff=CUTOFFS,
+       buffer=BUFFERS)
+def test_ossec_reader_with_cutoff_keeps_the_later_alerts(blocks, cutoff, buffer):
     lines = [line for head, body in blocks for line in (head, *body, "")]
     with tempfile.TemporaryDirectory() as tmp:
         path = write_lines(tmp, "alerts.log", [l.encode() for l in lines])
-        assert_reads_like_reference("ossec", path, cutoff)
+        assert_reads_like_reference("ossec", path, cutoff, buffer=buffer)
+
+
+# --- the block path runs -------------------------------------------------------------
+
+@pytest.fixture
+def scanner_calls(monkeypatch):
+    """The lines and blocks that the per-line Snort scanner and `_scan_ossec`
+    are called on, in order."""
+    calls = []
+    snort_scanner, scan_ossec = ingest._snort_scanner, ingest._scan_ossec
+
+    def counted_snort_scanner(*args, **kwargs):
+        scan = snort_scanner(*args, **kwargs)
+
+        def counted(line):
+            calls.append(line)
+            return scan(line)
+
+        return counted
+
+    def counted_scan_ossec(lines, cutoff=None):
+        calls.append(lines)
+        return scan_ossec(lines, cutoff)
+
+    monkeypatch.setattr(ingest, "_snort_scanner", counted_snort_scanner)
+    monkeypatch.setattr(ingest, "_scan_ossec", counted_scan_ossec)
+    return calls
+
+
+RENDERED = {
+    "snort": [canonical_snort_line(f"03/0{day}", f"{hour:02d}:00:00", 7919 * hour, str(hour % 5))
+              for day in (1, 2) for hour in range(24)],
+    "ossec": [canonical_ossec_block(str(int(T0) + 1800 * i), rule=str(5500 + i % 3))
+              for i in range(48)],
+}
+# Odd lines and blocks, each longer than the 40-character pieces below, so
+# that there every piece is one line or block.
+ODD = {
+    "snort": ["03/02-00:00:00.5 [**] [1:2:3] m [**] 10.0.0.1 -> 10.0.0.2",
+              "garbage: no Snort fast alert line at all",
+              RENDERED["snort"][3].replace("synthetic", "a -> b")],
+    "ossec": [["** Alert 1614556800.1: - x,", "2021 Mar 01 00:00:00 h->/l", "Rule: 1 (level 1)",
+               ""],
+              ["a stray line between two blocks of the log", ""],
+              RENDERED["ossec"][5][:3] + ["Src IP: (none)", "x", ""]],
+}
+FIRST_ODD = 20
+
+
+def scanned(fmt, items):
+    """What the per-line scanners are called with on these lines or blocks:
+    a block without its empty line, a stray line not at all."""
+    if fmt == "snort":
+        return list(items)
+    return [block[:-1] for block in items if block[0].startswith("** Alert")]
+
+
+@pytest.mark.parametrize("buffer", [ingest._PIECE, 40])
+@pytest.mark.parametrize("fmt", ["snort", "ossec"])
+def test_block_path_leaves_the_rest_of_a_mixed_file_to_the_scanners(
+    tmp_path, scanner_calls, fmt, buffer
+):
+    """A file of the rendered shape never reaches the per-line scanners. In a
+    mixed file, the piece that holds the first odd line or block and every
+    piece after it go through them, each line or block once, in file order;
+    the pieces before take the block path."""
+    mixed = list(RENDERED[fmt])
+    for at, odd in zip((FIRST_ODD, FIRST_ODD + 1, FIRST_ODD + 10), ODD[fmt]):
+        mixed.insert(at, odd)
+    first = 0 if buffer == ingest._PIECE else FIRST_ODD  # the file is one piece, or each item is
+    for name, items, calls in (("rendered", RENDERED[fmt], []),
+                               ("mixed", mixed, scanned(fmt, mixed[first:]))):
+        lines = items if fmt == "snort" else [line for block in items for line in block]
+        path = write_lines(tmp_path, name, [l.encode() for l in lines])
+        for cutoff in (None, T0 + 36000):
+            scanner_calls.clear()
+            assert_reads_like_reference(fmt, path, cutoff, buffer=buffer)
+            assert scanner_calls == calls
 
 
 # Per format: a line before the cutoff, one before it whose fields are
@@ -439,6 +656,7 @@ VALID = {
         b"Rule: 5503 (level 5) -> 'x'\nSrc IP: 10.0.0.9\n",
         b"** Alert 1614563999.7: - syslog,\n2021 Mar 01 01:59:59 (web1) 10.0.0.5->/var/log/secure\n"
         b"Rule: 5715 (level 3) -> 'y'\n",
+        "\n".join(canonical_ossec_block("1614556801")).encode(),
     ],
 }
 SNORT_DAMAGE = [
@@ -476,8 +694,9 @@ def damage(line, action, position, byte):
         max_size=25,
     ),
     cutoff=CUTOFFS,
+    buffer=BUFFERS,
 )
-def test_readers_count_every_line_of_damaged_files(fmt, picks, cutoff):
+def test_readers_count_every_line_of_damaged_files(fmt, picks, cutoff, buffer):
     lines = []
     for index, action, position, byte in picks:
         line = VALID[fmt][index % len(VALID[fmt])]
@@ -486,6 +705,6 @@ def test_readers_count_every_line_of_damaged_files(fmt, picks, cutoff):
         path = write_lines(tmp, "input", lines)
         text = path.read_text(encoding="utf-8", errors="replace")
         for cut in (None, cutoff):
-            stats = assert_reads_like_reference(fmt, path, cut)
+            stats = assert_reads_like_reference(fmt, path, cut, buffer=buffer)
             if fmt != "ossec":
                 assert stats.lines == sum(1 for l in text.split("\n") if l.strip())

@@ -7,10 +7,11 @@ are used); this script's own checkout is the first tree. For every workload
 of ``perfbench/workloads.py`` and every input seed, each tree renders the
 workload's inputs with its own generator and renderer, then runs its own
 ``train`` and ``score`` on them with model seed 7, as ``perfbench/run.py``
-does. The two trees must agree byte for byte on the rendered inputs' digest,
-``scores.csv``, ``anomalies.json``, every bundle file and the stdout and
-exit code of both commands. Each difference is printed, and the exit code
-is 1 if there is any.
+does, ``score`` with ``-v``. The two trees must agree byte for byte on the
+rendered inputs' digest, ``scores.csv``, ``anomalies.json``, every bundle
+file, the stdout and exit code of both commands, and the parse counts
+``score`` logs (``read N lines: ... in the training span``). Each
+difference is printed, and the exit code is 1 if there is any.
 
 Every run is a fresh interpreter in its own directory under a temporary
 directory, with relative paths, so the printed paths match.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +29,7 @@ from pathlib import Path
 
 THIS = Path(__file__).resolve().parents[1]
 MODEL_SEED = "7"
+PARSE_COUNTS = re.compile(r"^.*: read \d+ lines: .* in the training span$", re.M)
 
 # Render one workload at one seed into ./inputs; print the inputs' digest and
 # the train and score arguments, one per line, tab-separated.
@@ -65,9 +68,16 @@ def outputs(root: Path, work: Path, workload: str, seed: int) -> dict[str, str |
     found: dict[str, str | bytes] = {"inputs digest": digest}
     for line in commands:
         argv = line.split("\t")
+        if argv[0] == "score":
+            argv.append("-v")
         done = run(root, work, [sys.executable, "-m", "artifact.cli", *argv, "--seed", MODEL_SEED])
         found[f"{argv[0]} exit code"] = str(done.returncode)
         found[f"{argv[0]} stdout"] = done.stdout
+        if argv[0] == "score":
+            counts = PARSE_COUNTS.findall(done.stderr)
+            if not counts and not done.returncode:
+                raise SystemExit(f"{root}: score logged no parse counts for {workload}")
+            found["score parse counts"] = "\n".join(counts)
     out = work / "out"
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         found[str(path.relative_to(out))] = path.read_bytes()
