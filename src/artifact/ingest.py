@@ -200,16 +200,39 @@ class Alerts:
     so memory grows with the keys rather than the alerts. The readers append
     to `array` columns in reading order and give each distinct raw key of a
     file the next id, so equal keys may have several ids. `read_alerts`
-    normalizes the keys and swaps in numpy columns sorted by time.
+    normalizes the keys and swaps in numpy columns sorted by time;
+    `scenario.generate_scenario` returns numpy columns sorted by time too.
+    Iterating the table yields one record per alert.
     """
 
-    def __init__(self) -> None:
-        self.times = array("d")
-        self.ids = array("q")
-        self.keys: list[tuple[str, FieldTuple]] = []
+    def __init__(self, times: Sequence[float] | None = None, ids: Sequence[int] | None = None,
+                 keys: list[tuple[str, FieldTuple]] | None = None) -> None:
+        self.times = array("d") if times is None else times
+        self.ids = array("q") if ids is None else ids
+        self.keys: list[tuple[str, FieldTuple]] = [] if keys is None else keys
+
+    @classmethod
+    def from_records(cls, records: Iterable[AlertRecord]) -> Alerts:
+        """The table of `records` in their order, one id per distinct
+        (source, fields in order)."""
+        alerts = cls()
+        index: dict[tuple[str, FieldTuple], int] = {}
+        for record in records:
+            key = (record.source, tuple(record.fields.items()))
+            alerts.times.append(record.timestamp)
+            alerts.ids.append(index.setdefault(key, len(index)))
+        alerts.keys = list(index)
+        return alerts
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def __iter__(self) -> Iterator[AlertRecord]:
+        """One record per alert, in table order."""
+        keys = self.keys
+        for t, k in zip(self.times.tolist(), self.ids.tolist()):
+            source, fields = keys[k]
+            yield AlertRecord(source, t, dict(fields))
 
     def before(self, ts: float) -> int:
         """How many alerts come before `ts`; in time order they are a prefix."""
@@ -229,11 +252,7 @@ class Alerts:
 
     def records(self) -> list[AlertRecord]:
         """One record per alert, in table order."""
-        keys = self.keys
-        return [
-            AlertRecord(keys[k][0], t, dict(keys[k][1]))
-            for t, k in zip(self.times.tolist(), self.ids.tolist())
-        ]
+        return list(self)
 
 
 @dataclass
@@ -714,16 +733,38 @@ def _jsonl_scanner() -> Callable[[str], tuple[float, JsonlKey]]:
     return scan
 
 
-def write_jsonl(records: Iterable[AlertRecord], path: str | Path) -> None:
+# Alerts `write_jsonl` takes out of the columns at a time.
+_WRITE_CHUNK = 1 << 12
+
+
+def write_jsonl(alerts: Alerts | Iterable[AlertRecord], path: str | Path) -> None:
+    """Write one line per alert, in table order: the text that
+    `json.dumps({"source": ..., "ts": ..., "fields": ...}, separators=(",", ":"))`
+    gives, and a newline. Timestamps are written as floats.
+
+    Each key's text before and after the timestamp is rendered once. A
+    finite timestamp's text is `float.__repr__`, as in `json.dumps`; a chunk
+    with a non-finite one takes `json.dumps` for each timestamp, which spells
+    them NaN, Infinity and -Infinity.
+    """
+    if not isinstance(alerts, Alerts):
+        alerts = Alerts.from_records(alerts)
+    heads = [f'{{"source":{json.dumps(source)},"ts":' for source, _ in alerts.keys]
+    tails = [
+        f',"fields":{json.dumps(dict(fields), separators=(",", ":"))}}}\n'
+        for _, fields in alerts.keys
+    ]
+    times, ids = np.asarray(alerts.times, dtype=np.float64), np.asarray(alerts.ids)
     with open(path, "w") as fp:
-        for record in records:
-            fp.write(
-                json.dumps(
-                    {"source": record.source, "ts": record.timestamp, "fields": record.fields},
-                    separators=(",", ":"),
-                )
-            )
-            fp.write("\n")
+        for start in range(0, len(times), _WRITE_CHUNK):
+            chunk = times[start:start + _WRITE_CHUNK]
+            spell = float.__repr__ if np.isfinite(chunk).all() else json.dumps
+            kids = ids[start:start + _WRITE_CHUNK].tolist()
+            fp.writelines(map(
+                "".join,
+                zip(map(heads.__getitem__, kids), map(spell, chunk.tolist()),
+                    map(tails.__getitem__, kids)),
+            ))
 
 
 # --- Normalization ----------------------------------------------------------

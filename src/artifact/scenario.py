@@ -12,6 +12,14 @@ background many times over: same nodes, same edges, only heavier weights.
 All randomness flows from one seed through three independent child streams
 (background / attack / spike), so removing an injection reproduces the
 remaining stream exactly.
+
+The stream comes back as an `ingest.Alerts` table. Each (window, template)
+batch keeps its scalar `poisson` count and takes the raw 64-bit words its
+alerts need in one `bit_generator.random_raw` call; the words are decoded
+in numpy into exactly what numpy's per-alert `uniform` and `integers` calls
+on PCG64 give: `next_double`, and the bounded integers with the buffered
+32-bit half (see "generation" below). A Lemire rejection found in the
+decode sends the whole scenario back through those per-alert calls.
 """
 
 from __future__ import annotations
@@ -19,16 +27,14 @@ from __future__ import annotations
 import configparser
 import logging
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from artifact.ingest import AlertRecord, LAYER_BY_FIELD, WindowSpec, parse_utc, read_ini
+from artifact.ingest import Alerts, FieldTuple, LAYER_BY_FIELD, WindowSpec, parse_utc, read_ini
 
 logger = logging.getLogger(__name__)
 
@@ -52,11 +58,6 @@ class AlertTemplate:
     rate: float  # expected alerts per window
     fields: tuple[tuple[str, tuple[str, ...]], ...]  # (field key, value pool)
 
-    def sample_fields(self, rng: np.random.Generator) -> dict[str, str]:
-        return {
-            key: pool[int(rng.integers(len(pool)))] for key, pool in self.fields
-        }
-
 
 @dataclass(frozen=True)
 class AttackWave:
@@ -77,6 +78,10 @@ class AttackSpec:
 
     def total_alerts(self) -> int:
         return sum(w.count for w in self.waves)
+
+
+# The largest rate numpy's Generator.poisson accepts.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,11 @@ class ScenarioConfig:
             training_cutoff=self.origin + self.training_days * 86400.0,
         )
 
+    def drawn_templates(self) -> list[AlertTemplate]:
+        """The background templates, then each attack wave's."""
+        waves = self.attack.waves if self.attack is not None else ()
+        return [*self.templates, *(wave.template for wave in waves)]
+
     def validate(self) -> None:
         if not (0 < self.duration_days < math.inf and 0 < self.window_hours < math.inf):
             raise ConfigError("durations must be finite and positive")
@@ -131,8 +141,12 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for t in self.templates:
-            if t.rate <= 0:
-                raise ConfigError(f"template {t.name!r} has nonpositive rate")
+            if not 0 < t.rate <= POISSON_LAM_MAX:
+                raise ConfigError(
+                    f"template {t.name!r} has rate {t.rate!r}; it must be positive"
+                    f" and at most {POISSON_LAM_MAX!r}"
+                )
+        for t in self.drawn_templates():
             if t.source not in ("snort", "ossec"):
                 raise ConfigError(f"template {t.name!r} has unknown source")
             for key, pool in t.fields:
@@ -142,6 +156,12 @@ class ScenarioConfig:
                     )
                 if not pool:
                     raise ConfigError(f"template {t.name!r} has an empty pool")
+        # generate_scenario numbers every field-value combination in int64
+        combinations = sum(
+            math.prod(len(pool) for _, pool in t.fields) for t in self.drawn_templates()
+        )
+        if combinations >= 2**63:
+            raise ConfigError("the templates have 2**63 or more field-value combinations")
         if self.attack is not None:
             if self.attack.start_window < self.training_windows:
                 raise SpanError("attack must start after the training period")
@@ -162,6 +182,86 @@ class ScenarioConfig:
 
 
 # -- generation -----------------------------------------------------------------
+#
+# Each child stream draws its alerts in batches of one template in one window.
+# An alert costs one uniform draw for its time, then one bounded integer draw
+# for each field whose pool holds more than one value, in field order. The
+# batch draw reproduces numpy's per-alert calls on PCG64 exactly:
+#
+# * `uniform(0, L)` is `L * ((w >> 11) * 2**-53)` of one 64-bit word w
+#   (numpy's `next_double`);
+# * `integers(n)` for n > 1 is Lemire's method over a 32-bit half: the value
+#   is `(h * n) >> 32`, and the draw is rejected and redone when
+#   `(h * n) mod 2**32 < 2**32 mod n` (Lemire, "Fast Random Integer Generation
+#   in an Interval", ACM TOMACS 2019; numpy's `_bounded_integers`). A fresh
+#   word gives its low half first and keeps its high half for the next 32-bit
+#   draw, across batches, since `poisson` draws only 64-bit words;
+# * `integers(1)` draws nothing.
+#
+# The batch takes the words it needs with `bit_generator.random_raw`, and the
+# decode runs in numpy over many batches at once. A rejection shifts every
+# later draw, so when the decode finds one (probability below n / 2**32 per
+# draw), or a pool holds more than 2**32 values, the whole scenario is drawn
+# again with numpy's per-alert calls. NEP 19 lets numpy change these streams
+# between versions; tests/test_scenario_draws.py compares the two draws and
+# catches such a change.
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+# About this many alerts are decoded at a time, which bounds the words held
+# and the decode's temporaries.
+_DECODE_SLICE = 1 << 12
+
+
+class _Rejected(Exception):
+    """The batch draw cannot reproduce the per-alert draw."""
+
+
+_Batch = tuple[int, float, int]  # (template index, window start, alert count)
+
+
+class _Codebook:
+    """Every (template, value index per field) combination of a scenario's
+    background and attack templates as one int64 code: the template's base
+    plus each field's value index times its stride."""
+
+    def __init__(self, templates: list[AlertTemplate]) -> None:
+        self.templates = templates
+        self.strides: list[list[int]] = []
+        bases = []
+        total = 0
+        for t in templates:
+            bases.append(total)
+            stride, strides = 1, []
+            for _, pool in t.fields:
+                strides.append(stride)
+                stride *= len(pool)
+            self.strides.append(strides)
+            total += stride
+        self.base = np.array(bases, dtype=np.int64)
+        # The fields drawn from, in order: pools of more than one value.
+        drawn = [
+            [(len(pool), s) for (_, pool), s in zip(t.fields, strides) if len(pool) > 1]
+            for t, strides in zip(templates, self.strides)
+        ]
+        self.decodable = all(n <= 2**32 for fields in drawn for n, _ in fields)
+        self.k = np.array([len(fields) for fields in drawn], dtype=np.int64)
+        width = int(self.k.max(initial=0))
+        self.size = np.ones((len(templates), width), dtype=np.uint64)
+        self.stride = np.zeros((len(templates), width), dtype=np.int64)
+        for i, fields in enumerate(drawn):
+            for j, (n, s) in enumerate(fields):
+                self.size[i, j] = min(n, 2**32)  # a larger pool is never decoded
+                self.stride[i, j] = s
+        # Lemire's rejection bound, 2**32 mod n
+        self.threshold = (2**32 - self.size) % self.size
+
+    def key(self, code: int) -> tuple[str, FieldTuple]:
+        i = int(np.searchsorted(self.base, code, side="right")) - 1
+        t, rest = self.templates[i], code - int(self.base[i])
+        return t.source, tuple(
+            (key, pool[rest // stride % len(pool)])
+            for (key, pool), stride in zip(t.fields, self.strides[i])
+        )
 
 
 def _child_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -169,67 +269,168 @@ def _child_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
-_timestamp = attrgetter("timestamp")
+def _background_batches(cfg: ScenarioConfig, rng: np.random.Generator) -> Iterator[_Batch]:
+    """Window by window, each template's Poisson count, drawn as it is asked for."""
+    for w in range(cfg.n_windows):
+        start = cfg.origin + w * cfg.window_length
+        for i, template in enumerate(cfg.templates):
+            yield i, start, int(rng.poisson(template.rate))
 
 
-def _alerts(template: AlertTemplate, count: int, start: float, length: float,
-            rng: np.random.Generator) -> Iterator[AlertRecord]:
-    """`count` alerts of one template, each timed uniformly over the window
-    that opens at `start`."""
-    for _ in range(count):
-        ts = start + float(rng.uniform(0.0, length))
-        yield AlertRecord(template.source, ts, template.sample_fields(rng))
-
-
-def _attack_alerts(cfg: ScenarioConfig, rng: np.random.Generator) -> list[AlertRecord]:
-    """The attack's alerts in draw order, wave by wave."""
-    records: list[AlertRecord] = []
+def _attack_batches(cfg: ScenarioConfig) -> Iterator[_Batch]:
     if cfg.attack is not None:
-        for wave in cfg.attack.waves:
+        for i, wave in enumerate(cfg.attack.waves, len(cfg.templates)):
             window = cfg.attack.start_window + wave.window_offset
-            start = cfg.origin + window * cfg.window_length
-            records.extend(_alerts(wave.template, wave.count, start, cfg.window_length, rng))
-    return records
+            yield i, cfg.origin + window * cfg.window_length, wave.count
 
 
-def attack_records(cfg: ScenarioConfig) -> list[AlertRecord]:
+def _per_alert(rng: np.random.Generator, batches: Iterator[_Batch], book: _Codebook,
+               length: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Times and codes in draw order, one numpy call per draw, as one chunk."""
+    times: list[float] = []
+    codes: list[int] = []
+    for i, start, count in batches:
+        pools = [(len(pool), stride)
+                 for (_, pool), stride in zip(book.templates[i].fields, book.strides[i])]
+        base = int(book.base[i])
+        for _ in range(count):
+            times.append(start + float(rng.uniform(0.0, length)))
+            codes.append(base + sum(int(rng.integers(n)) * stride for n, stride in pools))
+    return [(np.array(times, dtype=np.float64), np.array(codes, dtype=np.int64))]
+
+
+def _columns(rng: np.random.Generator, batches: Iterator[_Batch], book: _Codebook,
+             length: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Times and codes in draw order, from each batch's raw words, in chunks
+    of about `_DECODE_SLICE` alerts."""
+    if not book.decodable:
+        raise _Rejected
+    raw = rng.bit_generator.random_raw
+    decoded: list[tuple[np.ndarray, np.ndarray]] = []
+    rows: list[tuple[int, float, int, int, int]] = []
+    words: list[np.ndarray] = []
+    # `spare` is the buffered high half of the last fresh word, or -1.
+    spare, offset, pending = -1, 0, 0
+    for i, start, count in batches:
+        if not count:
+            continue
+        halves = count * int(book.k[i])
+        carried = spare >= 0
+        fresh = max(0, (halves - carried + 1) // 2)
+        rows.append((i, start, count, spare, offset))
+        words.append(raw(count + fresh))
+        if halves:
+            # the last fresh word is the batch's last word
+            spare = int(words[-1][-1] >> 32) if carried + 2 * fresh > halves else -1
+        offset += count + fresh
+        pending += count
+        if pending >= _DECODE_SLICE:
+            decoded.append(_decode(np.concatenate(words), rows, book, length))
+            rows, words, offset, pending = [], [], 0, 0
+    if rows:
+        decoded.append(_decode(np.concatenate(words), rows, book, length))
+    return decoded
+
+
+def _decode(words: np.ndarray, rows: list[tuple[int, float, int, int, int]],
+            book: _Codebook, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and codes of the batches `rows` from their words.
+
+    A row is (template, window start, alert count, buffered half or -1,
+    offset of the batch's first word). Alert j of a batch that starts with
+    b buffered halves and draws k halves per alert takes its uniform word
+    after j earlier uniforms and ceil((j*k - b) / 2) fresh words. Its half
+    g = j*k + f, for g >= b, is half (g - b) % 2 (low first) of fresh word
+    q = (g - b) // 2, which is drawn right after alert (2q + b) // k's
+    uniform."""
+    template, start, count, spare, offset = map(np.array, zip(*rows))
+    batch = np.repeat(np.arange(len(rows)), count)
+    j = np.arange(len(batch)) - np.repeat(np.cumsum(count) - count, count)
+    t = template[batch]
+    k = book.k[t]
+    carry = spare[batch]
+    b = (carry >= 0).astype(np.int64)
+    base = offset[batch]
+    jk = j * k
+    u = words[base + j + (jk - b + 1) // 2] >> np.uint64(11)
+    times = start[batch] + length * (u.astype(np.float64) * 2.0**-53)
+    codes = book.base[t]
+    for f in range(book.size.shape[1]):
+        m = k > f
+        g = jk[m] + f - b[m]
+        q = g // 2
+        word = words[np.where(g < 0, 0, base[m] + q + (2 * q + b[m]) // k[m] + 1)]
+        half = np.where(g < 0, carry[m].astype(np.uint64),
+                        np.where(g % 2 == 1, word >> np.uint64(32), word & _MASK32))
+        product = half * book.size[t[m], f]
+        if (product & _MASK32 < book.threshold[t[m], f]).any():
+            raise _Rejected
+        codes[m] += (product >> np.uint64(32)).astype(np.int64) * book.stride[t[m], f]
+    return times, codes
+
+
+def attack_records(cfg: ScenarioConfig) -> Alerts:
     """The injected attack alerts alone (deterministic per seed), sorted."""
-    cfg.validate()
-    return sorted(_attack_alerts(cfg, _child_rngs(cfg.seed)[1]), key=_timestamp)
+    return generate_scenario(replace(cfg, templates=[], spike=None))
 
 
-def generate_background(cfg: ScenarioConfig) -> list[AlertRecord]:
+def generate_background(cfg: ScenarioConfig) -> Alerts:
     """Poisson-sampled background alerts, sorted by timestamp."""
     return generate_scenario(replace(cfg, attack=None, spike=None))
 
 
-def generate_scenario(cfg: ScenarioConfig) -> list[AlertRecord]:
+def _draw(cfg: ScenarioConfig, book: _Codebook,
+          method: Callable[..., list[tuple[np.ndarray, np.ndarray]]]
+          ) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """Background then attack times and codes, each in draw order; the
+    spike stream last."""
+    background_rng, attack_rng, spike_rng = _child_rngs(cfg.seed)
+    length = cfg.window_length
+    chunks = [
+        *method(background_rng, _background_batches(cfg, background_rng), book, length),
+        *method(attack_rng, _attack_batches(cfg), book, length),
+    ]
+    times = np.concatenate([np.empty(0), *(t for t, _ in chunks)])
+    codes = np.concatenate([np.empty(0, dtype=np.int64), *(c for _, c in chunks)])
+    return times, codes, spike_rng
+
+
+def generate_scenario(cfg: ScenarioConfig) -> Alerts:
     """Background plus whatever injections the config declares, sorted by
     timestamp. The sorts are stable, so equal timestamps keep background
     before attack before spike copies, and each stream's draw order."""
     cfg.validate()
-    background_rng, attack_rng, spike_rng = _child_rngs(cfg.seed)
-    length = cfg.window_length
-    stream: list[AlertRecord] = []
-    for w in range(cfg.n_windows):
-        start = cfg.origin + w * length
-        for template in cfg.templates:
-            count = int(background_rng.poisson(template.rate))
-            stream.extend(_alerts(template, count, start, length, background_rng))
-    stream += _attack_alerts(cfg, attack_rng)
-    stream.sort(key=_timestamp)
+    book = _Codebook(cfg.drawn_templates())
+    try:
+        times, codes, spike_rng = _draw(cfg, book, _columns)
+    except _Rejected:
+        logger.info("a bounded draw was rejected; drawing the scenario again alert by alert")
+        times, codes, spike_rng = _draw(cfg, book, _per_alert)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    codes = codes[order]
     if cfg.spike is not None:
         # re-drawn copies of every alert timed in [start, start + length)
+        length = cfg.window_length
         start = cfg.origin + cfg.spike.window * length
-        lo = bisect_left(stream, start, key=_timestamp)
-        hi = bisect_left(stream, start + length, key=_timestamp)
-        for record in stream[lo:hi]:
-            for _ in range(cfg.spike.multiplier - 1):
-                ts = start + float(spike_rng.uniform(0.0, length))
-                stream.append(AlertRecord(record.source, ts, dict(record.fields)))
-        stream.sort(key=_timestamp)
-    logger.info("generated %d alerts over %d windows", len(stream), cfg.n_windows)
-    return stream
+        lo, hi = np.searchsorted(times, [start, start + length]).tolist()
+        copies = cfg.spike.multiplier - 1
+        spiked = np.concatenate([
+            times[lo:hi], start + spike_rng.uniform(0.0, length, size=(hi - lo) * copies)
+        ])
+        order = np.argsort(spiked, kind="stable")
+        times = np.concatenate([times[:lo], spiked[order], times[hi:]])
+        spiked_codes = np.concatenate([codes[lo:hi], np.repeat(codes[lo:hi], copies)])
+        codes = np.concatenate([codes[:lo], spiked_codes[order], codes[hi:]])
+    # The distinct codes by a sort: with numpy 2.4, np.unique here allocates
+    # and frees a table that leaves the process several MB larger.
+    ordered = np.sort(codes)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    logger.info("generated %d alerts over %d windows", len(times), cfg.n_windows)
+    return Alerts(times, np.searchsorted(distinct, codes),
+                  [book.key(code) for code in distinct.tolist()])
 
 
 # -- the default scenario ---------------------------------------------------------

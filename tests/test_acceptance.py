@@ -23,7 +23,7 @@ from artifact.dynamics import (
     score_windows,
     update_series,
 )
-from artifact.graph import build_graph
+from artifact.graph import build_graph, build_weighted_graph
 from artifact.ingest import AlertRecord, layer_for, write_jsonl
 from artifact.pipeline import PipelineConfig, score, train
 from artifact.roles import (
@@ -322,7 +322,7 @@ def e2e(tmp_path_factory):
 
     lo = scenario.origin + SPIKE_WINDOW * scenario.window_length
     hi = lo + scenario.window_length
-    spiked_w31 = [r for r in stream if lo <= r.timestamp < hi]
+    spiked_w31 = stream.field_counts(stream.before(lo), stream.before(hi))
     n_alerts = len(stream)
     del stream
 
@@ -393,10 +393,10 @@ def test_criterion_6_volume_spike_control(e2e):
     background = generate_background(scenario)
     lo = scenario.origin + SPIKE_WINDOW * scenario.window_length
     hi = lo + scenario.window_length
-    base_records = [r for r in background if lo <= r.timestamp < hi]
+    base_counts = background.field_counts(background.before(lo), background.before(hi))
     del background
-    g_base = build_graph(base_records)
-    g_spiked = build_graph(e2e["spiked_w31"])
+    g_base = build_weighted_graph(base_counts)
+    g_spiked = build_weighted_graph(e2e["spiked_w31"])
 
     if set(g_spiked.nodes()) != set(g_base.nodes()):
         failures.append("duplication changed the node set")

@@ -1,8 +1,11 @@
 """Parser and windowing tests, checked against hand-built reference parsers."""
 
 import ipaddress
+import json
 import math
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SnortYears
 
+import artifact.ingest
 from artifact.ingest import (
     MAX_TIMESTAMP,
     AlertRecord,
@@ -495,6 +499,40 @@ def test_jsonl_round_trip(tmp_path):
     back = read_jsonl_file(path, stats).records()
     assert back == records
     assert stats.parsed == 3 and stats.skipped == 0
+
+
+awkward_text = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", " ", "\ud800", "\udfff", "é", "😀"]),
+    max_size=8,
+)
+awkward_times = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1.0, 1614556800.0, math.nan, math.inf, -math.inf]
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    records=st.lists(
+        st.builds(AlertRecord, awkward_text, awkward_times,
+                  st.dictionaries(awkward_text, awkward_text, max_size=3)),
+        max_size=12,
+    ),
+    chunk=st.integers(1, 5),
+)
+def test_write_jsonl_writes_what_json_dumps_writes(records, chunk):
+    # Non-finite times are spelled NaN, Infinity and -Infinity, as json.dumps
+    # spells them, also in a chunk that mixes them with finite ones.
+    want = "".join(
+        json.dumps({"source": r.source, "ts": r.timestamp, "fields": r.fields},
+                   separators=(",", ":")) + "\n"
+        for r in records
+    )
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(artifact.ingest, "_WRITE_CHUNK", chunk)
+        path = Path(tmp) / "records.jsonl"
+        write_jsonl(records, path)
+        assert path.read_bytes() == want.encode("ascii")
 
 
 def test_jsonl_skips_malformed_lines(tmp_path):

@@ -2,13 +2,14 @@
 injection placement, and config validation."""
 
 import collections
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from artifact.graph import build_graph
+from artifact.graph import build_weighted_graph
 from artifact.ingest import window_partition
 from artifact.scenario import (
     AlertTemplate,
@@ -87,18 +88,33 @@ def record_key(r):
 
 def test_background_deterministic():
     cfg = small_cfg(seed=11)
-    assert generate_background(cfg) == generate_background(cfg)
+    assert generate_background(cfg).records() == generate_background(cfg).records()
 
 
 def test_full_scenario_deterministic():
     cfg = small_cfg(seed=11, with_attack=True, with_spike=True)
-    assert generate_scenario(cfg) == generate_scenario(cfg)
+    assert generate_scenario(cfg).records() == generate_scenario(cfg).records()
 
 
 def test_different_seeds_differ():
     a = generate_background(small_cfg(seed=1))
     b = generate_background(small_cfg(seed=2))
-    assert a != b
+    assert a.records() != b.records()
+
+
+# sha256 of the conftest `small_streams` files, as the per-alert generator
+# and the json.dumps writer wrote them
+SMALL_STREAM_SHA256 = {
+    "full": "7482c66849cce627a39ecaa8b839776c788176dff7815720806435b16dd1a4fa",
+    "quiet": "3fe11501c2aa41031a6bca037148e075319e4a0fc6b560f6191db5cb998b443f",
+}
+
+
+def test_small_streams_keep_their_bytes(small_streams):
+    assert {
+        name: hashlib.sha256(small_streams[name].read_bytes()).hexdigest()
+        for name in SMALL_STREAM_SHA256
+    } == SMALL_STREAM_SHA256
 
 
 def test_streams_sorted_by_timestamp():
@@ -168,7 +184,7 @@ def test_single_template_rate_lln():
 def test_zero_templates_empty_stream():
     cfg = small_cfg()
     cfg.templates = []
-    assert generate_background(cfg) == []
+    assert generate_background(cfg).records() == []
 
 
 def test_all_records_inside_scenario_span():
@@ -235,7 +251,7 @@ def test_default_attack_fraction_is_negligible():
 
 def test_no_attack_means_no_records():
     cfg = small_cfg(with_attack=False)
-    assert attack_records(cfg) == []
+    assert attack_records(cfg).records() == []
 
 
 # -- volume spike --------------------------------------------------------------
@@ -246,14 +262,12 @@ def test_spike_preserves_node_and_edge_sets():
     spec = cfg.window_spec()
     plain = generate_background(cfg)
     spiked = generate_scenario(cfg)
-    w = cfg.spike.window
-    plain_win = [r for r in plain
-                 if spec.window_of(r.timestamp) == w]
-    spiked_win = [r for r in spiked
-                  if spec.window_of(r.timestamp) == w]
-    assert len(spiked_win) == 10 * len(plain_win)
-    g_plain = build_graph(plain_win)
-    g_spiked = build_graph(spiked_win)
+    lo, hi = spec.span(cfg.spike.window)
+    plain_win = (plain.before(lo), plain.before(hi))
+    spiked_win = (spiked.before(lo), spiked.before(hi))
+    assert spiked_win[1] - spiked_win[0] == 10 * (plain_win[1] - plain_win[0])
+    g_plain = build_weighted_graph(plain.field_counts(*plain_win))
+    g_spiked = build_weighted_graph(spiked.field_counts(*spiked_win))
     assert g_plain.nodes() == g_spiked.nodes()
     plain_edges = {(u, v): w_ for u, v, w_ in g_plain.edges()}
     spiked_edges = {(u, v): w_ for u, v, w_ in g_spiked.edges()}
@@ -265,8 +279,8 @@ def test_spike_preserves_node_and_edge_sets():
 def test_spike_leaves_other_windows_untouched():
     cfg = small_cfg(seed=6, with_spike=True)
     spec = cfg.window_spec()
-    plain = generate_background(cfg)
-    spiked = generate_scenario(cfg)
+    plain = generate_background(cfg).records()
+    spiked = generate_scenario(cfg).records()
     for w in range(cfg.n_windows):
         if w == cfg.spike.window:
             continue
@@ -277,7 +291,7 @@ def test_spike_leaves_other_windows_untouched():
 
 def test_scenario_without_injections_is_background():
     cfg = small_cfg(with_spike=False)
-    assert generate_scenario(cfg) == generate_background(cfg)
+    assert generate_scenario(cfg).records() == generate_background(cfg).records()
 
 
 # -- validation -----------------------------------------------------------------
@@ -340,6 +354,12 @@ def test_spike_on_attack_window_rejected():
                           [AlertTemplate("bad", "snort", 1.0,
                                          (("color", ("red",)),))]),
         lambda c: setattr(c, "spike", SpikeSpec(window=5, multiplier=1)),
+        *(lambda c, rate=rate: setattr(c, "templates",
+                                        [AlertTemplate("bad", "snort", rate,
+                                                       (("sig_id", ("1",)),))])
+          for rate in (math.nan, math.inf, 1e20)),
+        lambda c: setattr(c, "attack", AttackSpec(7, (AttackWave(
+            0, AlertTemplate("bad", "snort", 1.0, (("sig_id", ()),)), 5),))),
     ],
 )
 def test_config_validation_rejects(mutate):

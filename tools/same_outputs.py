@@ -10,7 +10,10 @@ workload's inputs with its own generator and renderer, then runs its own
 does, ``score`` with ``-v``. The two trees must agree byte for byte on the
 rendered inputs' digest, ``scores.csv``, ``anomalies.json``, every bundle
 file, the stdout and exit code of both commands, and the parse counts
-``score`` logs (``read N lines: ... in the training span``). Each
+``score`` logs (``read N lines: ... in the training span``). At every
+input seed each tree also runs ``artifact simulate --config
+configs/default.ini --seed S``, the full 21-day scenario of its own config,
+and the two must agree on its stdout, exit code and ``alerts.jsonl``. Each
 difference is printed, and the exit code is 1 if there is any.
 
 Every run is a fresh interpreter in its own directory under a temporary
@@ -20,6 +23,7 @@ directory, with relative paths, so the printed paths match.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -84,6 +88,34 @@ def outputs(root: Path, work: Path, workload: str, seed: int) -> dict[str, str |
     return found
 
 
+def simulated(root: Path, work: Path, seed: int) -> dict[str, str]:
+    """The full-scale `simulate` run of one tree at one seed, by name; the
+    stream by its sha256."""
+    work.mkdir(parents=True)
+    done = run(root, work, [sys.executable, "-m", "artifact.cli", "simulate", "--config",
+                            str(root / "configs" / "default.ini"), "--seed", str(seed),
+                            "--out", "sim"])
+    found = {"simulate exit code": str(done.returncode), "simulate stdout": done.stdout}
+    stream = work / "sim" / "alerts.jsonl"
+    if stream.exists():
+        h = hashlib.sha256()
+        with open(stream, "rb") as fp:
+            while block := fp.read(1 << 22):
+                h.update(block)
+        found["simulate alerts.jsonl"] = h.hexdigest()
+        stream.unlink()
+    return found
+
+
+def compare(label: str, found: dict[str, dict]) -> int:
+    """Print whether the two trees' outputs agree; return how many differ."""
+    differ = sorted(key for key in found["this"].keys() | found["other"].keys()
+                    if found["this"].get(key) != found["other"].get(key))
+    print(f"{label}: " + (f"DIFFERENT {', '.join(differ)}" if differ
+                          else f"identical ({len(found['this'])} items)"), flush=True)
+    return len(differ)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", metavar="OTHER_SRC", type=Path,
@@ -102,12 +134,11 @@ def main(argv: list[str] | None = None) -> int:
             for seed in args.seeds:
                 found = {label: outputs(root, Path(tmp) / label / f"{name}-{seed}", name, seed)
                          for label, root in trees.items()}
-                differ = sorted(key for key in found["this"].keys() | found["other"].keys()
-                                if found["this"].get(key) != found["other"].get(key))
-                differences += len(differ)
-                print(f"{name} seed {seed}: "
-                      + (f"DIFFERENT {', '.join(differ)}" if differ
-                         else f"identical ({len(found['this'])} items)"), flush=True)
+                differences += compare(f"{name} seed {seed}", found)
+        for seed in args.seeds:
+            found = {label: simulated(root, Path(tmp) / label / f"simulate-{seed}", seed)
+                     for label, root in trees.items()}
+            differences += compare(f"full-scale simulate seed {seed}", found)
     return 1 if differences else 0
 
 
