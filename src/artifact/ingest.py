@@ -12,24 +12,28 @@ Three input formats are supported:
   year in the line (MM/DD/YY-) wins, and only a 2-digit one is read as 20YY.
   Only the signature id (the middle integer of the [gid:sid:rev] triple) and the two
   IP addresses are kept; message, classification, priority, protocol and
-  ports are parsed past and discarded. Yearless lines of the canonical shape
-  above, with six fraction digits and a "{PROTO} ip:port -> ip:port" tail,
-  take a block path: one match per 256 KiB piece, timestamps in numpy.
+  ports are parsed past and discarded. The canonical line is yearless, like
+  the one above, with six fraction digits and a "{PROTO} ip:port -> ip:port"
+  tail.
 
 * OSSEC ``alerts.log`` blocks ("** Alert <epoch>..." through a blank line).
   Kept fields: rule id, the log file from the location suffix, and the source
   IP when a "Src IP:" line is present. The hostname in the location prefix is
   carried along for :func:`normalize_record` to resolve against a host map.
-  Blocks of header, "(host) ip->logfile" location, Rule, Src IP, one free
-  line and an empty line take the block path too.
+  The canonical block is a header, a "(host) ip->logfile" location, Rule,
+  Src IP, one free line and an empty line.
 
 * A JSONL interchange format, one record per line:
   ``{"source": ..., "ts": ..., "fields": {...}}``. Sources other than
   snort/ossec are accepted as-is so third-party IDSs can feed the pipeline.
+  The canonical line is the one `write_jsonl` writes: those three keys in
+  that order, no space, and string field values.
 
-From the first piece that holds any other line or block to the end of the
-file, and for every JSONL line, a per-line scanner reads the file; a line or
-block gives the same timestamp, key and counts on either path.
+Every reader takes a file 256 KiB at a time and reads a piece whose lines or
+blocks are all canonical with one match, timestamps in numpy. From the first
+piece that holds any other line or block to the end of the file, a per-line
+scanner reads it; a line or block gives the same timestamp, key and counts
+on either path.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,6 +158,11 @@ def read_ini(
 def valid_timestamp(ts: float) -> bool:
     """A positive epoch second before year 10000; NaN and infinities fail."""
     return 0.0 < ts < MAX_TIMESTAMP
+
+
+def _in_range(times: np.ndarray) -> np.ndarray:
+    """`valid_timestamp` of each timestamp."""
+    return (times > 0.0) & (times < MAX_TIMESTAMP)
 
 
 # Field values become lines of the bundle's tab-separated registry.tsv, so
@@ -522,7 +532,7 @@ def _snort_times(text: str, days: _SnortDays) -> tuple[np.ndarray, np.ndarray]:
     times = total / 1e6
     big = np.flatnonzero(total >= _EXACT_MICROS)
     times[big] = [t / 1_000_000 for t in total[big].tolist()]
-    return times, exists & (times > 0.0) & (times < MAX_TIMESTAMP)
+    return times, exists & _in_range(times)
 
 
 def _snort_key(raw: tuple[str, str, str]) -> tuple[str, dict[str, str]]:
@@ -663,6 +673,8 @@ def _scan_jsonl(line: str) -> tuple[float, JsonlKey]:
     fields = payload["fields"]
     if not isinstance(fields, dict):
         raise ValueError("'fields' must be an object")
+    if isinstance(payload["ts"], bool):  # float(True) would be 1970-01-01T00:00:01
+        raise ValueError("timestamp is a boolean")
     ts = float(payload["ts"])
     if not valid_timestamp(ts):
         raise ValueError(f"timestamp {ts!r} is not a positive finite epoch")
@@ -681,56 +693,32 @@ def _jsonl_key(raw: JsonlKey) -> tuple[str, dict[str, str]]:
     return source, fields
 
 
-# The start of a line as `write_jsonl` writes it: the source, a string
-# without escapes, then the timestamp as a JSON number token. ASCII digits
+# A JSON string as json.dumps writes it: no control character, and only
+# JSON's escapes. Its first branch, a string without escapes, is the same
+# strings' common case without the escape loop: `findall` took a fifth less
+# time on the paper workload's file.
+_JSON_STR = (r'(?:"[^"\\\x00-\x1f]*"'
+             r'|"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*")')
+# The canonical JSONL line, the shape `write_jsonl` writes: a source, a JSON
+# number token and fields whose keys and values are all strings, with no
+# space and no other key, so the token is the "ts" json.loads keeps. Its
+# groups are the source text, the token and the fields text. ASCII digits
 # only, as json.loads takes them.
-_JSONL_HEAD_RE = re.compile(
-    r'\{"source":"[^"\\]*","ts":(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?),"fields":',
-    re.ASCII,
+_JSONL_LINE_RE = re.compile(
+    rf'^\{{"source":({_JSON_STR}),"ts":(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?),'
+    rf'"fields":(\{{(?:{_JSON_STR}:{_JSON_STR}(?:,{_JSON_STR}:{_JSON_STR})*|)\}})\}}$',
+    re.ASCII | re.M,
 )
 
 
-def _is_kept_ts(line: str, start: int, stop: int) -> bool:
-    """Whether json.loads keeps the number token at line[start:stop] as the
-    record's "ts". Two other numbers put in its place must both come back,
-    which rules out a later "ts" key of the same object."""
-    return all(
-        json.loads(line[:start] + token + line[stop:])["ts"] == float(token)
-        for token in ("0.5", "0.25")
-    )
+class _JsonlKeys(dict):
+    """The raw key of each (source text, fields text) of canonical lines,
+    decoded once: the key `_scan_jsonl` gives a line with those texts."""
 
-
-def _jsonl_scanner() -> Callable[[str], tuple[float, JsonlKey]]:
-    """A scanner of one file's JSONL lines: each line's timestamp and raw key.
-
-    A line of the `write_jsonl` shape is cut in two: its "ts" number token,
-    and the rest of the line. The raw key of each distinct rest is decoded
-    once, by `_scan_jsonl` on a whole line, and kept when the token is the
-    "ts" json.loads keeps; later lines with that rest only convert their
-    token: `float(token)` equals `float()` of the int or float json.loads
-    makes of it, and is infinite where that int would overflow or pass the
-    digit limit. Every other line, and a rest not yet known, takes
-    `_scan_jsonl`.
-    """
-    known: dict[str, JsonlKey] = {}
-
-    def scan(line: str) -> tuple[float, JsonlKey]:
-        head = _JSONL_HEAD_RE.match(line)
-        if head is not None:
-            start, stop = head.span(1)
-            rest = line[:start] + line[stop:]
-            raw = known.get(rest)
-            if raw is not None:
-                ts = float(head.group(1))
-                if not valid_timestamp(ts):
-                    raise ValueError(f"timestamp {ts!r} is not a positive finite epoch")
-                return ts, raw
-        ts, raw = _scan_jsonl(line)
-        if head is not None and _is_kept_ts(line, start, stop):
-            known[rest] = raw
-        return ts, raw
-
-    return scan
+    def __missing__(self, texts: tuple[str, str]) -> JsonlKey:
+        source, fields = map(json.loads, texts)
+        raw = self[texts] = (source, *fields, *fields.values())
+        return raw
 
 
 # Alerts `write_jsonl` takes out of the columns at a time.
@@ -803,52 +791,46 @@ def normalize_record(
 
 # --- File readers -----------------------------------------------------------
 #
-# One pass per file. Snort and OSSEC files are read a piece at a time, cut
-# after the last whole line (Snort) or before the last block (OSSEC). A Snort
-# piece whose lines all have the shape of `_SNORT_LINE_RE`, or an OSSEC piece
-# whose blocks all have the shape of `_OSSEC_BLOCK_RE`, takes the block path:
-# one match of the whole piece, timestamps and the cutoff in numpy, then a
-# dict lookup per kept key. The first piece that is not all canonical, and
-# every piece after it, goes through the per-line scanners, whose timestamps,
-# key ids and counts the block path reproduces: a file that mixes shapes
-# would otherwise pay the match and the scan on most of its pieces. JSONL is
-# read line by line. Bytes that are not UTF-8 decode to U+FFFD, so a damaged
-# byte costs at most the line or block it sits in.
+# One pass per file, one piece at a time: each piece ends after its last
+# whole line (Snort, JSONL) or before its last block (OSSEC). A piece whose
+# lines or blocks all have the canonical shape of their format
+# (`_SNORT_LINE_RE`, `_OSSEC_BLOCK_RE`, `_JSONL_LINE_RE`) is read with one
+# match: its timestamps, their validity and the cutoff in numpy, then a dict
+# lookup per kept key. From the first piece that is not all canonical to the
+# end of the file, the format's per-line scanner reads each line or block;
+# a file that mixes shapes would otherwise pay the match and the scan on
+# most of its pieces. Both paths give the same timestamps, key ids and
+# counts. Bytes that are not UTF-8 decode to U+FFFD, so a damaged byte costs
+# at most the line or block it sits in.
 
 _INVALID = -1
 
-# JSONL files are read through a 4 MiB buffer. Freeing a block this large
-# also raises glibc's mmap threshold, so the 100-200 KB numpy temporaries of
+# Files are read through a 4 MiB buffer. Freeing a block this large also
+# raises glibc's mmap threshold, so the 100-200 KB numpy temporaries of
 # feature and role fitting reuse heap memory instead of being mapped,
 # page-faulted and unmapped each time: with the default 8 KiB buffer,
 # training on a 390-node graph took ten times the page faults and 0.5 s more
 # system time.
 _READ_BUFFER = 1 << 22
 
-# Snort and OSSEC pieces are 256 KiB, which still lifts that threshold past
-# those temporaries. The block path holds a piece, its bytes and its matches
-# at once: with 4 MiB pieces the peak RSS of `train` and `score` on the
-# sensors workload rose from 49 to 74-79 MB; with 256 KiB pieces it stayed
-# at 49-51 MB, and they ran no slower.
+# Pieces are 256 KiB. The canonical path holds a piece, its bytes and its
+# matches at once: with 4 MiB pieces the peak RSS of `train` and `score` on
+# the sensors workload rose from 49 to 74-79 MB; with 256 KiB pieces it
+# stayed at 49-51 MB, and they ran no slower.
 _PIECE = 1 << 18
 
 
-def _open_text(path: str | Path) -> TextIO:
-    return open(path, encoding="utf-8", errors="replace", buffering=_READ_BUFFER)
-
-
 def _pieces(path: str | Path, cut: Callable[[str], int]) -> Iterator[str]:
-    """The text of a file, decoded as `_open_text` decodes it and read
-    `_PIECE` characters at a time. Each piece ends where `cut` says in the
-    text just read (0 for nowhere), and the rest is carried into the next;
-    what is left at the end comes last. A line or block longer than a piece
-    is carried as a list of parts, so it costs time in proportion to its
-    length. Against an unbuffered binary read with its own incremental
-    decoders, this took the same time and peak RSS (within 0.2 MB) on the
-    sensors workload.
+    """The text of a file, read `_PIECE` characters at a time. Each piece
+    ends where `cut` says in the text just read (0 for nowhere), and the
+    rest is carried into the next; what is left at the end comes last. A
+    line or block longer than a piece is carried as a list of parts, so it
+    costs time in proportion to its length. Against an unbuffered binary
+    read with its own incremental decoders, this took the same time and
+    peak RSS (within 0.2 MB) on the sensors workload.
     """
     parts: list[str] = []
-    with open(path, encoding="utf-8", errors="replace") as fp:
+    with open(path, encoding="utf-8", errors="replace", buffering=_READ_BUFFER) as fp:
         while text := fp.read(_PIECE):
             end = cut(text)
             if not end:
@@ -874,88 +856,136 @@ def _before_last_block(text: str) -> int:
     return max(empty + 2 if empty >= 0 else 0, text.rfind("\n** Alert") + 1)
 
 
-class _FileReader:
-    """Appends one file's alerts to `alerts` and counts them in `stats`.
+def _line_count(piece: str) -> int:
+    return piece.count("\n") + (not piece.endswith("\n"))
 
-    `build` checks a raw key and makes its (source, fields); it runs once
-    per distinct raw key of the file, which gets the next key id. An alert
-    with a valid timestamp before `cutoff` is counted in `training_span`.
+
+def _lines(piece: str) -> Iterator[str]:
+    return filter(str.strip, piece.split("\n"))
+
+
+# A piece read as rows: each row's timestamp, whether it is valid, and a
+# function from the kept rows' indices to their raw keys.
+Rows = tuple[np.ndarray, np.ndarray, Callable[[list[int]], Iterable]]
+
+
+def _snort_piece(piece: str, days: _SnortDays) -> Rows | None:
+    keys = _SNORT_LINE_RE.findall(piece)
+    # A match is a whole line with at least one arrow.
+    if not len(keys) == _line_count(piece) == piece.count("->"):
+        return None
+    return *_snort_times(piece, days), partial(map, keys.__getitem__)
+
+
+_OSSEC_RAW = itemgetter(3, 2, 4, 1)  # a block match's rule, logfile, src ip, host
+
+
+def _ossec_piece(piece: str) -> Rows | None:
+    blocks = _OSSEC_BLOCK_RE.findall(piece)
+    # Every block starts at a header line, and each match holds one.
+    if len(blocks) != piece.count("\n** Alert") + piece.startswith("** Alert"):
+        return None
+    times = np.array([int(block[0]) for block in blocks], dtype=np.float64)
+    return times, _in_range(times), lambda kept: map(_OSSEC_RAW, map(blocks.__getitem__, kept))
+
+
+_JSONL_TS, _JSONL_TEXTS = itemgetter(1), itemgetter(0, 2)  # of a line match
+
+
+def _jsonl_piece(piece: str, decoded: _JsonlKeys) -> Rows | None:
+    matches = _JSONL_LINE_RE.findall(piece)
+    if len(matches) != _line_count(piece):
+        return None
+    # `float(token)` equals `float()` of the int or float json.loads makes
+    # of it, and is infinite where that int would overflow or pass the
+    # digit limit, which json.loads and `_scan_jsonl` reject.
+    times = np.fromiter(map(float, map(_JSONL_TS, matches)), np.float64, len(matches))
+    return times, _in_range(times), lambda kept: map(
+        decoded.__getitem__, map(_JSONL_TEXTS, map(matches.__getitem__, kept))
+    )
+
+
+def _read(
+    path: str | Path,
+    stats: ParseStats,
+    alerts: Alerts | None,
+    cutoff: float | None,
+    *,
+    cut: Callable[[str], int],
+    canonical: Callable[[str], Rows | None],
+    split: Callable[[str], Iterable],
+    scan: Callable,
+    build: Callable,
+    errors: tuple[type[Exception], ...],
+    what: str,
+) -> Alerts:
+    """Append one file's alerts to `alerts` (a new table when None), count
+    its lines or blocks in `stats`, and return the table.
+
+    `canonical` reads a piece as rows, or gives None when the piece is not
+    all canonical; from then on `split` cuts each piece into the items that
+    `scan` reads into rows, a NaN timestamp for an item it rejects with one
+    of `errors`. A scanner may stop at a valid timestamp before `cutoff` and
+    give None for the raw key. Rows with a valid timestamp at or after the
+    cutoff are appended; the other valid rows are training-span lines, the
+    invalid ones skips. `build` checks a raw key and makes its (source,
+    fields); it runs once per distinct raw key of the file, in the order
+    they first appear, and each gets the next key id.
     """
+    alerts = Alerts() if alerts is None else alerts
+    limit = -math.inf if cutoff is None else cutoff
+    key_ids: dict = {}
 
-    def __init__(
-        self,
-        alerts: Alerts,
-        build: Callable,
-        errors: tuple[type[Exception], ...],
-        stats: ParseStats,
-        what: str,
-        cutoff: float | None,
-    ) -> None:
-        self.alerts, self.build, self.errors = alerts, build, errors
-        self.stats, self.what = stats, what
-        self.limit = -math.inf if cutoff is None else cutoff
-        self.key_ids: dict = {}
-
-    def _key_id(self, raw) -> int:
+    def key_id(raw) -> int:
         """The id of a raw key, or _INVALID when `build` rejects it."""
-        kid = self.key_ids.get(raw)
+        kid = key_ids.get(raw)
         if kid is None:
             try:
-                source, fields = self.build(raw)
-                kid = len(self.alerts.keys)
-                self.alerts.keys.append((source, tuple(fields.items())))
-            except self.errors as exc:
+                source, fields = build(raw)
+                kid = len(alerts.keys)
+                alerts.keys.append((source, tuple(fields.items())))
+            except errors as exc:
                 kid = _INVALID
-                logger.debug("skipping every %s with fields %r (%s)", self.what, raw, exc)
-            self.key_ids[raw] = kid
+                logger.debug("skipping every %s with fields %r (%s)", what, raw, exc)
+            key_ids[raw] = kid
         return kid
 
-    def _count(self, lines: int, parsed: int, training: int) -> None:
-        self.stats.lines += lines
-        self.stats.parsed += parsed
-        self.stats.training_span += training
-        self.stats.skipped += lines - parsed - training
-
-    def items(self, items: Iterable, scan: Callable) -> None:
-        """The per-line path: scan each item into (timestamp, raw key) and
-        append it. A scanner may stop at the timestamp of an item before the
-        cutoff and give None for its raw key."""
-        alerts, key_ids, limit = self.alerts, self.key_ids, self.limit
-        add_time, add_id = alerts.times.append, alerts.ids.append
-        before = len(alerts)
-        count = training = 0
-        for count, item in enumerate(items, 1):
+    def scanned(piece: str) -> Rows:
+        times, raws = array("d"), []
+        for item in split(piece):
             try:
                 ts, raw = scan(item)
-            except self.errors as exc:
-                logger.debug("skipping %s (%s): %r", self.what, exc, str(item)[:120])
-                continue
-            if raw is None or ts < limit:
-                training += 1
-                continue
-            kid = key_ids.get(raw)
-            if kid is None:
-                kid = self._key_id(raw)
-            if kid != _INVALID:
-                add_time(ts)
-                add_id(kid)
-        self._count(count, len(alerts) - before, training)
+            except errors as exc:
+                logger.debug("skipping %s (%s): %r", what, exc, str(item)[:120])
+                ts, raw = math.nan, None
+            times.append(ts)
+            raws.append(raw)
+        times = np.frombuffer(times)
+        return times, _in_range(times), partial(map, raws.__getitem__)
 
-    def rows(self, times: np.ndarray, valid: np.ndarray, raw_of: Callable[[int], object]) -> None:
-        """The block path: append the rows with a valid timestamp at or
-        after the cutoff, taking row i's raw key from `raw_of(i)`; the other
-        valid rows are training-span lines, the invalid ones skips."""
-        kept = np.flatnonzero(valid & (times >= self.limit))
-        raws = list(map(raw_of, kept.tolist()))
-        kids = list(map(self.key_ids.get, raws))
+    rows = canonical
+    for piece in _pieces(path, cut):
+        read = rows(piece)
+        if read is None:
+            rows = scanned
+            read = scanned(piece)
+        times, valid, raws_of = read
+        kept = np.flatnonzero(valid & (times >= limit))
+        raws = list(raws_of(kept.tolist()))
+        kids = list(map(key_ids.get, raws))
         if None in kids:  # new keys, built in the order they first appear
-            kids = [self._key_id(raw) if kid is None else kid for raw, kid in zip(raws, kids)]
+            kids = [key_id(raw) if kid is None else kid for raw, kid in zip(raws, kids)]
         ids = np.array(kids, dtype=np.int64)
         good = ids != _INVALID
-        self.alerts.times.frombytes(times[kept[good]].tobytes())
-        self.alerts.ids.frombytes(ids[good].tobytes())
-        self._count(len(times), int(np.count_nonzero(good)),
-                    int(np.count_nonzero(valid)) - len(kept))
+        alerts.times.frombytes(times[kept[good]].tobytes())
+        alerts.ids.frombytes(ids[good].tobytes())
+        parsed = int(np.count_nonzero(good))
+        training = int(np.count_nonzero(valid)) - len(kept)
+        stats.lines += len(times)
+        stats.parsed += parsed
+        stats.training_span += training
+        stats.skipped += len(times) - parsed - training
+    return alerts
 
 
 def read_snort_file(
@@ -970,33 +1000,11 @@ def read_snort_file(
     None) and return the table. Blank lines are not counted. A line with a
     valid timestamp before `cutoff` is counted in `stats.training_span` and
     read no further; so are the lines and blocks of the readers below."""
-    alerts = Alerts() if alerts is None else alerts
-    reader = _FileReader(alerts, _snort_key, (MalformedLineError,), stats, "snort line", cutoff)
     days = _SnortDays(year)
-    scan = _snort_scanner(days, cutoff)
-    fast = True
-    for piece in _pieces(path, _after_last_line):
-        if fast:
-            keys = _SNORT_LINE_RE.findall(piece)
-            lines = piece.count("\n") + (not piece.endswith("\n"))
-            # A match is a whole line with at least one arrow.
-            fast = len(keys) == lines == piece.count("->")
-        if fast:
-            reader.rows(*_snort_times(piece, days), keys.__getitem__)
-        else:
-            reader.items(filter(str.strip, piece.split("\n")), scan)
-    return alerts
-
-
-def _ossec_rows(blocks: list[tuple[str, ...]], reader: _FileReader) -> None:
-    times = np.array([int(block[0]) for block in blocks], dtype=np.float64)
-    valid = (times > 0.0) & (times < MAX_TIMESTAMP)
-
-    def raw_of(i: int) -> OssecKey:
-        _, host, logfile, rule, src = blocks[i]
-        return rule, logfile, src, host
-
-    reader.rows(times, valid, raw_of)
+    return _read(path, stats, alerts, cutoff, cut=_after_last_line,
+                 canonical=partial(_snort_piece, days=days), split=_lines,
+                 scan=_snort_scanner(days, cutoff), build=_snort_key,
+                 errors=(MalformedLineError,), what="snort line")
 
 
 def read_ossec_file(
@@ -1008,21 +1016,10 @@ def read_ossec_file(
 ) -> Alerts:
     """Append the alerts of an OSSEC alerts.log to `alerts`; one block is
     one counted line."""
-    alerts = Alerts() if alerts is None else alerts
-    reader = _FileReader(alerts, _ossec_key, (MalformedBlockError,), stats, "ossec block",
-                         cutoff)
-    scan = partial(_scan_ossec, cutoff=cutoff)
-    fast = True
-    for piece in _pieces(path, _before_last_block):
-        if fast:
-            blocks = _OSSEC_BLOCK_RE.findall(piece)
-            # Every block starts at a header line, and each match holds one.
-            fast = len(blocks) == piece.count("\n** Alert") + piece.startswith("** Alert")
-        if fast:
-            _ossec_rows(blocks, reader)
-        else:
-            reader.items(_ossec_blocks(piece.split("\n")), scan)
-    return alerts
+    return _read(path, stats, alerts, cutoff, cut=_before_last_block, canonical=_ossec_piece,
+                 split=lambda piece: _ossec_blocks(piece.split("\n")),
+                 scan=partial(_scan_ossec, cutoff=cutoff), build=_ossec_key,
+                 errors=(MalformedBlockError,), what="ossec block")
 
 
 def read_jsonl_file(
@@ -1035,12 +1032,10 @@ def read_jsonl_file(
     """Append the alerts of a JSONL file to `alerts`. A line that is not a
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
-    alerts = Alerts() if alerts is None else alerts
-    reader = _FileReader(alerts, _jsonl_key, (ValueError, KeyError, TypeError, OverflowError),
-                         stats, "jsonl line", cutoff)
-    with _open_text(path) as fp:
-        reader.items(filter(str.strip, fp), _jsonl_scanner())
-    return alerts
+    return _read(path, stats, alerts, cutoff, cut=_after_last_line,
+                 canonical=partial(_jsonl_piece, decoded=_JsonlKeys()), split=_lines,
+                 scan=_scan_jsonl, build=_jsonl_key,
+                 errors=(ValueError, KeyError, TypeError, OverflowError), what="jsonl line")
 
 
 # --- Windowing ---------------------------------------------------------------

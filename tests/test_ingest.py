@@ -545,11 +545,14 @@ def test_jsonl_skips_malformed_lines(tmp_path):
         '{"source":"snort","ts":NaN,"fields":{"sig_id":"1"}}\n'
         '{"source":"snort","ts":Infinity,"fields":{"sig_id":"1"}}\n'
         '{"source":"snort","ts":-Infinity,"fields":{"sig_id":"1"}}\n'
+        # float(True) is 1.0, a valid epoch second, but a boolean is no timestamp.
+        '{"source":"snort","ts":true,"fields":{"sig_id":"1"}}\n'
+        '{"source":"snort","ts":false,"fields":{"sig_id":"1"}}\n'
     )
     stats = ParseStats()
     records = read_jsonl_file(path, stats).records()
     assert len(records) == 1
-    assert stats.parsed == 1 and stats.skipped == 6
+    assert stats.parsed == 1 and stats.skipped == 8
     assert stats.parsed + stats.skipped == stats.lines
 
 

@@ -246,6 +246,35 @@ def test_alert_before_the_origin_is_left_out_of_training(tmp_path):
     assert with_early == without
 
 
+def test_boolean_ts_is_a_skipped_line_in_training(tmp_path):
+    """A first line whose "ts" is true is skipped: it does not become an
+    alert at 1970-01-01T00:00:01 that moves the derived origin to the epoch
+    and leaves one alert in the training span. The bundle is that of the
+    input without it, apart from the line counts."""
+    records = [
+        AlertRecord("snort", SMALL_ORIGIN + 60.0 * i,
+                    {"sig_id": str(100 + i % 3), "src_ip": f"10.0.0.{i % 4}",
+                     "dst_ip": "10.0.1.1"})
+        for i in range(12)
+    ]
+    plain = tmp_path / "plain.jsonl"
+    write_jsonl(records, plain)
+    boolean = tmp_path / "boolean.jsonl"
+    boolean.write_text('{"source":"snort","ts":true,"fields":{"sig_id":"7","src_ip":"10.9.9.9"}}\n'
+                       + plain.read_text())
+
+    def bundle(path):
+        model = train(PipelineConfig(jsonl_paths=[path], out_dir=tmp_path / path.stem)).bundle_dir
+        return {f: (model / f).read_text() for f in BUNDLE_FILES if f != "SHA256SUMS"}
+
+    with_boolean, without = bundle(boolean), bundle(plain)
+    assert "records in training span: 12\n" in with_boolean["training_summary.txt"]
+    without["training_summary.txt"] = without["training_summary.txt"].replace(
+        "records parsed: 12 (skipped 0 of 12 lines)", "records parsed: 12 (skipped 1 of 13 lines)"
+    )
+    assert with_boolean == without
+
+
 # --- bundle corruption ----------------------------------------------------------
 
 

@@ -1,12 +1,12 @@
 """The timestamp-first readers against the per-line scanners they replaced.
 
-`read_jsonl_file` decodes each distinct record once, `read_snort_file`
-computes timestamps without a datetime per line and starts its address
-search at the arrow, and every reader stops at the timestamp of a line
-before a cutoff. `read_snort_file` and `read_ossec_file` also read a piece of
-canonical lines or blocks with one match, timestamps in numpy. The tests
-draw the read buffer too, so that lines and blocks straddle pieces, and mix
-canonical lines and blocks with odd ones in one piece.
+Every reader reads a piece of canonical lines or blocks with one match,
+timestamps in numpy, and decodes each distinct raw key once;
+`read_snort_file` computes timestamps without a datetime per line and starts
+its address search at the arrow, and every reader stops at the timestamp of
+a line before a cutoff. The tests draw the read buffer too, so that lines
+and blocks straddle pieces, and mix canonical lines and blocks with odd ones
+in one piece.
 
 The references below are the readers as they were: `_scan_jsonl` on every
 JSONL line, `_scan_ossec` on every OSSEC block, and a datetime and an
@@ -231,12 +231,14 @@ def jsonl_line(odd, token):
     junk=st.lists(st.sampled_from(["not json", "{", "[]", '{"source":"snort"'])),
     final_newline=st.booleans(),
     cutoff=CUTOFFS,
+    buffer=BUFFERS,
 )
-def test_jsonl_reader_matches_per_line_decoding(templates, picks, junk, final_newline, cutoff):
+def test_jsonl_reader_matches_per_line_decoding(templates, picks, junk, final_newline, cutoff,
+                                                buffer):
     lines = [jsonl_line(templates[i % len(templates)], token) for i, token in picks] + junk
     with tempfile.TemporaryDirectory() as tmp:
         path = write_lines(tmp, "a.jsonl", [l.encode() for l in lines], final_newline)
-        assert_reads_like_reference("jsonl", path, cutoff)
+        assert_reads_like_reference("jsonl", path, cutoff, buffer=buffer)
 
 
 def test_jsonl_duplicate_ts_is_never_cut_out(tmp_path):
@@ -266,6 +268,31 @@ def test_jsonl_known_rest_skips_what_json_would_skip(tmp_path):
     ))
     stats = assert_reads_like_reference("jsonl", path, None)
     assert (stats.parsed, stats.skipped) == (1, len(tokens) - 1)
+
+
+def test_jsonl_escapes_take_the_block_path(tmp_path, scanner_calls):
+    """Canonical lines whose source, keys and values hold JSON escapes and
+    raw non-ASCII text read like the reference without the per-line scanner;
+    a value that decodes to a tab is still a skip, and a key that decodes
+    the same as another text has that text's key id."""
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(
+        '{"source":%s,"ts":%s,"fields":{%s}}\n' % (source, T0 + i, fields)
+        for i, (source, fields) in enumerate([
+            (r'"sn\"ort"', r'"sig\\id":"1\/2","src_ip":"\u00f6"'),
+            (r'"sn\u00f6rt"', r'"sig_id":"\u00f6","\u00f6":"a\\"'),
+            (r'"snört"', r'"sig_id":"ö","ö":"a\\"'),
+            ('"snort"', r'"sig_id":"\t"'),
+            (r'"\/x"', r'"a\b\f\n\r":"1","b":"\ud83d\ude00"'),
+            (r'"snort"', r'"sig_id":"1","sig_id":"2"'),
+        ])
+    ), encoding="utf-8")
+    stats = assert_reads_like_reference("jsonl", path, None)
+    assert scanner_calls == []
+    assert (stats.parsed, stats.skipped) == (5, 1)
+    alerts = read_jsonl_file(path, ParseStats())
+    assert alerts.ids[1] == alerts.ids[2]
+    assert alerts.keys[0] == ('sn"ort', (("sig\\id", "1/2"), ("src_ip", "ö")))
 
 
 # --- Snort fast ------------------------------------------------------------------
@@ -527,10 +554,11 @@ def test_ossec_reader_with_cutoff_keeps_the_later_alerts(blocks, cutoff, buffer)
 
 @pytest.fixture
 def scanner_calls(monkeypatch):
-    """The lines and blocks that the per-line Snort scanner and `_scan_ossec`
-    are called on, in order."""
+    """The lines and blocks that the per-line Snort scanner, `_scan_ossec`
+    and `_scan_jsonl` are called on, in order."""
     calls = []
-    snort_scanner, scan_ossec = ingest._snort_scanner, ingest._scan_ossec
+    snort_scanner, scan_ossec, scan_jsonl = (
+        ingest._snort_scanner, ingest._scan_ossec, ingest._scan_jsonl)
 
     def counted_snort_scanner(*args, **kwargs):
         scan = snort_scanner(*args, **kwargs)
@@ -545,8 +573,13 @@ def scanner_calls(monkeypatch):
         calls.append(lines)
         return scan_ossec(lines, cutoff)
 
+    def counted_scan_jsonl(line):
+        calls.append(line)
+        return scan_jsonl(line)
+
     monkeypatch.setattr(ingest, "_snort_scanner", counted_snort_scanner)
     monkeypatch.setattr(ingest, "_scan_ossec", counted_scan_ossec)
+    monkeypatch.setattr(ingest, "_scan_jsonl", counted_scan_jsonl)
     return calls
 
 
@@ -554,6 +587,10 @@ RENDERED = {
     "snort": [canonical_snort_line(f"03/0{day}", f"{hour:02d}:00:00", 7919 * hour, str(hour % 5))
               for day in (1, 2) for hour in range(24)],
     "ossec": [canonical_ossec_block(str(int(T0) + 1800 * i), rule=str(5500 + i % 3))
+              for i in range(48)],
+    "jsonl": [json.dumps({"source": "snort", "ts": T0 + 1800 * i + i / 7,
+                          "fields": {"sig_id": str(i % 5), "src_ip": "10.0.0.1"}},
+                         separators=(",", ":"))
               for i in range(48)],
 }
 # Odd lines and blocks, each longer than the 40-character pieces below, so
@@ -566,6 +603,9 @@ ODD = {
                ""],
               ["a stray line between two blocks of the log", ""],
               RENDERED["ossec"][5][:3] + ["Src IP: (none)", "x", ""]],
+    "jsonl": ['{"source": "snort", "ts": 1614556800, "fields": {"sig_id": "1"}}',
+              "garbage: no JSON object on this line at all",
+              RENDERED["jsonl"][3].replace('"fields"', '"ts":1614556801,"fields"')],
 }
 FIRST_ODD = 20
 
@@ -573,13 +613,13 @@ FIRST_ODD = 20
 def scanned(fmt, items):
     """What the per-line scanners are called with on these lines or blocks:
     a block without its empty line, a stray line not at all."""
-    if fmt == "snort":
+    if fmt != "ossec":
         return list(items)
     return [block[:-1] for block in items if block[0].startswith("** Alert")]
 
 
 @pytest.mark.parametrize("buffer", [ingest._PIECE, 40])
-@pytest.mark.parametrize("fmt", ["snort", "ossec"])
+@pytest.mark.parametrize("fmt", ["snort", "ossec", "jsonl"])
 def test_block_path_leaves_the_rest_of_a_mixed_file_to_the_scanners(
     tmp_path, scanner_calls, fmt, buffer
 ):
@@ -593,7 +633,7 @@ def test_block_path_leaves_the_rest_of_a_mixed_file_to_the_scanners(
     first = 0 if buffer == ingest._PIECE else FIRST_ODD  # the file is one piece, or each item is
     for name, items, calls in (("rendered", RENDERED[fmt], []),
                                ("mixed", mixed, scanned(fmt, mixed[first:]))):
-        lines = items if fmt == "snort" else [line for block in items for line in block]
+        lines = items if fmt != "ossec" else [line for block in items for line in block]
         path = write_lines(tmp_path, name, [l.encode() for l in lines])
         for cutoff in (None, T0 + 36000):
             scanner_calls.clear()

@@ -13,8 +13,10 @@ file, the stdout and exit code of both commands, and the parse counts
 ``score`` logs (``read N lines: ... in the training span``). At every
 input seed each tree also runs ``artifact simulate --config
 configs/default.ini --seed S``, the full 21-day scenario of its own config,
-and the two must agree on its stdout, exit code and ``alerts.jsonl``. Each
-difference is printed, and the exit code is 1 if there is any.
+then ``train`` and ``score`` on that stream with the same config and model
+seed 7. The two must agree on the stream, and on every output, stdout,
+exit code and parse count of the three commands, as above. Each difference
+is printed, and the exit code is 1 if there is any.
 
 Every run is a fresh interpreter in its own directory under a temporary
 directory, with relative paths, so the printed paths match.
@@ -69,18 +71,25 @@ def outputs(root: Path, work: Path, workload: str, seed: int) -> dict[str, str |
     if rendered.returncode:
         raise SystemExit(f"{root}: rendering {workload} failed:\n{rendered.stderr}")
     digest, *commands = rendered.stdout.splitlines()
-    found: dict[str, str | bytes] = {"inputs digest": digest}
-    for line in commands:
-        argv = line.split("\t")
+    return {"inputs digest": digest,
+            **detect(root, work, [line.split("\t") for line in commands], workload)}
+
+
+def detect(root: Path, work: Path, commands: list[list[str]], what: str) -> dict[str, str | bytes]:
+    """Run `train` and `score` in `work` with model seed 7, `score` with
+    -v; their stdout, exit codes, parse counts and every file under
+    ./out, by name."""
+    found: dict[str, str | bytes] = {}
+    for argv in commands:
         if argv[0] == "score":
-            argv.append("-v")
+            argv = [*argv, "-v"]
         done = run(root, work, [sys.executable, "-m", "artifact.cli", *argv, "--seed", MODEL_SEED])
         found[f"{argv[0]} exit code"] = str(done.returncode)
         found[f"{argv[0]} stdout"] = done.stdout
         if argv[0] == "score":
             counts = PARSE_COUNTS.findall(done.stderr)
             if not counts and not done.returncode:
-                raise SystemExit(f"{root}: score logged no parse counts for {workload}")
+                raise SystemExit(f"{root}: score logged no parse counts for {what}")
             found["score parse counts"] = "\n".join(counts)
     out = work / "out"
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
@@ -88,14 +97,15 @@ def outputs(root: Path, work: Path, workload: str, seed: int) -> dict[str, str |
     return found
 
 
-def simulated(root: Path, work: Path, seed: int) -> dict[str, str]:
-    """The full-scale `simulate` run of one tree at one seed, by name; the
-    stream by its sha256."""
+def full_scale(root: Path, work: Path, seed: int) -> dict[str, str | bytes]:
+    """The full-scale `simulate` run of one tree at one seed, then `train`
+    and `score` on its stream, by name; the stream by its sha256."""
     work.mkdir(parents=True)
+    config = str(root / "configs" / "default.ini")
     done = run(root, work, [sys.executable, "-m", "artifact.cli", "simulate", "--config",
-                            str(root / "configs" / "default.ini"), "--seed", str(seed),
-                            "--out", "sim"])
-    found = {"simulate exit code": str(done.returncode), "simulate stdout": done.stdout}
+                            config, "--seed", str(seed), "--out", "sim"])
+    found: dict[str, str | bytes] = {"simulate exit code": str(done.returncode),
+                                     "simulate stdout": done.stdout}
     stream = work / "sim" / "alerts.jsonl"
     if stream.exists():
         h = hashlib.sha256()
@@ -103,6 +113,10 @@ def simulated(root: Path, work: Path, seed: int) -> dict[str, str]:
             while block := fp.read(1 << 22):
                 h.update(block)
         found["simulate alerts.jsonl"] = h.hexdigest()
+        inputs = ["--config", config, "--jsonl", "sim/alerts.jsonl", "--out", "out"]
+        found.update(detect(root, work, [["train", *inputs],
+                                         ["score", *inputs, "--model", "out/model"]],
+                            f"the full-scale stream at seed {seed}"))
         stream.unlink()
     return found
 
@@ -136,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
                          for label, root in trees.items()}
                 differences += compare(f"{name} seed {seed}", found)
         for seed in args.seeds:
-            found = {label: simulated(root, Path(tmp) / label / f"simulate-{seed}", seed)
+            found = {label: full_scale(root, Path(tmp) / label / f"simulate-{seed}", seed)
                      for label, root in trees.items()}
-            differences += compare(f"full-scale simulate seed {seed}", found)
+            differences += compare(f"full-scale simulate, train and score seed {seed}", found)
     return 1 if differences else 0
 
 
