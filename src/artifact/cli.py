@@ -15,19 +15,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from artifact.dynamics import SCORE_COLUMNS
-from artifact.ingest import parse_utc, write_jsonl
+from artifact.ingest import ConfigError, parse_utc, write_jsonl
 from artifact.pipeline import (
     PipelineConfig,
     PipelineError,
     load_pipeline_config,
     score,
     train,
-)
-from artifact.scenario import (
-    ConfigError,
-    default_scenario,
-    generate_scenario,
-    load_scenario_config,
 )
 
 logger = logging.getLogger(__name__)
@@ -144,7 +138,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _read_scores_csv(path: Path) -> list[dict[str, str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fp:
+        with open(path, newline="", encoding="utf-8-sig") as fp:
             reader = csv.reader(fp)
             try:
                 header = next(reader)
@@ -207,6 +201,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # train and score never need the scenario generator; it loads here only
+    from artifact.scenario import default_scenario, generate_scenario, load_scenario_config
+
     cfg = load_scenario_config(args.config) if args.config is not None else default_scenario()
     if args.seed is not None:
         cfg.seed = args.seed

@@ -154,6 +154,8 @@ SCORE_COLUMNS = (
     "aux_argmax_flips",
     "top_contributions",
 )
+# The node contributions each scored window lists, largest first.
+TOP_K = 5
 
 
 def _utc(ts: float) -> str:
@@ -162,10 +164,10 @@ def _utc(ts: float) -> str:
     )
 
 
-def _top_contributions(entry: WindowScore, top_k: int) -> str:
+def _top_contributions(entry: WindowScore) -> str:
     parts = [
         f"{layer}:{value}:{delta!r}"
-        for (layer, value), delta in entry.contributions[:top_k]
+        for (layer, value), delta in entry.contributions[:TOP_K]
     ]
     return ";".join(parts)
 
@@ -175,7 +177,6 @@ def write_score_csv(
     spans: Mapping[int, tuple[float, float]],
     alert_counts: Mapping[int, int],
     path: Path | str,
-    top_k: int = 5,
 ) -> None:
     """One row per scored window; aux_argmax_flips is a diagnostic extra that
     is not part of the score. A cell holding a comma or a quote is quoted."""
@@ -187,7 +188,7 @@ def write_score_csv(
             writer.writerow((
                 _utc(start), _utc(end), repr(e.score), int(e.flagged),
                 alert_counts.get(e.window, 0), e.argmax_flips,
-                _top_contributions(e, top_k),
+                _top_contributions(e),
             ))
 
 
@@ -195,7 +196,6 @@ def write_anomalies_json(
     report: AnomalyReport,
     spans: Mapping[int, tuple[float, float]],
     path: Path | str,
-    top_k: int = 5,
 ) -> None:
     payload = {
         "threshold": report.threshold,
@@ -208,7 +208,7 @@ def write_anomalies_json(
                 "aux_argmax_flips": e.argmax_flips,
                 "top_contributors": [
                     {"layer": layer, "value": value, "delta": delta}
-                    for (layer, value), delta in e.contributions[:top_k]
+                    for (layer, value), delta in e.contributions[:TOP_K]
                 ],
             }
             for e in report.flagged()

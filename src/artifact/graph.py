@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from artifact.ingest import AlertRecord, FieldTuple, layer_for
+from artifact.ingest import FieldTuple, layer_for
 
 Vertex = tuple[str, str]  # (layer, value)
 
@@ -157,7 +156,7 @@ class GraphSummary(NamedTuple):
     layer_counts: dict[str, int]
 
 
-def build_weighted_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> ArtifactGraph:
+def build_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> ArtifactGraph:
     """Build the co-occurrence graph of one window from its field tuples
     and how many alerts carry each. A tuple may come more than once; its
     counts then add up, as if it came once at its first place.
@@ -199,13 +198,6 @@ def build_weighted_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> Arti
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_vertices), out=indptr[1:])
     return ArtifactGraph(vertices, indptr, cols[order], weights[order])
-
-
-def build_graph(records: Iterable[AlertRecord]) -> ArtifactGraph:
-    """Build the co-occurrence graph for one window of normalized records."""
-    return build_weighted_graph(
-        Counter(tuple(record.fields.items()) for record in records).items()
-    )
 
 
 def graph_summary(g: ArtifactGraph) -> GraphSummary:

@@ -83,6 +83,10 @@ class PipelineError(ValueError):
     command line reports it as one `error:` line."""
 
 
+class ConfigError(ValueError):
+    """Scenario configuration is internally inconsistent."""
+
+
 class MalformedLineError(ValueError):
     """A Snort fast line is missing its timestamp, signature triple or IP pair."""
 
@@ -133,7 +137,7 @@ def read_ini(
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fp:
+        with open(path, encoding="utf-8-sig") as fp:
             parser.read_file(fp)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise error(f"{path}: cannot read config file: {' '.join(str(exc).split())}") from None
@@ -209,7 +213,7 @@ class Alerts:
     An alert costs 16 bytes; its source and fields are stored once per key,
     so memory grows with the keys rather than the alerts. The readers append
     to `array` columns in reading order and give each distinct raw key of a
-    file the next id, so equal keys may have several ids. `read_alerts`
+    file the next id, so equal keys may have several ids. `load_records`
     normalizes the keys and swaps in numpy columns sorted by time;
     `scenario.generate_scenario` returns numpy columns sorted by time too.
     Iterating the table yields one record per alert.
@@ -260,10 +264,6 @@ class Alerts:
             for k, n in zip(ids[order].tolist(), counts[order].tolist())
         ]
 
-    def records(self) -> list[AlertRecord]:
-        """One record per alert, in table order."""
-        return list(self)
-
 
 @dataclass
 class HostMap:
@@ -290,7 +290,7 @@ def _is_ipv4(text: str) -> bool:
 def load_hostmap(path: str | Path) -> HostMap:
     """Load a UTF-8 "hostname ip" per line text file; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PipelineError(f"hostmap {path} is not UTF-8 text: {exc}") from exc
     entries: dict[str, str] = {}
@@ -329,7 +329,7 @@ class WindowSpec:
             raise ValueError("window length must be positive")
         if self.training_cutoff < self.origin:
             raise ValueError("training_cutoff must be >= origin")
-        # `window_slices` casts the window index of every valid timestamp to int64
+        # `window_partition` casts the window index of every valid timestamp to int64
         if max(abs(self.origin), abs(MAX_TIMESTAMP - self.origin)) / self.length >= 2.0**63:
             raise ValueError("window length is too short: window indexes overflow 64 bits")
 
@@ -801,7 +801,8 @@ def normalize_record(
 # a file that mixes shapes would otherwise pay the match and the scan on
 # most of its pieces. Both paths give the same timestamps, key ids and
 # counts. Bytes that are not UTF-8 decode to U+FFFD, so a damaged byte costs
-# at most the line or block it sits in.
+# at most the line or block it sits in. A byte-order mark that starts a file
+# is dropped, as are those of hostmaps and INI files.
 
 _INVALID = -1
 
@@ -830,7 +831,7 @@ def _pieces(path: str | Path, cut: Callable[[str], int]) -> Iterator[str]:
     peak RSS (within 0.2 MB) on the sensors workload.
     """
     parts: list[str] = []
-    with open(path, encoding="utf-8", errors="replace", buffering=_READ_BUFFER) as fp:
+    with open(path, encoding="utf-8-sig", errors="replace", buffering=_READ_BUFFER) as fp:
         while text := fp.read(_PIECE):
             end = cut(text)
             if not end:
@@ -1040,33 +1041,7 @@ def read_jsonl_file(
 
 # --- Windowing ---------------------------------------------------------------
 
-def window_partition(
-    records: Sequence[AlertRecord],
-    spec: WindowSpec,
-    stats: ParseStats | None = None,
-) -> list[tuple[int, list[AlertRecord]]]:
-    """Assign records to windows by floor((ts - origin) / length).
-
-    Returns (window_index, records) pairs in index order, including empty
-    windows between occupied ones. Records before the origin are dropped with
-    a warning count.
-    """
-    buckets: dict[int, list[AlertRecord]] = {}
-    for record in records:
-        index = spec.window_of(record.timestamp)
-        if index < 0:
-            if stats:
-                stats.dropped_before_origin += 1
-            logger.warning("record at %s precedes window origin; dropped", record.timestamp)
-            continue
-        buckets.setdefault(index, []).append(record)
-
-    if not buckets:
-        return []
-    return [(k, buckets.get(k, [])) for k in range(min(buckets), max(buckets) + 1)]
-
-
-def window_slices(times: np.ndarray, spec: WindowSpec) -> list[tuple[int, int, int]]:
+def window_partition(times: np.ndarray, spec: WindowSpec) -> list[tuple[int, int, int]]:
     """The occupied windows of time-sorted timestamps, none before the
     origin, as (window, start, stop) slices of `times`, in window order."""
     index = np.floor((times - spec.origin) / spec.length).astype(np.int64)

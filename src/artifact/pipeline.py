@@ -37,7 +37,7 @@ from artifact.dynamics import (
     write_score_csv,
 )
 from artifact.features import FeatureSchema, apply_schema, fit_schema
-from artifact.graph import ArtifactGraph, Vertex, build_weighted_graph, graph_summary
+from artifact.graph import ArtifactGraph, Vertex, build_graph, graph_summary
 from artifact.ingest import (
     AlertRecord,
     Alerts,
@@ -54,13 +54,8 @@ from artifact.ingest import (
     read_jsonl_file,
     read_ossec_file,
     read_snort_file,
-    window_slices,
+    window_partition,
 )
-
-# Per-record stages that train and score no longer call. The stage tracer in
-# perfbench/spans.py still looks them up on this module.
-from artifact.graph import build_graph  # noqa: F401
-from artifact.ingest import window_partition  # noqa: F401
 from artifact.roles import (
     RoleModel,
     grid_csv,
@@ -188,7 +183,7 @@ def load_pipeline_config(path: Path | str) -> PipelineConfig:
 # -- input loading ---------------------------------------------------------------
 
 
-def read_alerts(
+def load_records(
     cfg: PipelineConfig, cutoff: float | None = None
 ) -> tuple[Alerts, ParseStats]:
     """Read every configured input file in one pass each, normalize each
@@ -233,12 +228,6 @@ def read_alerts(
     return alerts, stats
 
 
-def load_records(cfg: PipelineConfig) -> tuple[list[AlertRecord], ParseStats]:
-    """Every alert of `read_alerts` as a normalized record, time-sorted."""
-    alerts, stats = read_alerts(cfg)
-    return alerts.records(), stats
-
-
 def derive_window_spec(cfg: PipelineConfig, timestamps: Sequence[float]) -> WindowSpec:
     """Anchor the window grid: an explicit origin wins, otherwise the first
     timestamp floored to a whole window (epoch-aligned)."""
@@ -270,7 +259,7 @@ def training_graph(
         window = spec.window_of(ts)
         for key, value in fields:
             first_seen.setdefault((layer_for(key), value), window)
-    return first_seen, build_weighted_graph(counts)
+    return first_seen, build_graph(counts)
 
 
 def scoring_graphs(
@@ -279,9 +268,9 @@ def scoring_graphs(
     """(window, alert count, graph) for every occupied window after the
     training cutoff, in window order."""
     first = alerts.before(spec.training_cutoff)
-    for window, start, stop in window_slices(alerts.times[first:], spec):
+    for window, start, stop in window_partition(alerts.times[first:], spec):
         counts = alerts.field_counts(first + start, first + stop)
-        yield window, stop - start, build_weighted_graph(counts)
+        yield window, stop - start, build_graph(counts)
 
 
 # -- training -----------------------------------------------------------------
@@ -338,7 +327,7 @@ def _parse_metadata(text: str) -> dict[str, str]:
 def train(cfg: PipelineConfig) -> TrainResult:
     """Fit the feature schema and role model on the training span and persist
     the bundle under out_dir/model."""
-    alerts, stats = read_alerts(cfg)
+    alerts, stats = load_records(cfg)
     if not len(alerts):
         raise PipelineError("no records parsed from the configured inputs")
     spec = derive_window_spec(cfg, alerts.times)
@@ -471,7 +460,7 @@ def score(cfg: PipelineConfig, bundle_dir: Path | str) -> ScoreResult:
     after the training cutoff yields a header-only CSV.
     """
     model, schema, spec = load_bundle(bundle_dir)
-    alerts, stats = read_alerts(cfg, cutoff=spec.training_cutoff)
+    alerts, stats = load_records(cfg, cutoff=spec.training_cutoff)
     logger.info(
         "read %d lines: %d parsed, %d skipped, %d in the training span",
         stats.lines, stats.parsed, stats.skipped, stats.training_span,

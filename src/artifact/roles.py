@@ -412,9 +412,14 @@ class PropertyMatrix:
 # O(_BFS_BLOCK x nodes + edges).
 _BFS_BLOCK = 64
 
+# PageRank's damping factor, per-node L1 tolerance and iteration cap:
+# networkx's defaults.
+_PAGERANK_ALPHA = 0.85
+_PAGERANK_TOL = 1e-8
+_PAGERANK_MAX_ITER = 1000
 
-def _pagerank(g: ArtifactGraph, alpha: float = 0.85, tol: float = 1e-8,
-              max_iter: int = 1000) -> np.ndarray:
+
+def _pagerank(g: ArtifactGraph) -> np.ndarray:
     """Weighted PageRank by power iteration, step for step as networkx's
     `_pagerank_scipy` takes it: rows normalized to sum 1, the mass of nodes
     without edges spread uniformly, stop once the L1 change is below N*tol."""
@@ -426,14 +431,14 @@ def _pagerank(g: ArtifactGraph, alpha: float = 0.85, tol: float = 1e-8,
     x = np.repeat(1.0 / n, n)
     p = np.repeat(1.0 / n, n)
     dangling = np.where(S == 0)[0]
-    for _ in range(max_iter):
+    for _ in range(_PAGERANK_MAX_ITER):
         xlast = x
         # x @ A: each column adds its terms in row order, as scipy does
         xA = np.bincount(g.indices, weights=data * x[g.rows], minlength=n)
-        x = alpha * (xA + sum(x[dangling]) * p) + (1 - alpha) * p
-        if np.absolute(x - xlast).sum() < n * tol:
+        x = _PAGERANK_ALPHA * (xA + sum(x[dangling]) * p) + (1 - _PAGERANK_ALPHA) * p
+        if np.absolute(x - xlast).sum() < n * _PAGERANK_TOL:
             return x
-    raise ArithmeticError(f"pagerank did not converge in {max_iter} iterations")
+    raise ArithmeticError(f"pagerank did not converge in {_PAGERANK_MAX_ITER} iterations")
 
 
 def _eccentricity_betweenness(g: ArtifactGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -34,15 +34,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from artifact.ingest import Alerts, FieldTuple, LAYER_BY_FIELD, WindowSpec, parse_utc, read_ini
+from artifact.ingest import (
+    Alerts, ConfigError, FieldTuple, LAYER_BY_FIELD, WindowSpec, parse_utc, read_ini,
+)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ORIGIN = datetime(2021, 3, 1, tzinfo=timezone.utc).timestamp()
-
-
-class ConfigError(ValueError):
-    """Scenario configuration is internally inconsistent."""
 
 
 class SpanError(ConfigError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from artifact.graph import build_weighted_graph
+from artifact.graph import build_graph
 from artifact.ingest import AlertRecord, layer_for, write_jsonl
 from artifact.pipeline import PipelineConfig, train
 from artifact.scenario import default_scenario, generate_scenario
@@ -127,12 +128,18 @@ def make_random_records(seed: int, count: int, base_ts: float = 1_000_000.0) -> 
     return records
 
 
+def graph_of(records):
+    """The co-occurrence graph of normalized records: each distinct field
+    tuple once, at its first record, with its record count."""
+    return build_graph(Counter(tuple(r.fields.items()) for r in records).items())
+
+
 def link_graph(links=(), isolated=()):
     """A graph from (u, v, weight) links between (layer, value) vertices, in
     order, and vertices without links. A link is a 2-field tuple keyed by its
     layers (`layer_for` keeps a layer name as it is) that occurs `weight`
     times; an isolated vertex is a 1-field tuple."""
-    return build_weighted_graph(
+    return build_graph(
         [((u, v), w) for u, v, w in links] + [((x,), 1) for x in isolated]
     )
 

@@ -16,14 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_random_records
+from conftest import graph_of, make_random_records
 from artifact.dynamics import (
     MembershipSeries,
     detect_anomalies,
     score_windows,
     update_series,
 )
-from artifact.graph import build_graph, build_weighted_graph
+from artifact.graph import build_graph
 from artifact.ingest import AlertRecord, layer_for, write_jsonl
 from artifact.pipeline import PipelineConfig, score, train
 from artifact.roles import (
@@ -76,7 +76,7 @@ def test_criterion_1_fusion_fixture_and_cooccurrence_oracle():
             "src_ip": "10.10.255.77",
         }),
     ]
-    g = build_graph(records)
+    g = graph_of(records)
     if len(g) != 5:
         failures.append(f"expected 5 nodes, built {len(g)}")
     if g.edge_count != 6:
@@ -101,7 +101,7 @@ def test_criterion_1_fusion_fixture_and_cooccurrence_oracle():
                 continue
             key = (min(a, b), max(a, b))
             expected_weights[key] = expected_weights.get(key, 0) + 1
-    built = build_graph(random_records)
+    built = graph_of(random_records)
     built_weights = {(u, v): w for u, v, w in built.edges()}
     if set(built.nodes()) != expected_vertices:
         failures.append("vertex set disagrees with the brute-force oracle")
@@ -395,8 +395,8 @@ def test_criterion_6_volume_spike_control(e2e):
     hi = lo + scenario.window_length
     base_counts = background.field_counts(background.before(lo), background.before(hi))
     del background
-    g_base = build_weighted_graph(base_counts)
-    g_spiked = build_weighted_graph(e2e["spiked_w31"])
+    g_base = build_graph(base_counts)
+    g_spiked = build_graph(e2e["spiked_w31"])
 
     if set(g_spiked.nodes()) != set(g_base.nodes()):
         failures.append("duplication changed the node set")

@@ -94,7 +94,7 @@ def training_only_jsonl(small_streams, tmp_path_factory) -> Path:
     cutoff = SMALL_ORIGIN + 86400.0
     records = [
         r
-        for r in read_jsonl_file(small_streams["full"], ParseStats()).records()
+        for r in read_jsonl_file(small_streams["full"], ParseStats())
         if r.timestamp < cutoff
     ]
     path = tmp_path_factory.mktemp("empty") / "training_only.jsonl"
@@ -266,6 +266,17 @@ def test_report_is_idempotent(cli_scores, tmp_path):
     for name in ("plot.dat", "report.txt"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_report_reads_a_scores_csv_with_a_byte_order_mark(cli_scores, tmp_path):
+    """A spreadsheet that re-saves scores.csv as UTF-8 starts it with U+FEFF."""
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes("\ufeff".encode() + cli_scores.read_bytes())
+    for csv_path, sub in ((cli_scores, "plain"), (marked, "marked")):
+        assert main(["report", str(csv_path), "--out", str(tmp_path / sub)]) == 0
+    for name in ("plot.dat", "report.txt"):
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "marked" / name).read_bytes(), name
 
 
 def test_report_rejects_alien_header(tmp_path, capsys):
@@ -612,6 +623,17 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False", "False"]
+
+
+def test_cli_import_leaves_scenario_out():
+    """`train` and `score` never generate a scenario; `simulate` imports it."""
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, artifact.cli; print('artifact.scenario' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_scenario_import_leaves_pipeline_and_scipy_out():

@@ -1,6 +1,6 @@
 """The counted ingest against the per-alert pipeline it replaced.
 
-`read_alerts` keeps one timestamp and one key id per alert, and the graphs
+`load_records` keeps one timestamp and one key id per alert, and the graphs
 are built from distinct field tuples with counts. The references below are
 the per-alert read, normalize, sort, window and graph loops. Both must agree
 exactly: records, `ParseStats`, registry order and first-seen windows, and
@@ -20,13 +20,12 @@ from artifact.ingest import (
     layer_for,
     load_hostmap,
     normalize_record,
-    window_partition,
 )
 from artifact.pipeline import (
     PipelineConfig,
     derive_window_spec,
     load_records,
-    read_alerts,
+    load_records,
     scoring_graphs,
     training_graph,
 )
@@ -42,6 +41,17 @@ HOUR = 3600.0
 def reference_build_graph(records):
     """vertex -> {neighbor: weight}, one alert at a time."""
     return reference_adjacency((record.fields.items(), 1) for record in records)
+
+
+def reference_partition(records, spec):
+    """(window, records) per occupied window, in window order, one record at
+    a time; records before the origin are in none."""
+    buckets = {}
+    for record in records:
+        window = spec.window_of(record.timestamp)
+        if window >= 0:
+            buckets.setdefault(window, []).append(record)
+    return sorted(buckets.items())
 
 
 def reference_parse_jsonl(line):
@@ -88,7 +98,7 @@ def reference_train(records, spec):
     training = [r for r in records if r.timestamp < spec.training_cutoff]
     first_seen = {}
     in_windows = []
-    for window, bucket in window_partition(training, spec):
+    for window, bucket in reference_partition(training, spec):
         in_windows += bucket
         for record in bucket:
             for key, value in record.fields.items():
@@ -100,8 +110,7 @@ def reference_scoring(records, spec):
     scorable = [r for r in records if r.timestamp >= spec.training_cutoff]
     return [
         (window, len(bucket), reference_build_graph(bucket))
-        for window, bucket in window_partition(scorable, spec)
-        if bucket
+        for window, bucket in reference_partition(scorable, spec)
     ]
 
 
@@ -188,7 +197,7 @@ def test_counted_ingest_matches_per_alert_pipeline(alerts, hostmap, source, orig
             jsonl_paths=paths, hostmap_path=hostmap_path, source=source, origin=origin,
             window_hours=8.0, training_days=1.0,
         )
-        counted, stats = read_alerts(cfg)
+        counted, stats = load_records(cfg)
         records, want_stats = reference_load(cfg)
         assert stats == want_stats
         assert record_items(load_records(cfg)[0]) == record_items(records)
@@ -219,7 +228,7 @@ def test_equal_field_values_stay_distinct_vertices(tmp_path):
             for i, v in enumerate([1, 1.0, True, 1])
         )
     )
-    alerts, stats = read_alerts(PipelineConfig(jsonl_paths=[path], origin=ORIGIN))
+    alerts, stats = load_records(PipelineConfig(jsonl_paths=[path], origin=ORIGIN))
     assert stats.parsed == 4
     assert alerts.field_counts(0, len(alerts)) == [
         ((("sig_id", "1"), ("src_ip", "a")), 2),

@@ -17,10 +17,9 @@ from artifact.features import (
     fit_schema,
     primary_features,
 )
-from artifact.graph import build_graph
 from artifact.ingest import AlertRecord
 
-from conftest import link_graph, make_random_records, weighted_graphs
+from conftest import graph_of, link_graph, make_random_records, weighted_graphs
 
 
 def ring(n):
@@ -169,7 +168,7 @@ def test_kernels_match_the_loops_on_small_graphs(g):
 # --- primaries -----------------------------------------------------------
 
 def test_isolated_node_is_all_zero():
-    g = build_graph([AlertRecord("x", 1.0, {"sig_id": "9"})])
+    g = graph_of([AlertRecord("x", 1.0, {"sig_id": "9"})])
     fm = primary_features(g)
     assert fm.nodes == [("signature", "9")]
     assert fm.values.tolist() == [[0.0, 0.0, 0.0, 0.0]]
@@ -179,7 +178,7 @@ def test_triangle_with_weight_two():
     rec = AlertRecord(
         "snort", 1.0, {"sig_id": "5", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}
     )
-    g = build_graph([rec, rec])
+    g = graph_of([rec, rec])
     fm = primary_features(g)
     for row in fm.values:
         assert row.tolist() == [4.0, 1.0, 0.0, 1.0]
@@ -232,14 +231,14 @@ def test_three_node_path_collapses_by_rank():
 
 def test_recursion_retains_features_on_irregular_graph():
     records = make_random_records(seed=3, count=300)
-    schema, fm = fit_schema(build_graph(records), max_depth=3)
+    schema, fm = fit_schema(graph_of(records), max_depth=3)
     assert len(schema) > 4
     assert max(f.depth for f in schema.features) >= 1
     assert fm.values.shape[1] == len(schema)
 
 
 def test_pruning_soundness():
-    g = build_graph(make_random_records(seed=11, count=300))
+    g = graph_of(make_random_records(seed=11, count=300))
     schema, fm = fit_schema(g, max_depth=3, prune_tolerance=0.01)
     retained = fm.values
     kept = {(f.op, f.parent) for f in schema.features if f.depth > 0}
@@ -273,15 +272,15 @@ def test_pruning_soundness():
 
 
 def test_feature_count_never_exceeds_generation_cap():
-    g = build_graph(make_random_records(seed=5, count=400))
+    g = graph_of(make_random_records(seed=5, count=400))
     schema, _ = fit_schema(g, max_depth=3)
     assert len(schema) <= 4 + 8 + 16 + 32
 
 
 def test_fit_is_deterministic():
     records = make_random_records(seed=21, count=250)
-    s1, m1 = fit_schema(build_graph(records))
-    s2, m2 = fit_schema(build_graph(records))
+    s1, m1 = fit_schema(graph_of(records))
+    s2, m2 = fit_schema(graph_of(records))
     assert s1.dumps() == s2.dumps()
     assert np.array_equal(m1.values, m2.values)
 
@@ -289,7 +288,7 @@ def test_fit_is_deterministic():
 # --- apply -----------------------------------------------------------------
 
 def test_apply_reproduces_training_matrix_exactly():
-    g = build_graph(make_random_records(seed=8, count=200))
+    g = graph_of(make_random_records(seed=8, count=200))
     schema, fm = fit_schema(g)
     again = apply_schema(g, schema)
     assert again.nodes == fm.nodes
@@ -297,8 +296,8 @@ def test_apply_reproduces_training_matrix_exactly():
 
 
 def test_apply_matches_reference_evaluator_on_fresh_graph():
-    schema, _ = fit_schema(build_graph(make_random_records(seed=8, count=200)))
-    g2 = build_graph(make_random_records(seed=9, count=150))
+    schema, _ = fit_schema(graph_of(make_random_records(seed=8, count=200)))
+    g2 = graph_of(make_random_records(seed=9, count=150))
     fm = apply_schema(g2, schema)
     assert fm.values.shape == (len(g2), len(schema))
     expected = ref_eval_schema(g2, schema)
@@ -312,7 +311,7 @@ def test_apply_handles_isolated_nodes_with_recursive_schema():
         + [FeatureDef(4, 1, op="neighbor_sum", parent=0),
            FeatureDef(5, 1, op="neighbor_mean", parent=0)],
     )
-    g = build_graph([
+    g = graph_of([
         AlertRecord("x", 1.0, {"sig_id": "lonely"}),
         AlertRecord("snort", 2.0, {"sig_id": "5", "src_ip": "1.1.1.1", "dst_ip": "2.2.2.2"}),
     ])
@@ -332,7 +331,7 @@ def test_values_finite_and_nonnegative_on_assorted_graphs():
     graphs = [
         ring(5),
         star(6)[0],
-        build_graph(make_random_records(seed=2, count=120)),
+        graph_of(make_random_records(seed=2, count=120)),
     ]
     for g in graphs:
         schema, fm = fit_schema(g, max_depth=3)
@@ -344,7 +343,7 @@ def test_values_finite_and_nonnegative_on_assorted_graphs():
 # --- schema serialization ----------------------------------------------------
 
 def test_schema_round_trip():
-    schema, _ = fit_schema(build_graph(make_random_records(seed=15, count=200)))
+    schema, _ = fit_schema(graph_of(make_random_records(seed=15, count=200)))
     text = schema.dumps()
     back = FeatureSchema.loads(text)
     assert back == schema

@@ -6,10 +6,10 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from artifact.graph import build_graph, build_weighted_graph, graph_summary
+from artifact.graph import build_graph, graph_summary
 from artifact.ingest import AlertRecord, layer_for
 
-from conftest import assert_same_graph, make_random_records, reference_adjacency
+from conftest import assert_same_graph, graph_of, make_random_records, reference_adjacency
 
 
 def brute_force_counts(records):
@@ -44,7 +44,7 @@ OSSEC_REC = AlertRecord(
 
 
 def test_two_alert_fusion_fixture():
-    g = build_graph([SNORT_REC, OSSEC_REC])
+    g = graph_of([SNORT_REC, OSSEC_REC])
 
     expected_vertices = {
         ("signature", "215"),
@@ -78,7 +78,7 @@ def test_two_alert_fusion_fixture():
 
 def test_repeating_fixture_scales_weights_not_nodes():
     for k in (2, 5):
-        g = build_graph([SNORT_REC, OSSEC_REC] * k)
+        g = graph_of([SNORT_REC, OSSEC_REC] * k)
         assert len(g) == 5
         assert g.edge_count == 6
         assert g.total_weight == 6.0 * k
@@ -86,7 +86,7 @@ def test_repeating_fixture_scales_weights_not_nodes():
 
 
 def test_empty_input_gives_empty_graph():
-    g = build_graph([])
+    g = graph_of([])
     assert len(g) == 0
     assert g.edge_count == 0
     assert list(g.edges()) == []
@@ -98,7 +98,7 @@ def test_same_vertex_pair_is_skipped_no_self_loop():
     rec = AlertRecord(
         "snort", 1.0, {"sig_id": "7", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.1"}
     )
-    g = build_graph([rec])
+    g = graph_of([rec])
     assert len(g) == 2  # signature + the single collapsed ip vertex
     assert g.edge_count == 1
     assert g.weight(("ip", "10.0.0.1"), ("ip", "10.0.0.1")) == 0.0
@@ -108,7 +108,7 @@ def test_same_vertex_pair_is_skipped_no_self_loop():
 
 def test_graph_matches_brute_force_on_random_corpus():
     records = make_random_records(seed=7, count=500)
-    g = build_graph(records)
+    g = graph_of(records)
     vertices, weights = brute_force_counts(records)
     assert set(g.nodes()) == vertices
     assert graph_as_dict(g) == weights
@@ -128,10 +128,10 @@ def test_graph_matches_brute_force_on_random_corpus():
 
 def test_build_graph_is_order_invariant():
     records = make_random_records(seed=13, count=200)
-    g1 = build_graph(records)
+    g1 = graph_of(records)
     shuffled = records[:]
     random.Random(99).shuffle(shuffled)
-    g2 = build_graph(shuffled)
+    g2 = graph_of(shuffled)
     assert g1 == g2
     assert graph_as_dict(g1) == graph_as_dict(g2)
 
@@ -140,14 +140,14 @@ def test_build_graph_is_order_invariant():
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_random_graphs_always_match_brute_force(seed):
     records = make_random_records(seed=seed, count=40)
-    g = build_graph(records)
+    g = graph_of(records)
     vertices, weights = brute_force_counts(records)
     assert set(g.nodes()) == vertices
     assert graph_as_dict(g) == weights
 
 
 def test_neighbors_and_weighted_degree():
-    g = build_graph([SNORT_REC])
+    g = graph_of([SNORT_REC])
     sig = ("signature", "215")
     assert set(g.neighbors(sig)) == {("ip", "10.10.255.77"), ("ip", "10.10.255.254")}
     assert g.weighted_degree(sig) == 2.0
@@ -184,6 +184,6 @@ def field_counts(draw):
 @given(counts=field_counts())
 @example(counts=[])
 def test_weighted_graph_matches_dict_of_dicts_reference(counts):
-    g = build_weighted_graph(counts)
+    g = build_graph(counts)
     assert_same_graph(g, reference_adjacency(counts))
-    assert g == build_weighted_graph(counts[::-1])
+    assert g == build_graph(counts[::-1])

@@ -15,7 +15,7 @@ from artifact.pipeline import (
     PipelineError,
     apply_schema,
     derive_window_spec,
-    read_alerts,
+    load_records,
     scoring_graphs,
     training_graph,
 )
@@ -184,7 +184,7 @@ def test_nnls_matches_scipy_on_a_transposed_basis():
 
 def test_nnls_matches_scipy_on_trained_feature_rows(small_streams, small_trained, tmp_path):
     cfg = small_pipeline_config(small_streams, tmp_path)
-    alerts, _ = read_alerts(cfg)
+    alerts, _ = load_records(cfg)
     spec = derive_window_spec(cfg, alerts.times)
     graphs = [training_graph(alerts, spec)[1]]
     graphs += [g for _, _, g in scoring_graphs(alerts, spec)]

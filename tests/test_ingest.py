@@ -24,10 +24,10 @@ from artifact.ingest import (
     load_hostmap,
     normalize_record,
     read_jsonl_file,
+    read_ini,
     read_ossec_file,
     read_snort_file,
     window_partition,
-    window_slices,
     write_jsonl,
 )
 
@@ -150,7 +150,7 @@ def read_snort_text(tmp_path, text):
     path = tmp_path / "alert"
     path.write_text(text, encoding="utf-8")
     stats = ParseStats()
-    return read_snort_file(path, YEAR, stats).records(), stats
+    return list(read_snort_file(path, YEAR, stats)), stats
 
 
 def test_parse_snort_fast_basic(tmp_path):
@@ -186,7 +186,7 @@ def test_parse_snort_icmp_without_ports(tmp_path):
 def test_snort_corpus_matches_reference(data_dir):
     path = data_dir / "snort_fast_sample.txt"
     stats = ParseStats()
-    records = read_snort_file(path, YEAR, stats).records()
+    records = list(read_snort_file(path, YEAR, stats))
 
     lines = [l for l in path.read_text().splitlines() if l.strip()]
     years = SnortYears(YEAR)
@@ -237,7 +237,7 @@ def read_ossec_text(tmp_path, text):
     path = tmp_path / "alerts.log"
     path.write_text(text)
     stats = ParseStats()
-    return read_ossec_file(path, stats).records(), stats
+    return list(read_ossec_file(path, stats)), stats
 
 
 def test_parse_ossec_block_basic(tmp_path):
@@ -278,7 +278,7 @@ def test_two_concatenated_blocks_split_cleanly(tmp_path):
 def test_ossec_corpus_matches_reference(data_dir):
     path = data_dir / "ossec_alerts_sample.log"
     stats = ParseStats()
-    records = read_ossec_file(path, stats).records()
+    records = list(read_ossec_file(path, stats))
 
     blocks = ["\n".join(b) for b in _ossec_blocks(path.read_text().splitlines())]
     expected = [ref_parse_ossec(b) for b in blocks]
@@ -298,7 +298,7 @@ def test_ossec_undecodable_byte_parses_or_skips(tmp_path, anchor):
     damaged = anchor[:2] + b"\xff" + anchor[2:]
     path.write_bytes(OSSEC_BLOCK.encode().replace(anchor, damaged) + b"\n" + OSSEC_BLOCK.encode())
     stats = ParseStats()
-    records = read_ossec_file(path, stats).records()
+    records = list(read_ossec_file(path, stats))
     assert stats.lines == 2
     if anchor == b"Rule: 5503":  # the block loses its Rule line
         assert (stats.parsed, stats.skipped) == (1, 1)
@@ -389,16 +389,12 @@ def test_load_hostmap_rejects_duplicate(tmp_path):
 
 # --- windows -----------------------------------------------------------------
 
-def _rec(ts):
-    return AlertRecord("snort", ts, {"sig_id": "1", "src_ip": "1.1.1.1", "dst_ip": "2.2.2.2"})
-
-
 def test_window_boundaries_are_half_open():
     spec = WindowSpec(origin=1000.0, length=100.0)
     assert spec.window_of(1000.0) == 0
     assert spec.window_of(1100.0) == 1
-    parts = window_partition([_rec(1000.0), _rec(1100.0)], spec)
-    assert [(k, len(rs)) for k, rs in parts] == [(0, 1), (1, 1)]
+    parts = window_partition(np.array([1000.0, 1099.9, 1100.0]), spec)
+    assert parts == [(0, 0, 2), (1, 2, 3)]
 
 
 def test_window_partition_matches_brute_force_buckets():
@@ -406,34 +402,19 @@ def test_window_partition_matches_brute_force_buckets():
 
     rng = random.Random(42)
     spec = WindowSpec(origin=0.0, length=100.0)
-    records = [_rec(rng.uniform(0, 300)) for _ in range(1000)]
+    times = sorted(rng.uniform(0, 300) for _ in range(1000))
 
-    # brute-force oracle: test every window interval against every record
+    # brute-force oracle: test every window interval against every timestamp
     expected = {k: 0 for k in range(3)}
-    for r in records:
+    for ts in times:
         for k in range(3):
-            if 100.0 * k <= r.timestamp < 100.0 * (k + 1):
+            if 100.0 * k <= ts < 100.0 * (k + 1):
                 expected[k] += 1
 
-    parts = window_partition(records, spec)
-    sizes = {k: len(rs) for k, rs in parts}
+    parts = window_partition(np.array(times), spec)
+    sizes = {k: stop - start for k, start, stop in parts}
     assert sizes == expected
     assert sum(sizes.values()) == 1000
-
-
-def test_window_partition_drops_pre_origin_records():
-    stats = ParseStats()
-    spec = WindowSpec(origin=1000.0, length=100.0)
-    parts = window_partition([_rec(900.0), _rec(1050.0)], spec, stats)
-    assert stats.dropped_before_origin == 1
-    assert [(k, len(rs)) for k, rs in parts] == [(0, 1)]
-
-
-def test_window_partition_emits_empty_gaps():
-    spec = WindowSpec(origin=0.0, length=10.0)
-    parts = window_partition([_rec(5.0), _rec(35.0)], spec)
-    assert [k for k, _ in parts] == [0, 1, 2, 3]
-    assert [len(rs) for _, rs in parts] == [1, 0, 0, 1]
 
 
 @settings(deadline=None)
@@ -443,18 +424,18 @@ def test_window_partition_emits_empty_gaps():
 )
 def test_partition_is_exhaustive_and_disjoint(ts_list, length):
     spec = WindowSpec(origin=0.0, length=length)
-    records = [_rec(ts) for ts in ts_list if ts > 0]
-    parts = window_partition(records, spec)
-    seen = [r for _, rs in parts for r in rs]
-    assert len(seen) == len(records)
-    indices = [k for k, _ in parts]
-    assert indices == sorted(indices)
-    if indices:
-        assert indices == list(range(indices[0], indices[-1] + 1))
-    for k, rs in parts:
+    times = np.array(sorted(ts for ts in ts_list if ts > 0))
+    parts = window_partition(times, spec)
+    # the slices tile the timestamps, one per occupied window, in window order
+    bounds = [0] + [stop for _, _, stop in parts]
+    assert [start for _, start, _ in parts] == bounds[:-1]
+    assert bounds[-1] == len(times)
+    indices = [k for k, _, _ in parts]
+    assert indices == sorted(set(indices))
+    for k, start, stop in parts:
         lo, hi = spec.span(k)
-        for r in rs:
-            assert lo <= r.timestamp < hi
+        assert start < stop
+        assert all(lo <= ts < hi for ts in times[start:stop].tolist())
 
 
 @pytest.mark.parametrize("origin, length, cutoff", [
@@ -473,7 +454,7 @@ def test_window_spec_accepts_a_short_grid_whose_indexes_fit_int64():
     length = MAX_TIMESTAMP / 2.0**62
     spec = WindowSpec(origin=0.0, length=length)
     times = np.array([1.0, MAX_TIMESTAMP * (1 - 1e-16)])
-    assert [w for w, _, _ in window_slices(times, spec)] == [
+    assert [w for w, _, _ in window_partition(times, spec)] == [
         math.floor(t / length) for t in times
     ]
 
@@ -496,7 +477,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_jsonl(records, path)
     stats = ParseStats()
-    back = read_jsonl_file(path, stats).records()
+    back = list(read_jsonl_file(path, stats))
     assert back == records
     assert stats.parsed == 3 and stats.skipped == 0
 
@@ -550,7 +531,7 @@ def test_jsonl_skips_malformed_lines(tmp_path):
         '{"source":"snort","ts":false,"fields":{"sig_id":"1"}}\n'
     )
     stats = ParseStats()
-    records = read_jsonl_file(path, stats).records()
+    records = list(read_jsonl_file(path, stats))
     assert len(records) == 1
     assert stats.parsed == 1 and stats.skipped == 8
     assert stats.parsed + stats.skipped == stats.lines
@@ -567,7 +548,7 @@ def test_jsonl_skips_fields_that_do_not_encode_as_utf8(tmp_path):
         '{"source":"snort","ts":8.0,"fields":{"sig_id":"\\ud83d\\ude00"}}\n'
     )
     stats = ParseStats()
-    records = read_jsonl_file(path, stats).records()
+    records = list(read_jsonl_file(path, stats))
     assert [r.fields["sig_id"] for r in records] == ["1", "\U0001f600"]
     assert stats.parsed == 2 and stats.skipped == 2
 
@@ -575,5 +556,50 @@ def test_jsonl_skips_fields_that_do_not_encode_as_utf8(tmp_path):
 def test_jsonl_coerces_numeric_field_values(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"source":"snort","ts":1.0,"fields":{"sig_id":215}}\n')
-    [rec] = read_jsonl_file(path, ParseStats()).records()
+    [rec] = read_jsonl_file(path, ParseStats())
     assert rec.fields == {"sig_id": "215"}
+
+
+# --- byte-order marks ----------------------------------------------------------
+#
+# Windows tools start a UTF-8 file with U+FEFF. Every input reads past it.
+
+BOM = "\ufeff"
+SNORT_LINE = ("11/30-20:00:01.000000 [**] [1:215:3] MSG [**] "
+              "{TCP} 10.10.255.77:4444 -> 10.10.255.254:80\n")
+
+
+def test_snort_file_with_byte_order_mark_keeps_its_first_line(tmp_path):
+    records, stats = read_snort_text(tmp_path, BOM + SNORT_LINE * 2)
+    assert (stats.lines, stats.parsed, stats.skipped) == (2, 2, 0)
+    assert [r.fields["sig_id"] for r in records] == ["215", "215"]
+
+
+def test_ossec_file_with_byte_order_mark_keeps_its_first_block(tmp_path):
+    second = OSSEC_BLOCK.replace("1446578476.", "1446578477.")
+    records, stats = read_ossec_text(tmp_path, BOM + OSSEC_BLOCK + "\n" + second)
+    assert (stats.lines, stats.parsed, stats.skipped) == (2, 2, 0)
+    assert [r.timestamp for r in records] == [1446578476.0, 1446578477.0]
+
+
+def test_jsonl_file_with_byte_order_mark_keeps_its_first_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(BOM + "".join(
+        f'{{"source":"snort","ts":{ts},"fields":{{"sig_id":"1"}}}}\n' for ts in (5.0, 6.0)
+    ))
+    stats = ParseStats()
+    assert [r.timestamp for r in read_jsonl_file(path, stats)] == [5.0, 6.0]
+    assert (stats.lines, stats.parsed, stats.skipped) == (2, 2, 0)
+
+
+def test_hostmap_with_byte_order_mark_resolves_its_first_name(tmp_path):
+    path = tmp_path / "hosts.map"
+    path.write_text(BOM + "host1 10.0.0.1\nhost2 10.0.0.2\n")
+    assert load_hostmap(path).entries == {"host1": "10.0.0.1", "host2": "10.0.0.2"}
+
+
+def test_ini_with_byte_order_mark_reads_its_first_section(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(BOM + "[window]\nhours = 4\n")
+    keys = {("window", "hours"): ("window_hours", float)}
+    assert read_ini(path, keys, ValueError) == {"window_hours": 4.0}

@@ -515,7 +515,7 @@ def test_empty_post_training_input_yields_header_only_csv(
     cutoff = SMALL_ORIGIN + 2 * 86400.0
     training_only = [
         r
-        for r in read_jsonl_file(small_streams["full"], ParseStats()).records()
+        for r in read_jsonl_file(small_streams["full"], ParseStats())
         if r.timestamp < cutoff
     ]
     path = tmp_path / "training_only.jsonl"
@@ -572,18 +572,18 @@ def test_score_reads_the_same_with_and_without_its_cutoff(
         small_streams, tmp_path, jsonl_paths=[jsonl], snort_paths=[snort],
         ossec_paths=[ossec], snort_year=2021,
     )
-    read_alerts = artifact.pipeline.read_alerts
+    load_records = artifact.pipeline.load_records
     seen = []
 
     def recording(cfg, cutoff=None):
-        alerts, stats = read_alerts(cfg, cutoff=cutoff)
+        alerts, stats = load_records(cfg, cutoff=cutoff)
         seen.append(stats)
         return alerts, stats
 
-    monkeypatch.setattr(artifact.pipeline, "read_alerts", recording)
+    monkeypatch.setattr(artifact.pipeline, "load_records", recording)
     cut = score(cfg, small_trained.bundle_dir)
     outputs = cut.csv_path.read_bytes(), cut.json_path.read_bytes()
-    monkeypatch.setattr(artifact.pipeline, "read_alerts", lambda cfg, cutoff=None: recording(cfg))
+    monkeypatch.setattr(artifact.pipeline, "load_records", lambda cfg, cutoff=None: recording(cfg))
     full = score(cfg, small_trained.bundle_dir)
     assert (full.csv_path.read_bytes(), full.json_path.read_bytes()) == outputs
 

@@ -161,8 +161,8 @@ def assert_reads_like_reference(fmt, path, cutoff, year=YEAR, buffer=ingest._PIE
         assert got.keys == want.keys
         assert stats == want_stats
         return stats
-    kept = [r for r in want.records() if r.timestamp >= cutoff]
-    assert got.records() == kept
+    kept = [r for r in want if r.timestamp >= cutoff]
+    assert list(got) == kept
     assert stats.lines == want_stats.lines
     assert stats.parsed == len(kept)
     # Every alert the reference read before the cutoff is a training-span line.

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact.graph import build_weighted_graph
-from artifact.ingest import window_partition
+from artifact.graph import build_graph
 from artifact.scenario import (
     AlertTemplate,
     AttackSpec,
@@ -88,18 +87,18 @@ def record_key(r):
 
 def test_background_deterministic():
     cfg = small_cfg(seed=11)
-    assert generate_background(cfg).records() == generate_background(cfg).records()
+    assert list(generate_background(cfg)) == list(generate_background(cfg))
 
 
 def test_full_scenario_deterministic():
     cfg = small_cfg(seed=11, with_attack=True, with_spike=True)
-    assert generate_scenario(cfg).records() == generate_scenario(cfg).records()
+    assert list(generate_scenario(cfg)) == list(generate_scenario(cfg))
 
 
 def test_different_seeds_differ():
     a = generate_background(small_cfg(seed=1))
     b = generate_background(small_cfg(seed=2))
-    assert a.records() != b.records()
+    assert list(a) != list(b)
 
 
 # sha256 of the conftest `small_streams` files, as the per-alert generator
@@ -184,7 +183,7 @@ def test_single_template_rate_lln():
 def test_zero_templates_empty_stream():
     cfg = small_cfg()
     cfg.templates = []
-    assert generate_background(cfg).records() == []
+    assert list(generate_background(cfg)) == []
 
 
 def test_all_records_inside_scenario_span():
@@ -251,7 +250,7 @@ def test_default_attack_fraction_is_negligible():
 
 def test_no_attack_means_no_records():
     cfg = small_cfg(with_attack=False)
-    assert attack_records(cfg).records() == []
+    assert list(attack_records(cfg)) == []
 
 
 # -- volume spike --------------------------------------------------------------
@@ -266,8 +265,8 @@ def test_spike_preserves_node_and_edge_sets():
     plain_win = (plain.before(lo), plain.before(hi))
     spiked_win = (spiked.before(lo), spiked.before(hi))
     assert spiked_win[1] - spiked_win[0] == 10 * (plain_win[1] - plain_win[0])
-    g_plain = build_weighted_graph(plain.field_counts(*plain_win))
-    g_spiked = build_weighted_graph(spiked.field_counts(*spiked_win))
+    g_plain = build_graph(plain.field_counts(*plain_win))
+    g_spiked = build_graph(spiked.field_counts(*spiked_win))
     assert g_plain.nodes() == g_spiked.nodes()
     plain_edges = {(u, v): w_ for u, v, w_ in g_plain.edges()}
     spiked_edges = {(u, v): w_ for u, v, w_ in g_spiked.edges()}
@@ -279,8 +278,8 @@ def test_spike_preserves_node_and_edge_sets():
 def test_spike_leaves_other_windows_untouched():
     cfg = small_cfg(seed=6, with_spike=True)
     spec = cfg.window_spec()
-    plain = generate_background(cfg).records()
-    spiked = generate_scenario(cfg).records()
+    plain = list(generate_background(cfg))
+    spiked = list(generate_scenario(cfg))
     for w in range(cfg.n_windows):
         if w == cfg.spike.window:
             continue
@@ -291,7 +290,7 @@ def test_spike_leaves_other_windows_untouched():
 
 def test_scenario_without_injections_is_background():
     cfg = small_cfg(with_spike=False)
-    assert generate_scenario(cfg).records() == generate_background(cfg).records()
+    assert list(generate_scenario(cfg)) == list(generate_background(cfg))
 
 
 # -- validation -----------------------------------------------------------------

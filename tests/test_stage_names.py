@@ -1,6 +1,7 @@
 """The benchmark's stage tracer (`perfbench/spans.py`) swaps stage functions
 by their module-global names and reads counts off their results. A renamed
-stage or a changed result would leave its metrics reading 0."""
+stage, one that `train` and `score` stop calling, or a changed result would
+leave its metrics reading 0."""
 
 import importlib.util
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import artifact.cli
 import artifact.pipeline
 from artifact.dynamics import MembershipSeries
-from artifact.ingest import AlertRecord
 from artifact.roles import Membership
+
+from conftest import small_pipeline_config
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,26 +37,37 @@ def test_every_traced_stage_resolves(spans):
                 assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_graph_build_result_has_the_counts_the_tracer_reads(spans):
-    records = [
-        AlertRecord("snort", 1.0, {"sig_id": "1", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}),
-        AlertRecord("ossec", 2.0, {"rule_id": "5503", "src_ip": "10.0.0.1"}),
-    ]
-    graph = artifact.pipeline.build_graph(records)
+def test_train_and_score_run_every_traced_stage(spans, small_streams, tmp_path):
+    cfg = small_pipeline_config(small_streams, tmp_path)
     tracer = spans.Tracer()
-    spans.observe(tracer, spans.STAGES[artifact.pipeline]["build_graph"], (records,), graph)
+    with spans.traced(tracer):
+        artifact.cli.train(cfg)
+        result = artifact.cli.score(cfg, tmp_path / "model")
+    names = [s.name for s in tracer.spans]
+    assert set(names) == {n for table in spans.STAGES.values() for n in table.values()}
+    assert tracer.counters["ingest.normalize_calls"] > 0
+    assert names.count("graph.build") == len(result.scores) + 2
+
+
+def test_graph_build_result_has_the_counts_the_tracer_reads(spans):
+    counts = [
+        ((("sig_id", "1"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.2")), 1),
+        ((("rule_id", "5503"), ("src_ip", "10.0.0.1")), 1),
+    ]
+    graph = artifact.pipeline.build_graph(counts)
+    tracer = spans.Tracer()
+    spans.observe(tracer, spans.STAGES[artifact.pipeline]["build_graph"], (counts,), graph)
     assert tracer.counters["graph.build_calls"] == 1
     assert tracer.counters["graph.nodes"] == len(graph) == 4
     assert tracer.counters["graph.edges"] == graph.edge_count == 4
 
 
 def test_feature_and_role_results_have_the_counts_the_tracer_reads(spans):
-    records = [
-        AlertRecord("snort", 1.0, {"sig_id": "1", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}),
-        AlertRecord("snort", 2.0, {"sig_id": "2", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.3"}),
-        AlertRecord("ossec", 3.0, {"rule_id": "5503", "src_ip": "10.0.0.1"}),
-    ]
-    graph = artifact.pipeline.build_graph(records)
+    graph = artifact.pipeline.build_graph([
+        ((("sig_id", "1"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.2")), 1),
+        ((("sig_id", "2"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.3")), 1),
+        ((("rule_id", "5503"), ("src_ip", "10.0.0.1")), 1),
+    ])
     stages = spans.STAGES[artifact.pipeline]
     tracer = spans.Tracer()
 
