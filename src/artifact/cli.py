@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -139,6 +140,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 def _read_scores_csv(path: Path) -> list[dict[str, str]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fp:
+            # No cell is longer than the file, but a top_contributions cell
+            # can be longer than the csv module's default limit.
+            csv.field_size_limit(max(csv.field_size_limit(), os.fstat(fp.fileno()).st_size))
             reader = csv.reader(fp)
             try:
                 header = next(reader)
@@ -159,6 +163,8 @@ def _read_scores_csv(path: Path) -> list[dict[str, str]]:
             return rows
     except UnicodeDecodeError as exc:
         raise PipelineError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise PipelineError(f"{path} is not a readable CSV: {exc}") from None
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -159,14 +159,10 @@ def read_ini(
     return values
 
 
-def valid_timestamp(ts: float) -> bool:
-    """A positive epoch second before year 10000; NaN and infinities fail."""
-    return 0.0 < ts < MAX_TIMESTAMP
-
-
-def _in_range(times: np.ndarray) -> np.ndarray:
-    """`valid_timestamp` of each timestamp."""
-    return (times > 0.0) & (times < MAX_TIMESTAMP)
+def valid_timestamp(ts: float | np.ndarray) -> bool | np.ndarray:
+    """A positive epoch second before year 10000; NaN and infinities fail.
+    Of an array, one bool per timestamp."""
+    return (ts > 0.0) & (ts < MAX_TIMESTAMP)
 
 
 # Field values become lines of the bundle's tab-separated registry.tsv, so
@@ -532,7 +528,7 @@ def _snort_times(text: str, days: _SnortDays) -> tuple[np.ndarray, np.ndarray]:
     times = total / 1e6
     big = np.flatnonzero(total >= _EXACT_MICROS)
     times[big] = [t / 1_000_000 for t in total[big].tolist()]
-    return times, exists & _in_range(times)
+    return times, exists & valid_timestamp(times)
 
 
 def _snort_key(raw: tuple[str, str, str]) -> tuple[str, dict[str, str]]:
@@ -758,35 +754,33 @@ def write_jsonl(alerts: Alerts | Iterable[AlertRecord], path: str | Path) -> Non
 # --- Normalization ----------------------------------------------------------
 
 def normalize_record(
-    record: AlertRecord, hostmap: HostMap | None = None, stats: ParseStats | None = None
-) -> AlertRecord:
-    """Canonicalize field keys and fold the hostname into the ip layer.
+    fields: FieldTuple, hostmap: HostMap | None = None
+) -> tuple[FieldTuple, bool, bool]:
+    """Canonicalize a key's field names and fold its hostname into the ip
+    layer: (fields, whether the hostname was unresolved, whether it collided).
 
-    An unresolvable hostname stays as the src_ip value (counted and logged,
-    never fatal). A hostname that resolves to a different address than an
-    existing src_ip lands in a separate agent_ip field, still in the ip
-    layer. Idempotent: normalizing twice equals normalizing once.
+    An unresolvable hostname stays as the src_ip value (logged, never
+    fatal). A hostname that resolves to a different address than an existing
+    src_ip lands in a separate agent_ip field, still in the ip layer.
+    Idempotent: normalizing the fields twice equals normalizing them once.
     """
-    fields = {key.strip().lower(): value for key, value in record.fields.items()}
-    hostname = fields.pop("hostname", None)
+    folded = {key.strip().lower(): value for key, value in fields}
+    hostname = folded.pop("hostname", None)
+    unresolved = collided = False
     if hostname is not None:
         resolved = hostmap.resolve(hostname) if hostmap else None
         if resolved is None:
-            resolved = hostname
-            if stats:
-                stats.unresolved_hostnames += 1
+            resolved, unresolved = hostname, True
             logger.warning("unresolvable hostname %r kept as ip-layer value", hostname)
-        if "src_ip" not in fields:
-            fields["src_ip"] = resolved
-        elif fields["src_ip"] != resolved:
-            fields["agent_ip"] = resolved
-            if stats:
-                stats.hostname_collisions += 1
+        if "src_ip" not in folded:
+            folded["src_ip"] = resolved
+        elif folded["src_ip"] != resolved:
+            folded["agent_ip"], collided = resolved, True
             logger.warning(
                 "hostname %r resolves to %s but record already has src_ip %s",
-                hostname, resolved, fields["src_ip"],
+                hostname, resolved, folded["src_ip"],
             )
-    return AlertRecord(source=record.source, timestamp=record.timestamp, fields=fields)
+    return tuple(folded.items()), unresolved, collided
 
 
 # --- File readers -----------------------------------------------------------
@@ -887,7 +881,9 @@ def _ossec_piece(piece: str) -> Rows | None:
     if len(blocks) != piece.count("\n** Alert") + piece.startswith("** Alert"):
         return None
     times = np.array([int(block[0]) for block in blocks], dtype=np.float64)
-    return times, _in_range(times), lambda kept: map(_OSSEC_RAW, map(blocks.__getitem__, kept))
+    return times, valid_timestamp(times), lambda kept: map(
+        _OSSEC_RAW, map(blocks.__getitem__, kept)
+    )
 
 
 _JSONL_TS, _JSONL_TEXTS = itemgetter(1), itemgetter(0, 2)  # of a line match
@@ -901,7 +897,7 @@ def _jsonl_piece(piece: str, decoded: _JsonlKeys) -> Rows | None:
     # of it, and is infinite where that int would overflow or pass the
     # digit limit, which json.loads and `_scan_jsonl` reject.
     times = np.fromiter(map(float, map(_JSONL_TS, matches)), np.float64, len(matches))
-    return times, _in_range(times), lambda kept: map(
+    return times, valid_timestamp(times), lambda kept: map(
         decoded.__getitem__, map(_JSONL_TEXTS, map(matches.__getitem__, kept))
     )
 
@@ -962,7 +958,7 @@ def _read(
             times.append(ts)
             raws.append(raw)
         times = np.frombuffer(times)
-        return times, _in_range(times), partial(map, raws.__getitem__)
+        return times, valid_timestamp(times), partial(map, raws.__getitem__)
 
     rows = canonical
     for piece in _pieces(path, cut):

@@ -39,7 +39,6 @@ from artifact.dynamics import (
 from artifact.features import FeatureSchema, apply_schema, fit_schema
 from artifact.graph import ArtifactGraph, Vertex, build_graph, graph_summary
 from artifact.ingest import (
-    AlertRecord,
     Alerts,
     LAYER_BY_FIELD,
     MAX_TIMESTAMP,
@@ -210,14 +209,12 @@ def load_records(
     occurrences = np.bincount(ids, minlength=len(alerts.keys)).tolist()
     kept = np.ones(len(alerts.keys), dtype=bool)
     for kid, ((source, fields), n) in enumerate(zip(alerts.keys, occurrences)):
-        # Normalization reads no timestamp. It counts hostname problems per
-        # call, and the key stands for n alerts.
-        key_stats = ParseStats()
-        record = normalize_record(AlertRecord(source, 0.0, dict(fields)), hostmap, key_stats)
-        stats.unresolved_hostnames += n * key_stats.unresolved_hostnames
-        stats.hostname_collisions += n * key_stats.hostname_collisions
-        alerts.keys[kid] = (record.source, tuple(record.fields.items()))
-        kept[kid] = cfg.source is None or record.source == cfg.source
+        # A key stands for its n alerts, in the counts too.
+        fields, unresolved, collided = normalize_record(fields, hostmap)
+        stats.unresolved_hostnames += n * unresolved
+        stats.hostname_collisions += n * collided
+        alerts.keys[kid] = (source, fields)
+        kept[kid] = cfg.source is None or source == cfg.source
 
     times = np.frombuffer(alerts.times, dtype=np.float64)
     if cfg.source is not None:

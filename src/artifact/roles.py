@@ -322,23 +322,32 @@ _slsqp_nnls = _load_slsqp_nnls()
 _NNLS_CAP = "nonnegative least squares hit its iteration cap"
 
 
-def nnls(A, b) -> np.ndarray:
-    """The x >= 0 that minimizes ||Ax - b||, as `scipy.optimize.nnls(A, b)`
-    finds it, with the same input checks and cap of 3 x columns iterations.
-    A run that hits the cap ends with a PipelineError."""
+def nnls(A, B) -> np.ndarray:
+    """The X >= 0 that minimizes ||AX - B||, each column as
+    `scipy.optimize.nnls(A, b)` finds it from that column of B, with the
+    same input checks, made once, and cap of 3 x columns iterations. A
+    column that hits the cap ends with a PipelineError."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    B = np.asarray_chkfinite(B, dtype=np.float64, order="F")
+    # One solution per row of X, returned as X.T: `nnls(F.T, V.T).T` then
+    # has C-contiguous rows, which numpy sums in the order a lone row's
+    # `sum()` takes, past its 8-wide pairwise block too.
+    X = np.empty((B.shape[1], A.shape[1]))
     if _slsqp_nnls is None:
         from scipy.optimize import nnls as public_nnls
 
         try:
-            return public_nnls(A, b)[0]
+            for x, b in zip(X, B.T):
+                x[:] = public_nnls(A, b)[0]
         except RuntimeError:
             raise PipelineError(_NNLS_CAP) from None
-    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-    b = np.asarray_chkfinite(b, dtype=np.float64)
-    x, _, info = _slsqp_nnls(A, b, 3 * A.shape[1])
-    if info == 3:
-        raise PipelineError(_NNLS_CAP)
-    return x
+        return X.T
+    cap = 3 * A.shape[1]
+    for x, b in zip(X, B.T):
+        x[:], _, info = _slsqp_nnls(A, b, cap)
+        if info == 3:
+            raise PipelineError(_NNLS_CAP)
+    return X.T
 
 
 # -- memberships under fixed roles --------------------------------------------
@@ -362,9 +371,9 @@ class Membership:
 def memberships_fixed_F(V_t, model: RoleModel) -> Membership:
     """Project each node's feature row onto the frozen role definitions.
 
-    Nonnegative least squares per row, then L1 normalization; a row whose
-    projection is identically zero gets the uninformative uniform
-    distribution.
+    Nonnegative least squares of every row in one `nnls` call, then L1
+    normalization; a row whose projection is identically zero gets the
+    uninformative uniform distribution.
     """
     values = _values(V_t)
     nodes = V_t.nodes if isinstance(V_t, FeatureMatrix) else [
@@ -377,15 +386,9 @@ def memberships_fixed_F(V_t, model: RoleModel) -> Membership:
         )
     _check_nonnegative(values)
 
-    basis = model.F.T  # N_f x r
-    G = np.zeros((values.shape[0], model.n_roles))
-    for i, row in enumerate(values):
-        g = nnls(basis, row)
-        total = g.sum()
-        if total > 0.0:
-            G[i] = g / total
-        else:
-            G[i] = 1.0 / model.n_roles
+    G = nnls(model.F.T, values.T).T
+    totals = G.sum(axis=1, keepdims=True)
+    G = np.divide(G, totals, out=np.full(G.shape, 1.0 / model.n_roles), where=totals > 0.0)
     membership = Membership(list(nodes), G)
     membership.validate()
     return membership
@@ -551,24 +554,11 @@ def role_descriptions(G_nr, M_np) -> RoleDescription:
             f"memberships cover {G.shape[0]} nodes, properties {M.shape[0]}"
         )
 
-    n_roles = G.shape[1]
-    n_props = M.shape[1]
-    ones = np.ones((G.shape[0], 1))
-    E = np.zeros((n_roles, n_props))
-    E_single = np.zeros(n_props)
-    for j in range(n_props):
-        E[:, j] = nnls(G, M[:, j])
-        E_single[j] = nnls(ones, M[:, j])[0]
-
-    ratios = np.zeros_like(E)
-    nonzero = E_single > 0
-    ratios[:, nonzero] = E[:, nonzero] / E_single[nonzero]
-
-    scores = np.zeros_like(ratios)
-    row_sums = ratios.sum(axis=1)
-    for r in range(n_roles):
-        if row_sums[r] > 0:
-            scores[r] = ratios[r] / row_sums[r]
+    E = nnls(G, M)
+    E_single = nnls(np.ones((G.shape[0], 1)), M)[0]
+    ratios = np.divide(E, E_single, out=np.zeros(E.shape), where=E_single > 0)
+    row_sums = ratios.sum(axis=1, keepdims=True)
+    scores = np.divide(ratios, row_sums, out=np.zeros(ratios.shape), where=row_sums > 0)
 
     description = RoleDescription(tuple(names), E, E_single, ratios, scores)
     description.validate()

@@ -5,6 +5,7 @@ layer under test is the plumbing, not detection quality."""
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -277,6 +278,38 @@ def test_report_reads_a_scores_csv_with_a_byte_order_mark(cli_scores, tmp_path):
     for name in ("plot.dat", "report.txt"):
         assert (tmp_path / "plain" / name).read_bytes() == \
             (tmp_path / "marked" / name).read_bytes(), name
+
+
+def test_report_reads_a_cell_longer_than_the_csv_default_field_limit(
+    small_streams, cli_bundle, tmp_path, capsys
+):
+    """A value first seen after training reaches top_contributions whole, so
+    `score` writes cells past the csv module's default 131,072 characters."""
+    logfile = "/var/log/" + "x" * 140_000
+    jsonl = tmp_path / "long.jsonl"
+    jsonl.write_text(small_streams["full"].read_text() + json.dumps({
+        "source": "ossec", "ts": SMALL_ORIGIN + 37 * 3600.0,
+        "fields": {"rule_id": "5503", "logfile": logfile, "src_ip": "10.0.0.1"},
+    }) + "\n")
+    assert main(["score", "--jsonl", str(jsonl), "--model", str(cli_bundle),
+                 "--out", str(tmp_path)]) == 0
+    assert f"logfile:{logfile}:" in (tmp_path / "scores.csv").read_text()
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "scores.csv"), "--out", str(tmp_path)]) == 0
+    assert "windows scored: 14" in capsys.readouterr().out
+
+
+def test_report_ends_a_csv_module_error_in_an_error_line(tmp_path, monkeypatch, capsys):
+    # A strict reader stands in for any rejection by the csv module, such
+    # as a NUL byte before Python 3.11.
+    monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
+    bad = tmp_path / "quote.csv"
+    bad.write_text(",".join(SCORE_COLUMNS) + '\n"2021-03-01T00:00:00Z"x,,,,,,\n')
+    rc = main(["report", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not a readable CSV: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_rejects_alien_header(tmp_path, capsys):

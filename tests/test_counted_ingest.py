@@ -25,7 +25,6 @@ from artifact.pipeline import (
     PipelineConfig,
     derive_window_spec,
     load_records,
-    load_records,
     scoring_graphs,
     training_graph,
 )
@@ -85,7 +84,12 @@ def reference_load(cfg):
                 stats.skipped += 1
                 continue
             stats.parsed += 1
-            records.append(normalize_record(record, hostmap, stats))
+            fields, unresolved, collided = normalize_record(
+                tuple(record.fields.items()), hostmap
+            )
+            stats.unresolved_hostnames += unresolved
+            stats.hostname_collisions += collided
+            records.append(AlertRecord(record.source, record.timestamp, dict(fields)))
     if cfg.source is not None:
         records = [r for r in records if r.source == cfg.source]
     records.sort(key=lambda r: r.timestamp)

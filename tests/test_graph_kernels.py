@@ -160,8 +160,13 @@ def test_nnls_routine_is_loaded_without_the_optimize_package():
     assert roles._slsqp_nnls is not None
 
 
-def assert_same_nnls(A, b):
-    assert np.array_equal(roles.nnls(A, b), scipy.optimize.nnls(A, b)[0])
+def assert_same_nnls(A, B):
+    """`roles.nnls(A, B)` is `scipy.optimize.nnls(A, b)` of each column b of
+    B, bit for bit."""
+    X = roles.nnls(A, B)
+    assert X.shape == (A.shape[1], B.shape[1])
+    for x, b in zip(X.T, B.T):
+        assert x.tobytes() == scipy.optimize.nnls(A, b)[0].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -169,32 +174,44 @@ def test_nnls_matches_scipy_on_random_problems(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 60)), int(rng.integers(1, 12))
     A = rng.gamma(0.5, 2.0, size=(m, n)) * (rng.random((m, n)) < 0.7)
-    assert_same_nnls(A, rng.normal(size=m))
-    assert_same_nnls(A, np.abs(rng.normal(size=m)))
-    assert_same_nnls(A.T.copy().T, np.zeros(m))  # an all-zero row of features
+    assert_same_nnls(A, rng.normal(size=(m, 4)))
+    assert_same_nnls(A, np.abs(rng.normal(size=(m, 1))))
+    assert_same_nnls(A.T.copy().T, np.zeros((m, 3)))  # all-zero rows of features
 
 
 def test_nnls_matches_scipy_on_a_transposed_basis():
     F = np.random.default_rng(4).gamma(0.5, 3.0, size=(6, 40))
     basis = F.T
     assert basis.flags.f_contiguous and not basis.flags.c_contiguous
-    for row in np.random.default_rng(5).gamma(1.0, 4.0, size=(20, 40)):
-        assert_same_nnls(basis, row)
+    rows = np.random.default_rng(5).gamma(1.0, 4.0, size=(20, 40))
+    assert_same_nnls(basis, rows.T)
 
 
-def test_nnls_matches_scipy_on_trained_feature_rows(small_streams, small_trained, tmp_path):
+def test_nnls_matches_scipy_on_trained_feature_rows(
+    small_streams, small_trained, tmp_path, monkeypatch
+):
     cfg = small_pipeline_config(small_streams, tmp_path)
     alerts, _ = load_records(cfg)
     spec = derive_window_spec(cfg, alerts.times)
     graphs = [training_graph(alerts, spec)[1]]
     graphs += [g for _, _, g in scoring_graphs(alerts, spec)]
     basis = small_trained.model.F.T
-    rows = 0
-    for g in graphs:
-        for row in apply_schema(g, small_trained.schema).values:
-            assert_same_nnls(basis, row)
-            rows += 1
-    assert rows > 100
+    windows = [apply_schema(g, small_trained.schema).values for g in graphs]
+    for values in windows:
+        assert_same_nnls(basis, values.T)
+    assert sum(map(len, windows)) > 100
+
+    # A cap in the last column of a window's matrix still ends the call.
+    solve = roles._slsqp_nnls
+    values = windows[-1]
+
+    def capped_last(A, b, maxiter):
+        x, rnorm, info = solve(A, b, maxiter)
+        return x, rnorm, 3 if b.tobytes() == values[-1].tobytes() else info
+
+    monkeypatch.setattr(roles, "_slsqp_nnls", capped_last)
+    with pytest.raises(PipelineError, match="iteration cap"):
+        roles.nnls(basis, values.T)
 
 
 def test_nnls_falls_back_to_scipy_when_the_routine_cannot_be_loaded(monkeypatch):
@@ -205,8 +222,7 @@ def test_nnls_falls_back_to_scipy_when_the_routine_cannot_be_loaded(monkeypatch)
     assert roles._load_slsqp_nnls() is None
     monkeypatch.setattr(roles, "_slsqp_nnls", None)
     rng = np.random.default_rng(9)
-    A, b = rng.random((30, 5)), rng.normal(size=30)
-    assert np.array_equal(roles.nnls(A, b), scipy.optimize.nnls(A, b)[0])
+    assert_same_nnls(rng.random((30, 5)), rng.normal(size=(30, 3)))
 
 
 def capped(A, b, maxiter):
@@ -220,3 +236,50 @@ def test_nnls_iteration_cap_raises_a_pipeline_error(monkeypatch):
         memberships_fixed_F(np.ones((4, 3)), model)
     with pytest.raises(PipelineError, match="iteration cap"):
         roles.role_descriptions(np.ones((4, 2)), np.ones((4, 3)))
+
+
+# The per-row and per-property loops that the one-call solves replaced. Each
+# sum runs over the same row, so the outputs must match bit for bit, also
+# past numpy's 8-wide pairwise-summation block.
+
+
+def reference_memberships(values, F):
+    G = np.zeros((len(values), F.shape[0]))
+    for i, row in enumerate(values):
+        g = scipy.optimize.nnls(F.T, row)[0]
+        total = g.sum()
+        G[i] = g / total if total > 0.0 else 1.0 / F.shape[0]
+    return G
+
+
+def reference_descriptions(G, M):
+    E = np.zeros((G.shape[1], M.shape[1]))
+    E_single = np.zeros(M.shape[1])
+    for j in range(M.shape[1]):
+        E[:, j] = scipy.optimize.nnls(G, M[:, j])[0]
+        E_single[j] = scipy.optimize.nnls(np.ones((len(G), 1)), M[:, j])[0][0]
+    ratios = np.zeros_like(E)
+    ratios[:, E_single > 0] = E[:, E_single > 0] / E_single[E_single > 0]
+    scores = np.zeros_like(ratios)
+    for r, total in enumerate(ratios.sum(axis=1)):
+        if total > 0:
+            scores[r] = ratios[r] / total
+    return E, E_single, ratios, scores
+
+
+@pytest.mark.parametrize("n_roles", [3, 9, 10])
+def test_one_call_memberships_and_descriptions_match_the_loops(n_roles):
+    rng = np.random.default_rng(n_roles)
+    F = rng.gamma(0.5, 2.0, size=(n_roles, 30))
+    values = rng.gamma(1.0, 3.0, size=(40, 30)) * (rng.random((40, 30)) < 0.6)
+    values[::7] = 0.0  # rows with an all-zero projection
+    model = roles.RoleModel(n_roles=n_roles, n_bits=2, F=F, seed=0)
+    G = memberships_fixed_F(values, model).G
+    assert G.tobytes() == reference_memberships(values, F).tobytes()
+
+    M = rng.gamma(1.0, 2.0, size=(40, n_roles)) * (rng.random((40, n_roles)) < 0.7)
+    M[:, 0] = 0.0  # a property with no single-role baseline
+    d = roles.role_descriptions(G, M)
+    got = (d.E, d.E_single, d.ratios, d.scores)
+    for mine, theirs in zip(got, reference_descriptions(G, M)):
+        assert np.ascontiguousarray(mine).tobytes() == theirs.tobytes()

@@ -313,53 +313,48 @@ def test_ossec_undecodable_byte_parses_or_skips(tmp_path, anchor):
 
 def test_normalize_maps_hostname_to_ip():
     hm = HostMap({"host1": "10.10.255.60"})
-    rec = AlertRecord("ossec", 10.0, {"rule_id": "1", "logfile": "x", "hostname": "host1"})
-    out = normalize_record(rec, hm)
-    assert out.fields == {"rule_id": "1", "logfile": "x", "src_ip": "10.10.255.60"}
+    fields = ((" Rule_ID ", "1"), ("logfile", "x"), ("HostName", "host1"))
+    assert normalize_record(fields, hm) == (
+        (("rule_id", "1"), ("logfile", "x"), ("src_ip", "10.10.255.60")), False, False
+    )
 
 
 def test_normalize_drops_duplicate_hostname():
     hm = HostMap({"host1": "10.10.255.60"})
-    rec = AlertRecord(
-        "ossec", 10.0,
-        {"rule_id": "1", "logfile": "x", "src_ip": "10.10.255.60", "hostname": "host1"},
+    fields = (("rule_id", "1"), ("logfile", "x"), ("src_ip", "10.10.255.60"),
+              ("hostname", "host1"))
+    assert normalize_record(fields, hm) == (
+        (("rule_id", "1"), ("logfile", "x"), ("src_ip", "10.10.255.60")), False, False
     )
-    out = normalize_record(rec, hm)
-    assert out.fields == {"rule_id": "1", "logfile": "x", "src_ip": "10.10.255.60"}
 
 
-def test_normalize_unresolvable_hostname_counts_warning():
-    stats = ParseStats()
-    rec = AlertRecord("ossec", 10.0, {"rule_id": "1", "logfile": "x", "hostname": "ghost"})
-    out = normalize_record(rec, HostMap(), stats)
-    assert out.fields["src_ip"] == "ghost"
-    assert stats.unresolved_hostnames == 1
+def test_normalize_unresolvable_hostname_counts_warning(caplog):
+    fields = (("rule_id", "1"), ("logfile", "x"), ("hostname", "ghost"))
+    out, unresolved, collided = normalize_record(fields, HostMap())
+    assert dict(out)["src_ip"] == "ghost"
+    assert (unresolved, collided) == (True, False)
+    assert "unresolvable hostname 'ghost'" in caplog.text
 
 
 def test_normalize_hostname_collision_goes_to_agent_ip():
-    stats = ParseStats()
     hm = HostMap({"host1": "10.10.255.60"})
-    rec = AlertRecord(
-        "ossec", 10.0,
-        {"rule_id": "1", "logfile": "x", "src_ip": "10.0.0.9", "hostname": "host1"},
-    )
-    out = normalize_record(rec, hm, stats)
-    assert out.fields["src_ip"] == "10.0.0.9"
-    assert out.fields["agent_ip"] == "10.10.255.60"
-    assert stats.hostname_collisions == 1
+    fields = (("rule_id", "1"), ("logfile", "x"), ("src_ip", "10.0.0.9"), ("hostname", "host1"))
+    out, unresolved, collided = normalize_record(fields, hm)
+    assert dict(out)["src_ip"] == "10.0.0.9"
+    assert dict(out)["agent_ip"] == "10.10.255.60"
+    assert (unresolved, collided) == (False, True)
 
 
 def test_normalize_is_idempotent():
     hm = HostMap({"host1": "10.10.255.60"})
     cases = [
-        AlertRecord("ossec", 10.0, {"rule_id": "1", "logfile": "x", "hostname": "host1"}),
-        AlertRecord("ossec", 10.0, {"rule_id": "1", "logfile": "x", "hostname": "ghost"}),
-        AlertRecord("snort", 10.0, {"sig_id": "5", "src_ip": "1.2.3.4", "dst_ip": "5.6.7.8"}),
+        (("rule_id", "1"), ("logfile", "x"), ("hostname", "host1")),
+        (("rule_id", "1"), ("logfile", "x"), ("hostname", "ghost")),
+        (("sig_id", "5"), ("src_ip", "1.2.3.4"), ("dst_ip", "5.6.7.8")),
     ]
-    for rec in cases:
-        once = normalize_record(rec, hm)
-        twice = normalize_record(once, hm)
-        assert once == twice
+    for fields in cases:
+        once, _, _ = normalize_record(fields, hm)
+        assert normalize_record(once, hm) == (once, False, False)
 
 
 # --- hostmap -----------------------------------------------------------------

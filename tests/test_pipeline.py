@@ -16,6 +16,7 @@ import pytest
 
 from conftest import SMALL_ORIGIN, SMALL_SIM, read_registry_tsv, small_pipeline_config
 import artifact.pipeline
+import artifact.roles
 from artifact.cli import main
 from artifact.ingest import AlertRecord, ParseStats, read_jsonl_file, write_jsonl
 from artifact.pipeline import (
@@ -592,6 +593,50 @@ def test_score_reads_the_same_with_and_without_its_cutoff(
     assert with_cutoff.training_span > 0 and without.training_span == 0
     # The malformed lines before the cutoff are training-span lines now.
     assert with_cutoff.skipped < without.skipped
+
+
+def test_train_and_score_normalize_keys_and_solve_each_window_once(
+    small_streams, tmp_path, monkeypatch
+):
+    """`train` and `score` normalize each distinct key, so they build no
+    `AlertRecord` and one `ParseStats` each. Memberships take one `nnls`
+    call per window and role descriptions two."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an AlertRecord was built")
+
+    stats_built, solves, windows = [], [], []
+    stats_init = ParseStats.__init__
+    nnls, memberships = artifact.roles.nnls, artifact.pipeline.memberships_fixed_F
+
+    def counted_stats(self, *args, **kwargs):
+        stats_built.append(self)
+        stats_init(self, *args, **kwargs)
+
+    def counted_nnls(A, B):
+        solves.append(np.shape(B))
+        return nnls(A, B)
+
+    def counted_memberships(fm, model):
+        windows.append(len(fm.nodes))
+        return memberships(fm, model)
+
+    monkeypatch.setattr(AlertRecord, "__init__", refuse)
+    monkeypatch.setattr(ParseStats, "__init__", counted_stats)
+    monkeypatch.setattr(artifact.roles, "nnls", counted_nnls)
+    monkeypatch.setattr(artifact.pipeline, "memberships_fixed_F", counted_memberships)
+    cfg = small_pipeline_config(small_streams, tmp_path)
+    trained = train(cfg)
+    assert len(stats_built) == 1
+    n_properties = len(artifact.roles.PROPERTY_NAMES)
+    assert solves == [(trained.model.F.shape[1], windows[0]),
+                      (windows[0], n_properties), (windows[0], n_properties)]
+
+    solves.clear()
+    windows.clear()
+    result = score(cfg, trained.bundle_dir)
+    assert len(stats_built) == 2
+    assert len(windows) == len(result.scores) + 1 > 1
+    assert solves == [(trained.model.F.shape[1], n) for n in windows]
 
 
 # --- record loading ----------------------------------------------------------------
