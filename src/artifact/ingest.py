@@ -1037,10 +1037,23 @@ def read_jsonl_file(
 
 # --- Windowing ---------------------------------------------------------------
 
+# Timestamps per step of `window_partition`, which bounds its temporaries.
+_WINDOW_CHUNK = 65536
+
+
 def window_partition(times: np.ndarray, spec: WindowSpec) -> list[tuple[int, int, int]]:
     """The occupied windows of time-sorted timestamps, none before the
-    origin, as (window, start, stop) slices of `times`, in window order."""
-    index = np.floor((times - spec.origin) / spec.length).astype(np.int64)
-    windows, starts = np.unique(index, return_index=True)
-    stops = np.append(starts[1:], len(index))
-    return list(zip(windows.tolist(), starts.tolist(), stops.tolist()))
+    origin, as (window, start, stop) slices of `times`, in window order.
+    The window indexes of sorted times never decrease, so a window starts
+    where its index changes; they are taken a chunk at a time."""
+    windows: list[int] = []
+    starts: list[int] = []
+    for lo in range(0, len(times), _WINDOW_CHUNK):
+        index = np.floor((times[lo:lo + _WINDOW_CHUNK] - spec.origin) / spec.length).astype(np.int64)
+        if not windows or index[0] != windows[-1]:
+            windows.append(int(index[0]))
+            starts.append(lo)
+        changes = (index[1:] != index[:-1]).nonzero()[0] + 1
+        windows += index[changes].tolist()
+        starts += (changes + lo).tolist()
+    return list(zip(windows, starts, starts[1:] + [len(times)]))

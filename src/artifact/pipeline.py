@@ -220,8 +220,11 @@ def load_records(
     if cfg.source is not None:
         mask = kept[ids]
         ids, times = ids[mask], times[mask]
-    order = np.argsort(times, kind="stable")
-    alerts.times, alerts.ids = times[order], ids[order]
+    # on times already in order the stable sort is the identity
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, ids = times[order], ids[order]
+    alerts.times, alerts.ids = times, ids
     return alerts, stats
 
 

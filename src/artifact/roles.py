@@ -73,8 +73,18 @@ def _check_nonnegative(V: np.ndarray) -> None:
 # -- factorization ---------------------------------------------------------
 
 def _divergence_from(V: np.ndarray) -> Callable[[np.ndarray], float]:
-    """`generalized_kl(V, .)` for one V, with V's masks and entries taken once."""
+    """`generalized_kl(V, .)` for one V, with V's masks and entries taken
+    once. Where V has no zero entry, the terms are summed over the whole
+    C-ordered matrix, in the order of the masked gather, without it."""
     pos = V > 0
+    if pos.all():
+        V = np.ascontiguousarray(V)
+
+        def divergence(W: np.ndarray) -> float:
+            W = np.maximum(W, EPS, order="C")
+            return float(np.sum(V * np.log(V / W) - V + W))
+
+        return divergence
     nonpos = ~pos
     V_pos = V[pos]
 
@@ -148,12 +158,21 @@ def nmf_kl(V, r: int, seed: int = 0, max_iter: int = 200,
 
 # -- quantization -----------------------------------------------------------
 
+_LLOYD_ROUNDS = 100
+# The offsets, back from a cluster boundary, of the last entry before it
+# and of the first entry at it.
+_BEFORE_AT = np.array([[1], [0]])
+
+
 def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd quantization of a nonnegative matrix to 2**bits levels.
 
     Centroids start at evenly spaced quantiles of the entries, so the whole
     procedure is deterministic. Ties in assignment go to the lower centroid
-    index; empty centroids keep their previous position.
+    index; empty centroids keep their previous position. The rounds run
+    over the entries sorted once (`_lloyd_sorted`); where centroids come
+    within a few ulps of each other, the whole call runs the dense loop
+    (`_lloyd_dense`) instead, with the same result.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
@@ -164,6 +183,18 @@ def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
         return arr.copy(), np.zeros(0)
 
     k = 2 ** bits
+    result = _lloyd_sorted(flat, k)
+    if result is None:
+        result = _lloyd_dense(flat, k)
+    quantized, centroids = result
+    return quantized.reshape(arr.shape), centroids
+
+
+def _lloyd_dense(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's loop over a (k, n) distance buffer: each entry goes to the
+    centroid of least float64 |x - c|, the lowest index on a tie, and
+    only the centroids of clusters an entry moved into or out of are
+    recomputed. Returns the quantized entries and the centroids."""
     centroids = np.quantile(flat, (np.arange(k) + 0.5) / k)
     dist = np.empty((k, flat.size))
 
@@ -174,7 +205,7 @@ def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
     assignment = nearest(centroids)
     changed = range(k)  # clusters whose member set may differ from last time
-    for _ in range(100):
+    for _ in range(_LLOYD_ROUNDS):
         updated = centroids.copy()
         for j in changed:
             members = flat[assignment == j]
@@ -187,7 +218,114 @@ def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
         previous, assignment = assignment, nearest(centroids)
         moved = previous != assignment
         changed = np.union1d(previous[moved], assignment[moved])
-    return centroids[assignment].reshape(arr.shape), centroids
+    return centroids[assignment], centroids
+
+
+def _lloyd_sorted(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_lloyd_dense`'s rounds over the entries sorted once: each cluster is
+    a run of sorted positions, found by binary search, and its centroid the
+    mean of its members in their original order, so every value is the
+    same bit for bit. None where some round's centroids are too close
+    together for `_cluster_runs` to decide."""
+    perm = np.argsort(flat, kind="stable")
+    s = flat[perm]
+    centroids = np.quantile(flat, (np.arange(k) + 0.5) / k)
+    runs = _cluster_runs(s, centroids)
+    if runs is None:
+        return None
+    table = _run_table(k, *runs)
+    changed = range(k)  # clusters whose run may differ from last time
+    for _ in range(_LLOYD_ROUNDS):
+        updated = centroids.copy()
+        start, stop = table.tolist()
+        for j in changed:
+            if stop[j] > start[j]:
+                # the same members in the same order as `flat[assignment == j]`
+                members = flat[np.sort(perm[start[j]:stop[j]])]
+                updated[j] = np.add.reduce(members) / members.size
+        if not (updated != centroids).any():
+            break
+        centroids = updated
+        runs = _cluster_runs(s, centroids)
+        if runs is None:
+            return None
+        table, previous = _run_table(k, *runs), table
+        changed = (table != previous).any(axis=0).nonzero()[0].tolist()
+    owner, bounds = runs
+    quantized = np.empty_like(flat)
+    quantized[perm] = np.repeat(centroids[owner], np.diff(bounds))
+    return quantized, centroids
+
+
+def _run_table(k: int, owner: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each cluster's run [start, stop) as the column of a (2, k) table,
+    (0, 0) for a centroid that repeats a lower one's value."""
+    table = np.zeros((2, k), dtype=np.int64)
+    table[0, owner], table[1, owner] = bounds[:-1], bounds[1:]
+    return table
+
+
+def _cluster_runs(s: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nearest-centroid clusters of the sorted entries `s`, as
+    `_lloyd_dense`'s `nearest` assigns them: `owner`, the lowest index of
+    each distinct centroid value in increasing order, and `bounds`, where
+    the run of `owner[i]` is `s[bounds[i]:bounds[i + 1]]`.
+
+    An entry's float64 distance to the centroids falls, weakly, over the
+    centroids below it and rises over those above, so its nearest are the
+    two distinct values around it, unless two neighbouring values are so
+    close that their distances round to one float. Each boundary between
+    two neighbours is a binary search at their midpoint, moved past the
+    entries on either side that the exact rule (|x - c|, lower index on a
+    tie) puts elsewhere. None where neighbours are within a few ulps of
+    the distances they decide, and a tie with a farther centroid cannot be
+    ruled out."""
+    order = centroids.argsort(kind="stable")
+    c = centroids[order]
+    distinct = np.concatenate(([True], c[1:] != c[:-1]))
+    owner, u = order[distinct], c[distinct]
+    n, m = s.size, u.size
+    bounds = np.empty(m + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, n
+    if m == 1:
+        return owner, bounds
+    lo, hi = u[:-1], u[1:]
+    gap = hi - lo
+    # Every distance is at most the largest value, and those a pair decides
+    # at most the span from the value below it to the value above it.
+    top = max(s[-1], u[-1])
+    if gap.min() <= 4.0 * np.spacing(top):
+        below = np.concatenate(([min(s[0], u[0])], u[:-2]))
+        above = np.concatenate((u[2:], [top]))
+        if (gap <= 4.0 * np.spacing(np.maximum(above - lo, hi - below))).any():
+            return None
+    hi_first = owner[1:] < owner[:-1]
+
+    def to_hi(x: np.ndarray, pair=slice(None)) -> np.ndarray:
+        """Whether entry x, between lo[pair] and hi[pair], goes to hi."""
+        d_lo, d_hi = np.abs(x - lo[pair]), np.abs(x - hi[pair])
+        return (d_hi < d_lo) | ((d_hi == d_lo) & hi_first[pair])
+
+    # the entries in [lo, hi] are s[first:last]; from the boundary on they go to hi
+    first = s.searchsorted(lo, "left")
+    last = s.searchsorted(hi, "right")
+    boundary = np.minimum(np.maximum(s.searchsorted(lo + 0.5 * gap), first), last)
+    # the entry before each boundary must go to lo, the one at it to hi
+    wrong = to_hi(s[np.minimum(boundary - _BEFORE_AT, n - 1)]) != (_BEFORE_AT == 0)
+    wrong[0] &= boundary > first
+    wrong[1] &= boundary < last
+    if wrong.any():
+        # step back over values that go to hi, then on over values that do not
+        for back in (True, False):
+            while True:
+                pair = (boundary > first if back else boundary < last).nonzero()[0]
+                x = s[boundary[pair] - back]
+                moves = to_hi(x, pair) == back
+                if not moves.any():
+                    break
+                boundary[pair[moves]] = s.searchsorted(x[moves], "left" if back else "right")
+    bounds[1:-1] = boundary
+    return owner, bounds
 
 
 # -- description length ------------------------------------------------------

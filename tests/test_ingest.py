@@ -412,6 +412,49 @@ def test_window_partition_matches_brute_force_buckets():
     assert sum(sizes.values()) == 1000
 
 
+def one_pass_partition(times, spec):
+    """`window_partition` as one expression over every timestamp."""
+    index = np.floor((times - spec.origin) / spec.length).astype(np.int64)
+    windows, starts = np.unique(index, return_index=True)
+    stops = np.append(starts[1:], len(index))
+    return list(zip(windows.tolist(), starts.tolist(), stops.tolist()))
+
+
+def edge_timestamps(origin, length, rng, count):
+    """Sorted times on, just below and just above the window edges around
+    an origin, and `count` more between them."""
+    edges = origin + length * np.arange(-2.0, 12.0)
+    spread = rng.uniform(edges[0], edges[-1], count)
+    return np.sort(np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), spread,
+        np.repeat(edges[3:5], 3),
+    ]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 65536])
+@pytest.mark.parametrize("origin, length", [
+    (0.0, 100.0),
+    (1234.5678, 100.0 / 3.0),
+    (-1e9 / 3.0, 28800.0),
+    (1614556800.0 + 1.0 / 3.0, 28800.0),
+])
+def test_window_partition_matches_one_pass_at_window_edges(monkeypatch, chunk, origin, length):
+    """Origins off the window grid and times at its edges, cut into chunks of
+    every size: the same slices as one pass over all the times."""
+    times = edge_timestamps(origin, length, np.random.default_rng(len(str(origin))), 150)
+    spec = WindowSpec(origin=origin, length=length)
+    monkeypatch.setattr(artifact.ingest, "_WINDOW_CHUNK", chunk)
+    assert window_partition(times, spec) == one_pass_partition(times, spec)
+
+
+def test_window_partition_matches_one_pass_across_chunks():
+    rng = np.random.default_rng(23)
+    spec = WindowSpec(origin=1614556800.0 + 0.25, length=28800.0)
+    times = edge_timestamps(spec.origin, spec.length, rng, 3 * 65536)
+    assert window_partition(times, spec) == one_pass_partition(times, spec)
+    assert window_partition(times[:0], spec) == []
+
+
 @settings(deadline=None)
 @given(
     ts_list=st.lists(st.floats(min_value=0.0, max_value=1e5, allow_nan=False), max_size=60),

@@ -87,14 +87,35 @@ def assert_same_quantization(matrix, bits):
 @st.composite
 def quantizer_inputs(draw):
     """A nonnegative matrix and a bit width: spread values, a few values
-    repeated, or one constant, with zeros mixed in and some outliers."""
+    repeated, or one constant, with zeros mixed in and some outliers; or
+    one of the shapes that are hard for a sorted assignment: entries a few
+    ulps apart, magnitudes from 1e-300 to 1e7 in one matrix, entries at
+    the exact midpoints of other entries, or so many equal entries that
+    several quantile centroids coincide."""
     bits = draw(st.integers(1, 6))
     rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 6))
     n = rows * cols
     value = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
-    kind = draw(st.sampled_from(("spread", "repeats", "constant")))
+    kind = draw(st.sampled_from(("spread", "repeats", "constant", "ulps", "magnitudes",
+                                 "midpoints", "duplicated")))
     if kind == "constant":
         values = [draw(st.just(0.0) | value)] * n
+    elif kind == "ulps":
+        base = draw(st.sampled_from((1e-300, 1e-8, 0.1, 1.0, 3e5)) | value)
+        steps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        values = [base + i * np.spacing(base) for i in steps]
+    elif kind == "magnitudes":
+        exponents = st.floats(-300.0, 7.0, allow_nan=False)
+        values = [10.0 ** e for e in draw(st.lists(exponents, min_size=n, max_size=n))]
+    elif kind == "midpoints":
+        ends = sorted(draw(st.lists(value, min_size=2, max_size=5)))
+        points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        values = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    elif kind == "duplicated":
+        common = draw(st.just(0.0) | value)
+        values = draw(st.lists(st.just(common) | value, min_size=n, max_size=n))
+        for i in range(0, n, 7):
+            values[i] = common
     else:
         if kind == "repeats":
             value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=6)))
@@ -121,6 +142,59 @@ def test_quantize_matches_the_lloyd_loop_at_its_round_cap():
 
 def test_quantize_of_an_empty_matrix():
     assert_same_quantization(np.zeros((0, 3)), 2)
+
+
+def count_dense_runs(monkeypatch):
+    """A list that `quantize`'s dense fallback appends to on each call."""
+    calls = []
+    dense = roles._lloyd_dense
+
+    def counted(flat, k):
+        calls.append(k)
+        return dense(flat, k)
+
+    monkeypatch.setattr(roles, "_lloyd_dense", counted)
+    return calls
+
+
+def test_quantize_falls_back_to_the_dense_loop_on_an_ulp_gap(monkeypatch):
+    """The centroids start at 1e-200 and 1e-100, which lie within an ulp
+    of each other as seen from the entry 1.0: both distances round to 1.0,
+    so 1.0 ties between them and goes to centroid 0, below the other. The
+    sorted runs cannot express that; the dense loop decides it."""
+    matrix = np.array([[1e-200, 1e-100, 1.0, 1e-100, 1e-200]])
+    dense = count_dense_runs(monkeypatch)
+    assert_same_quantization(matrix, 1)
+    assert dense == [2]
+    assert quantize(matrix, 1)[1].tolist() == [1.0, 5e-101]
+
+
+def test_quantize_keeps_to_the_sorted_entries_on_spread_values(monkeypatch):
+    matrix = np.random.default_rng(8).gamma(0.5, 20.0, size=(60, 5))
+    dense = count_dense_runs(monkeypatch)
+    for bits in range(1, 7):
+        assert_same_quantization(matrix, bits)
+    assert dense == []
+
+
+def test_quantize_matches_the_lloyd_loop_on_every_call_of_the_mdl_grid(
+    small_streams, tmp_path, monkeypatch
+):
+    """Every matrix the conftest scenario's MDL grid quantizes, G and F of
+    each (roles, bits) point."""
+    calls = []
+    kernel = roles.quantize
+
+    def recorded(matrix, bits):
+        calls.append((np.array(matrix, copy=True), bits))
+        return kernel(matrix, bits)
+
+    monkeypatch.setattr(roles, "quantize", recorded)
+    result = train(small_pipeline_config(small_streams, tmp_path))
+    grid = (result.bundle_dir / "grid.csv").read_text().splitlines()[1:]
+    assert len(calls) == 2 * len(grid)
+    for matrix, bits in calls:
+        assert_same_quantization(matrix, bits)
 
 
 # -- nmf_kl -----------------------------------------------------------------------
