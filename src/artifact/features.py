@@ -69,11 +69,18 @@ class FeatureSchema:
         return len(self.features)
 
     def validate(self) -> None:
+        """Dense ids, the four primaries first, and each deeper feature
+        aggregating a feature one level up, in level order: the shape
+        `fit_schema` grows, which `apply_schema` takes a level at a time."""
         for i, f in enumerate(self.features):
             if f.fid != i:
                 raise ValueError(f"feature ids must be dense, got {f.fid} at {i}")
             if f.depth > 0 and not 0 <= f.parent < i:
                 raise ValueError(f"feature {i} references undefined parent {f.parent}")
+            if f.depth > 0 and self.features[f.parent].depth != f.depth - 1:
+                raise ValueError(f"feature {i} aggregates {f.parent}, not a feature one level up")
+            if i and f.depth < self.features[i - 1].depth:
+                raise ValueError(f"feature {i} comes after a deeper feature")
         primaries = [f for f in self.features if f.depth == 0]
         if tuple(f.base for f in primaries) != PRIMARY_NAMES:
             raise ValueError("depth-0 entries must be exactly the four primaries")
@@ -143,7 +150,7 @@ def _primary_columns(g: ArtifactGraph) -> np.ndarray:
     wdeg = np.bincount(g.rows, weights=g.weights, minlength=len(k))
     inter = g.triangles()
     # each neighbor m of v has deg(m) edges: one to v, |N(m) & N(v)| inside
-    out = g.neighbor_sums(k) - k - 2 * inter
+    out = g.neighbor_row_sums(k[None])[0] - k - 2 * inter
     trans = np.divide(2.0 * inter, k * (k - 1), out=np.zeros(len(k)), where=k >= 2)
     return np.column_stack((wdeg, inter, out, trans))
 
@@ -153,17 +160,17 @@ def primary_features(g: ArtifactGraph) -> FeatureMatrix:
     return FeatureMatrix(g.vertices, _primary_columns(g))
 
 
-def _aggregate(g: ArtifactGraph, column: np.ndarray, op: str) -> np.ndarray:
-    """neighbor_sum / neighbor_mean of a column over the unweighted adjacency.
+def _aggregates(g: ArtifactGraph, parents: np.ndarray) -> dict[str, np.ndarray]:
+    """neighbor_sum and neighbor_mean of every row of `parents` (one parent
+    feature per row, a node per column) over the unweighted adjacency.
 
-    Each row is reduced on its own, so a sum equals the node's
-    `column[neighbors].sum()` bit for bit; a sparse product would sum in
-    another order."""
-    total = g.neighbor_sums(column)
-    if op == "neighbor_sum":
-        return total
+    Each node's sum equals `column[neighbors].sum()` bit for bit, where a
+    sparse product would sum in another order; the mean divides the same
+    sum by the degree."""
     k = g.degree
-    return np.divide(total, k, out=np.zeros(len(k)), where=k > 0)
+    total = g.neighbor_row_sums(parents)
+    mean = np.divide(total, k, out=np.zeros(total.shape), where=k > 0)
+    return {"neighbor_sum": total, "neighbor_mean": mean}
 
 
 def _relative_residual(candidate: np.ndarray, retained: np.ndarray) -> float:
@@ -197,18 +204,17 @@ def fit_schema(
         raise ValueError("prune_tolerance must be in (0, 1)")
 
     schema = FeatureSchema(prune_tolerance=prune_tolerance, max_depth=max_depth)
-    columns: list[np.ndarray] = []
     primaries = _primary_columns(g_train)
-    for j, name in enumerate(PRIMARY_NAMES):
-        schema.features.append(FeatureDef(len(schema.features), 0, base=name))
-        columns.append(primaries[:, j])
+    columns = list(primaries.T)
+    schema.features = [FeatureDef(j, 0, base=name) for j, name in enumerate(PRIMARY_NAMES)]
 
     frontier = list(range(4))  # fids retained at the previous level
     for depth in range(1, max_depth + 1):
         new_frontier: list[int] = []
-        for parent in frontier:
+        aggregates = _aggregates(g_train, np.array([columns[p] for p in frontier]))
+        for i, parent in enumerate(frontier):
             for op in AGG_OPS:
-                candidate = _aggregate(g_train, columns[parent], op)
+                candidate = aggregates[op][i]
                 matrix = np.column_stack(columns)
                 rel = _relative_residual(candidate, matrix)
                 if rel <= prune_tolerance:
@@ -232,16 +238,16 @@ def fit_schema(
 
 
 def apply_schema(g: ArtifactGraph, schema: FeatureSchema) -> FeatureMatrix:
-    """Compute exactly the frozen schema's features on g (no re-pruning)."""
+    """Compute exactly the frozen schema's features on g (no re-pruning),
+    a level at a time."""
     schema.validate()
     if len(g) == 0:
         return FeatureMatrix([], np.zeros((0, len(schema))))
 
-    columns: list[np.ndarray] = []
-    primaries = _primary_columns(g)
-    for f in schema.features:
-        if f.depth == 0:
-            columns.append(primaries[:, PRIMARY_NAMES.index(f.base)])
-        else:
-            columns.append(_aggregate(g, columns[f.parent], f.op))
+    columns = list(_primary_columns(g).T)
+    for depth in range(1, schema.features[-1].depth + 1):
+        level = [f for f in schema.features if f.depth == depth]
+        parents = sorted({f.parent for f in level})
+        aggregates = _aggregates(g, np.array([columns[p] for p in parents]))
+        columns += [aggregates[f.op][parents.index(f.parent)] for f in level]
     return FeatureMatrix(g.vertices, np.column_stack(columns))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,30 +43,49 @@ class ArtifactGraph:
         return np.repeat(np.arange(len(self.vertices)), self.degree)
 
     @cached_property
-    def degree_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(rows, gather) per nonzero degree d: the rows of degree d and their
-        neighbor indices as an n_d x d array, each row in stored order."""
+    def degree_groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The rows with edges, by degree and in order within a degree, and
+        for each degree d that occurs the neighbor indices of its rows as an
+        n_d x d array, each row in stored order."""
         k = self.degree
-        groups = []
-        for d in np.unique(k[k > 0]):
-            rows = np.flatnonzero(k == d)
-            gather = self.indices[self.indptr[rows][:, None] + np.arange(d)]
-            groups.append((rows, gather))
-        return groups
+        sizes = np.bincount(k).tolist()  # rows per degree
+        rows = np.argsort(k, kind="stable")[sizes[0] if sizes else 0:]
+        gathers, start = [], 0
+        for d, size in enumerate(sizes[1:], 1):
+            if size:
+                at = rows[start:start + size]
+                gathers.append(self.indices[self.indptr[at][:, None] + np.arange(d)])
+                start += size
+        return rows, gathers
 
     def neighbor_sums(self, x: np.ndarray) -> np.ndarray:
-        """A @ x over the unweighted adjacency: row i of the result adds up
-        x at i's neighbors, and is 0 for a vertex without edges.
-
-        For a 1-D x each row is summed as `x[neighbors].sum()` sums it. For a
-        2-D x each row adds one neighbor at a time in stored order, as a CSR
-        matrix product does. numpy reduces a lone column pairwise instead, so
-        a one-column x is summed next to a zero column."""
-        if x.ndim == 2 and x.shape[1] == 1:
+        """A @ x over the unweighted adjacency for an n x m array x: row i of
+        the result adds up the rows of x at i's neighbors, one neighbor at a
+        time in stored order, as a CSR matrix product does, and is 0 for a
+        vertex without edges. numpy reduces a lone column pairwise instead,
+        so a one-column x is summed next to a zero column."""
+        if x.shape[1] == 1:
             return self.neighbor_sums(np.hstack((x, np.zeros_like(x))))[:, :1]
         out = np.zeros(x.shape, dtype=x.dtype)
-        for rows, gather in self.degree_groups:
-            out[rows] = np.add.reduce(x[gather], axis=1)
+        rows, gathers = self.degree_groups
+        if gathers:
+            out[rows] = np.concatenate([np.add.reduce(x[at], axis=1) for at in gathers])
+        return out
+
+    def neighbor_row_sums(self, x: np.ndarray) -> np.ndarray:
+        """x @ A over the unweighted adjacency for a p x n array x: entry
+        (r, i) of the result adds up row r of x at i's neighbors, as
+        `x[r, neighbors].sum()` does, and is 0 for a vertex without edges.
+
+        Every row is summed in one reduction per degree over a gather made
+        by `take`, which is C-contiguous, so numpy sums each neighbor list
+        pairwise as it sums it alone; the strided `x[:, gather]` is summed
+        in another order."""
+        out = np.zeros(x.shape, dtype=x.dtype)
+        rows, gathers = self.degree_groups
+        if gathers:
+            out[:, rows] = np.concatenate(
+                [np.add.reduce(x.take(at, axis=1), axis=-1) for at in gathers], axis=1)
         return out
 
     def triangles(self) -> np.ndarray:
@@ -156,43 +175,98 @@ class GraphSummary(NamedTuple):
     layer_counts: dict[str, int]
 
 
-def build_graph(field_counts: Iterable[tuple[FieldTuple, int]]) -> ArtifactGraph:
-    """Build the co-occurrence graph of one window from its field tuples
-    and how many alerts carry each. A tuple may come more than once; its
-    counts then add up, as if it came once at its first place.
+class KeyTable(NamedTuple):
+    """The graph pieces of every alert key of a run, worked out once.
 
-    Every field value becomes a vertex in its canonical layer. Every unordered
-    pair of distinct field keys whose values map to distinct vertices adds the
-    tuple's count to that vertex pair's edge weight; pairs that collapse to the
-    same vertex (e.g. src_ip == dst_ip) are skipped rather than forming
-    self-loops. Each linked pair (u, v) is recorded as u -> v, then v -> u,
-    and a row lists its neighbors in the order of their first record. Given
-    in first-seen order, the tuples therefore order each row as one alert at
-    a time would, which the neighbor sums of the recursive features depend on.
-    """
+    `vertices` holds every field value's vertex in sorted (layer, value)
+    order, and vertex ids index it. Key k's vertex ids, in field order, are
+    `vertex_ids[vertex_ptr[k]:vertex_ptr[k + 1]]`; its linked pairs are the
+    rows `pairs[pair_ptr[k]:pair_ptr[k + 1]]`, one (a, b) per pair of its
+    fields in `itertools.combinations` order, less the pairs whose two values
+    are one vertex (e.g. src_ip == dst_ip), which would be self-loops."""
+
+    vertices: list[Vertex]
+    vertex_ptr: np.ndarray  # int64, one more than there are keys
+    vertex_ids: np.ndarray  # int64
+    pair_ptr: np.ndarray    # int64, one more than there are keys
+    pairs: np.ndarray       # int64, shape (pairs, 2)
+
+
+def key_table(keys: Sequence[FieldTuple]) -> KeyTable:
+    """The table of `keys`, each an alert's field tuple, by key id. Every
+    field value becomes a vertex in its canonical layer."""
     ids: dict[Vertex, int] = {}  # vertex -> id in order of first appearance
-    src: list[int] = []
-    dst: list[int] = []
-    count: list[int] = []
-    for fields, n in field_counts:
+    first_ids: list[int] = []
+    sizes: list[int] = []
+    pairs: list[int] = []
+    pair_sizes: list[int] = []
+    for fields in keys:
         vs = [ids.setdefault((layer_for(key), value), len(ids)) for key, value in fields]
+        first_ids += vs
+        sizes.append(len(vs))
+        before = len(pairs)
         for a, b in itertools.combinations(vs, 2):
             if a != b:
-                src += (a, b)
-                dst += (b, a)
-                count += (n, n)
+                pairs += (a, b)
+        pair_sizes.append((len(pairs) - before) // 2)
 
     vertices = sorted(ids)
+    rank = np.empty(len(vertices), dtype=np.int64)
+    rank[[ids[v] for v in vertices]] = np.arange(len(vertices))
+    return KeyTable(
+        vertices,
+        _offsets(sizes),
+        rank[np.asarray(first_ids, dtype=np.int64)],
+        _offsets(pair_sizes),
+        rank[np.asarray(pairs, dtype=np.int64)].reshape(-1, 2),
+    )
+
+
+def _offsets(sizes: list[int]) -> np.ndarray:
+    ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def key_spans(ptr: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions `ptr[k]:ptr[k + 1]` of each of `keys`, one after the
+    other, and how many each key has."""
+    starts, sizes = ptr[keys], ptr[keys + 1] - ptr[keys]
+    # each key's start, less where its positions begin in the result
+    shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    return np.arange(len(shift)) + shift, sizes
+
+
+def build_graph(table: KeyTable, key_ids: np.ndarray, counts: np.ndarray) -> ArtifactGraph:
+    """Build the co-occurrence graph of one window from its key ids in
+    `table` and how many alerts carry each. A key may come more than once;
+    its counts then add up, as if it came once at its first place.
+
+    The vertices are those of the keys. Each linked pair (a, b) of a key adds
+    the key's count to that vertex pair's edge weight; it is recorded as
+    a -> b, then b -> a, and a row lists its neighbors in the order of their
+    first record. Given in first-seen order, the keys therefore order each
+    row as one alert at a time would, which the neighbor sums of the
+    recursive features depend on.
+    """
+    key_ids = np.asarray(key_ids, dtype=np.int64)
+    at, _ = key_spans(table.vertex_ptr, key_ids)
+    present = np.zeros(len(table.vertices), dtype=bool)
+    present[table.vertex_ids[at]] = True
+    row_of = np.cumsum(present) - 1  # a present vertex id's row
+    vertices = [table.vertices[i] for i in np.flatnonzero(present).tolist()]
     n_vertices = len(vertices)
-    rank = np.empty(n_vertices, dtype=np.int64)
-    rank[[ids[v] for v in vertices]] = np.arange(n_vertices)
-    rows = rank[np.asarray(src, dtype=np.int64)]
-    cols = rank[np.asarray(dst, dtype=np.int64)]
+
+    at, sizes = key_spans(table.pair_ptr, key_ids)
+    linked = row_of[table.pairs[at]]
+    rows = linked.ravel()           # a, b of each pair in turn
+    cols = linked[:, ::-1].ravel()  # b, a
+    count = np.repeat(np.asarray(counts, dtype=np.int64), 2 * sizes)
     # one entry per distinct (row, col), at its first record, counts summed
     pairs, first, inverse = np.unique(
         rows * n_vertices + cols, return_index=True, return_inverse=True)
     weights = np.zeros(len(pairs), dtype=np.int64)
-    np.add.at(weights, inverse, np.asarray(count, dtype=np.int64))
+    np.add.at(weights, inverse, count)
     rows, cols = np.divmod(pairs, n_vertices)
     order = np.lexsort((first, rows))
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)

@@ -166,11 +166,11 @@ def valid_timestamp(ts: float | np.ndarray) -> bool | np.ndarray:
 
 
 # Field values become lines of the bundle's tab-separated registry.tsv, so
-# no field key or value may hold one of these.
+# no field key or value may hold a tab or line break. Nor may they hold a
+# lone surrogate, the only str code point UTF-8 cannot encode; JSON "\ud800"
+# escapes make them. One search finds either; `_TSV_BREAKS` picks the message.
+_BAD_CHARS = re.compile(r"[\t\n\r\ud800-\udfff]")
 _TSV_BREAKS = re.compile(r"[\t\n\r]")
-# Lone surrogates, the only str code points UTF-8 cannot encode; JSON "\ud800"
-# escapes make them.
-_SURROGATES = re.compile(r"[\ud800-\udfff]")
 
 
 def check_fields(fields: dict[str, str]) -> None:
@@ -179,9 +179,9 @@ def check_fields(fields: dict[str, str]) -> None:
     for key, value in fields.items():
         if not isinstance(value, str) or not value:
             raise ValueError(f"empty or non-string value for field {key!r}")
-        if _TSV_BREAKS.search(key) or _TSV_BREAKS.search(value):
-            raise ValueError(f"tab or line break in field {key!r}: {value!r}")
-        if _SURROGATES.search(key) or _SURROGATES.search(value):
+        if _BAD_CHARS.search(key) or _BAD_CHARS.search(value):
+            if _TSV_BREAKS.search(key) or _TSV_BREAKS.search(value):
+                raise ValueError(f"tab or line break in field {key!r}: {value!r}")
             raise ValueError(f"field {key!r} does not encode as UTF-8: {value!r}")
 
 
@@ -248,17 +248,17 @@ class Alerts:
         """How many alerts come before `ts`; in time order they are a prefix."""
         return int(np.searchsorted(self.times, ts))
 
-    def field_counts(self, start: int, stop: int) -> list[tuple[FieldTuple, int]]:
-        """The key ids of alerts start..stop-1 as field tuples with counts, in
-        the order of each id's first alert. Equal tuples of two ids come twice."""
-        ids, first, counts = np.unique(
-            self.ids[start:stop], return_index=True, return_counts=True
-        )
-        order = np.argsort(first)
-        return [
-            (self.keys[k][1], n)
-            for k, n in zip(ids[order].tolist(), counts[order].tolist())
-        ]
+    def key_counts(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct key ids of alerts start..stop-1 in the order of each
+        id's first alert, the offset of that alert from `start`, and how many
+        of the alerts carry each id."""
+        ids = np.asarray(self.ids[start:stop])
+        first = np.full(len(self.keys), len(ids))
+        np.minimum.at(first, ids, np.arange(len(ids)))
+        counts = np.bincount(ids, minlength=len(self.keys))
+        present = np.flatnonzero(counts)
+        order = present[np.argsort(first[present])]
+        return order, first[order], counts[order]
 
 
 @dataclass
@@ -692,29 +692,45 @@ def _jsonl_key(raw: JsonlKey) -> tuple[str, dict[str, str]]:
 # A JSON string as json.dumps writes it: no control character, and only
 # JSON's escapes. Its first branch, a string without escapes, is the same
 # strings' common case without the escape loop: `findall` took a fifth less
-# time on the paper workload's file.
-_JSON_STR = (r'(?:"[^"\\\x00-\x1f]*"'
-             r'|"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*")')
-# The canonical JSONL line, the shape `write_jsonl` writes: a source, a JSON
-# number token and fields whose keys and values are all strings, with no
-# space and no other key, so the token is the "ts" json.loads keeps. Its
-# groups are the source text, the token and the fields text. ASCII digits
-# only, as json.loads takes them.
-_JSONL_LINE_RE = re.compile(
-    rf'^\{{"source":({_JSON_STR}),"ts":(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?),'
-    rf'"fields":(\{{(?:{_JSON_STR}:{_JSON_STR}(?:,{_JSON_STR}:{_JSON_STR})*|)\}})\}}$',
-    re.ASCII | re.M,
-)
+# time on the paper workload's file. Each repeat stops only at a character
+# it cannot take, which must follow it anyway, so it is possessive and
+# leaves no place to backtrack to.
+_JSON_STR = (r'(?:"[^"\\\x00-\x1f]*+"'
+             r'|"[^"\\\x00-\x1f]*+(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*+)*+")')
+# The same strings in a piece without a backslash or a control character
+# other than line breaks. A string that runs into the next line makes one
+# match of two lines, so the piece has fewer matches than lines and is not
+# canonical; on every other piece the two patterns find the same matches.
+_PLAIN_STR = r'"[^"]*+"'
 
 
-class _JsonlKeys(dict):
-    """The raw key of each (source text, fields text) of canonical lines,
-    decoded once: the key `_scan_jsonl` gives a line with those texts."""
+def _jsonl_line_re(string: str) -> re.Pattern:
+    """The canonical JSONL line, the shape `write_jsonl` writes: a source, a
+    JSON number token and fields whose keys and values are all strings, with
+    no space and no other key, so the token is the "ts" json.loads keeps.
+    Its groups are the source text, the token and the fields text. ASCII
+    digits only, as json.loads takes them. The number's digits and the list
+    of fields are possessive too, as what must follow each cannot continue
+    it: `findall` then took 0.19 s on the paper workload's file against
+    0.25 s with backtracking repeats (seed 2027, best of 9)."""
+    return re.compile(
+        rf'^\{{"source":({string}),"ts":(-?(?:0|[1-9]\d*+)(?:\.\d++)?(?:[eE][-+]?\d++)?),'
+        rf'"fields":(\{{(?:{string}:{string}(?:,{string}:{string})*+)?+\}})\}}$',
+        re.ASCII | re.M,
+    )
 
-    def __missing__(self, texts: tuple[str, str]) -> JsonlKey:
-        source, fields = map(json.loads, texts)
-        raw = self[texts] = (source, *fields, *fields.values())
-        return raw
+
+_JSONL_LINE_RE = _jsonl_line_re(_JSON_STR)
+# sre scans `[^"]` as one literal, not a class: `findall` took 0.14 s on the
+# paper workload's file against 0.21 s with `_JSONL_LINE_RE`.
+_PLAIN_JSONL_LINE_RE = _jsonl_line_re(_PLAIN_STR)
+
+
+def _decode_jsonl(texts: tuple[str, str]) -> JsonlKey:
+    """The raw key of a canonical line's (source text, fields text): the key
+    `_scan_jsonl` gives the line."""
+    source, fields = map(json.loads, texts)
+    return (source, *fields, *fields.values())
 
 
 # Alerts `write_jsonl` takes out of the columns at a time.
@@ -860,7 +876,8 @@ def _lines(piece: str) -> Iterator[str]:
 
 
 # A piece read as rows: each row's timestamp, whether it is valid, and a
-# function from the kept rows' indices to their raw keys.
+# function from the kept rows' indices to their keys: raw keys, or for a
+# canonical piece whatever `decode` turns into raw keys (see `_read`).
 Rows = tuple[np.ndarray, np.ndarray, Callable[[list[int]], Iterable]]
 
 
@@ -889,16 +906,28 @@ def _ossec_piece(piece: str) -> Rows | None:
 _JSONL_TS, _JSONL_TEXTS = itemgetter(1), itemgetter(0, 2)  # of a line match
 
 
-def _jsonl_piece(piece: str, decoded: _JsonlKeys) -> Rows | None:
-    matches = _JSONL_LINE_RE.findall(piece)
-    if len(matches) != _line_count(piece):
+def _plain(piece: str, breaks: int) -> bool:
+    """Whether `piece`, with `breaks` line breaks, has no backslash and no
+    other control character. Each is one byte of its UTF-8 form, and no other
+    code point has a byte below 0x20."""
+    if "\\" in piece:
+        return False
+    data = np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8)
+    return int(np.count_nonzero(data < 0x20)) == breaks
+
+
+def _jsonl_piece(piece: str) -> Rows | None:
+    breaks = piece.count("\n")
+    line = _PLAIN_JSONL_LINE_RE if _plain(piece, breaks) else _JSONL_LINE_RE
+    matches = line.findall(piece)
+    if len(matches) != breaks + (not piece.endswith("\n")):
         return None
     # `float(token)` equals `float()` of the int or float json.loads makes
     # of it, and is infinite where that int would overflow or pass the
     # digit limit, which json.loads and `_scan_jsonl` reject.
     times = np.fromiter(map(float, map(_JSONL_TS, matches)), np.float64, len(matches))
     return times, valid_timestamp(times), lambda kept: map(
-        decoded.__getitem__, map(_JSONL_TEXTS, map(matches.__getitem__, kept))
+        _JSONL_TEXTS, map(matches.__getitem__, kept)
     )
 
 
@@ -910,6 +939,7 @@ def _read(
     *,
     cut: Callable[[str], int],
     canonical: Callable[[str], Rows | None],
+    decode: Callable | None = None,
     split: Callable[[str], Iterable],
     scan: Callable,
     build: Callable,
@@ -927,7 +957,9 @@ def _read(
     cutoff are appended; the other valid rows are training-span lines, the
     invalid ones skips. `build` checks a raw key and makes its (source,
     fields); it runs once per distinct raw key of the file, in the order
-    they first appear, and each gets the next key id.
+    they first appear, and each gets the next key id. The keys of a
+    canonical piece are raw keys, or with `decode` what it makes raw keys
+    of; each of those is decoded once, and its id then found in one lookup.
     """
     alerts = Alerts() if alerts is None else alerts
     limit = -math.inf if cutoff is None else cutoff
@@ -946,6 +978,16 @@ def _read(
                 logger.debug("skipping every %s with fields %r (%s)", what, raw, exc)
             key_ids[raw] = kid
         return kid
+
+    canonical_ids, canonical_id = key_ids, key_id
+    if decode is not None:
+        canonical_ids = {}
+
+        def canonical_id(key) -> int:
+            kid = canonical_ids.get(key)
+            if kid is None:
+                kid = canonical_ids[key] = key_id(decode(key))
+            return kid
 
     def scanned(piece: str) -> Rows:
         times, raws = array("d"), []
@@ -966,12 +1008,13 @@ def _read(
         if read is None:
             rows = scanned
             read = scanned(piece)
-        times, valid, raws_of = read
+        times, valid, keys_of = read
+        ids_of, new_id = (key_ids, key_id) if rows is scanned else (canonical_ids, canonical_id)
         kept = np.flatnonzero(valid & (times >= limit))
-        raws = list(raws_of(kept.tolist()))
-        kids = list(map(key_ids.get, raws))
+        keys = list(keys_of(kept.tolist()))
+        kids = list(map(ids_of.get, keys))
         if None in kids:  # new keys, built in the order they first appear
-            kids = [key_id(raw) if kid is None else kid for raw, kid in zip(raws, kids)]
+            kids = [new_id(key) if kid is None else kid for key, kid in zip(keys, kids)]
         ids = np.array(kids, dtype=np.int64)
         good = ids != _INVALID
         alerts.times.frombytes(times[kept[good]].tobytes())
@@ -1030,7 +1073,7 @@ def read_jsonl_file(
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
     return _read(path, stats, alerts, cutoff, cut=_after_last_line,
-                 canonical=partial(_jsonl_piece, decoded=_JsonlKeys()), split=_lines,
+                 canonical=_jsonl_piece, decode=_decode_jsonl, split=_lines,
                  scan=_scan_jsonl, build=_jsonl_key,
                  errors=(ValueError, KeyError, TypeError, OverflowError), what="jsonl line")
 

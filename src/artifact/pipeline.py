@@ -37,7 +37,14 @@ from artifact.dynamics import (
     write_score_csv,
 )
 from artifact.features import FeatureSchema, apply_schema, fit_schema
-from artifact.graph import ArtifactGraph, Vertex, build_graph, graph_summary
+from artifact.graph import (
+    ArtifactGraph,
+    Vertex,
+    build_graph,
+    graph_summary,
+    key_spans,
+    key_table,
+)
 from artifact.ingest import (
     Alerts,
     LAYER_BY_FIELD,
@@ -45,7 +52,6 @@ from artifact.ingest import (
     ParseStats,
     PipelineError,
     WindowSpec,
-    layer_for,
     load_hostmap,
     normalize_record,
     parse_utc,
@@ -251,15 +257,20 @@ def training_graph(
     """Map the training span's nodes to the window of their first alert, in
     order of first appearance, and build the span's co-occurrence graph. The
     span runs from the origin to the training cutoff."""
+    table = key_table([fields for _, fields in alerts.keys])
     start, stop = alerts.before(spec.origin), alerts.before(spec.training_cutoff)
-    counts = alerts.field_counts(start, stop)
-    _, first = np.unique(alerts.ids[start:stop], return_index=True)
-    first_seen: dict[Vertex, int] = {}
-    for (fields, _), ts in zip(counts, alerts.times[start + np.sort(first)].tolist()):
-        window = spec.window_of(ts)
-        for key, value in fields:
-            first_seen.setdefault((layer_for(key), value), window)
-    return first_seen, build_graph(counts)
+    ids, first, counts = alerts.key_counts(start, stop)
+    windows = [spec.window_of(ts) for ts in alerts.times[start + first].tolist()]
+    # each key's vertices in field order, the keys in order of first alert
+    at, sizes = key_spans(table.vertex_ptr, ids)
+    vertex_ids = table.vertex_ids[at]
+    _, seen = np.unique(vertex_ids, return_index=True)
+    seen.sort()
+    first_seen = dict(zip(
+        [table.vertices[v] for v in vertex_ids[seen].tolist()],
+        np.repeat(windows, sizes)[seen].tolist(),
+    ))
+    return first_seen, build_graph(table, ids, counts)
 
 
 def scoring_graphs(
@@ -267,10 +278,11 @@ def scoring_graphs(
 ) -> Iterator[tuple[int, int, ArtifactGraph]]:
     """(window, alert count, graph) for every occupied window after the
     training cutoff, in window order."""
+    table = key_table([fields for _, fields in alerts.keys])
     first = alerts.before(spec.training_cutoff)
     for window, start, stop in window_partition(alerts.times[first:], spec):
-        counts = alerts.field_counts(first + start, first + stop)
-        yield window, stop - start, build_graph(counts)
+        ids, _, counts = alerts.key_counts(first + start, first + stop)
+        yield window, stop - start, build_graph(table, ids, counts)
 
 
 # -- training -----------------------------------------------------------------

@@ -190,12 +190,30 @@ def quantize(matrix, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return quantized.reshape(arr.shape), centroids
 
 
+def _start_centroids(s: np.ndarray, k: int) -> np.ndarray:
+    """`np.quantile(x, (np.arange(k) + 0.5) / k)` of the sorted entries s of
+    x, by numpy's default (linear) method step for step, so bit for bit.
+    np.quantile itself imports numpy.ma on its first call, through np.unique."""
+    n = s.size
+    virtual = (n - 1) * ((np.arange(k) + 0.5) / k)
+    lo = np.floor(virtual).astype(np.intp)
+    hi = lo + 1
+    last = virtual >= n - 1
+    lo[last] = hi[last] = -1
+    t = virtual - lo
+    a, b = s[lo], s[hi]
+    step = b - a
+    out = a + step * t
+    np.subtract(b, step * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _lloyd_dense(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's loop over a (k, n) distance buffer: each entry goes to the
     centroid of least float64 |x - c|, the lowest index on a tie, and
     only the centroids of clusters an entry moved into or out of are
     recomputed. Returns the quantized entries and the centroids."""
-    centroids = np.quantile(flat, (np.arange(k) + 0.5) / k)
+    centroids = _start_centroids(np.sort(flat), k)
     dist = np.empty((k, flat.size))
 
     def nearest(c: np.ndarray) -> np.ndarray:
@@ -217,7 +235,9 @@ def _lloyd_dense(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         centroids = updated
         previous, assignment = assignment, nearest(centroids)
         moved = previous != assignment
-        changed = np.union1d(previous[moved], assignment[moved])
+        # the sorted distinct clusters, as np.union1d gives them without numpy.ma
+        changed = np.flatnonzero(np.bincount(
+            np.concatenate((previous[moved], assignment[moved])), minlength=k))
     return centroids[assignment], centroids
 
 
@@ -229,7 +249,7 @@ def _lloyd_sorted(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | N
     together for `_cluster_runs` to decide."""
     perm = np.argsort(flat, kind="stable")
     s = flat[perm]
-    centroids = np.quantile(flat, (np.arange(k) + 0.5) / k)
+    centroids = _start_centroids(s, k)
     runs = _cluster_runs(s, centroids)
     if runs is None:
         return None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from artifact.graph import build_graph
+from artifact.graph import build_graph, key_table
 from artifact.ingest import AlertRecord, layer_for, write_jsonl
 from artifact.pipeline import PipelineConfig, train
 from artifact.scenario import default_scenario, generate_scenario
@@ -128,10 +128,25 @@ def make_random_records(seed: int, count: int, base_ts: float = 1_000_000.0) -> 
     return records
 
 
+def tuple_graph(field_counts):
+    """The co-occurrence graph of (field tuple, count) pairs in order, each
+    pair as its own key."""
+    field_counts = list(field_counts)
+    table = key_table([fields for fields, _ in field_counts])
+    return build_graph(table, np.arange(len(field_counts)), [n for _, n in field_counts])
+
+
+def window_counts(alerts, start, stop):
+    """The field tuples of alerts start..stop-1 with their counts, in the
+    order of each key id's first alert. Equal tuples of two ids come twice."""
+    ids, _, counts = alerts.key_counts(start, stop)
+    return [(alerts.keys[k][1], n) for k, n in zip(ids.tolist(), counts.tolist())]
+
+
 def graph_of(records):
     """The co-occurrence graph of normalized records: each distinct field
     tuple once, at its first record, with its record count."""
-    return build_graph(Counter(tuple(r.fields.items()) for r in records).items())
+    return tuple_graph(Counter(tuple(r.fields.items()) for r in records).items())
 
 
 def link_graph(links=(), isolated=()):
@@ -139,7 +154,7 @@ def link_graph(links=(), isolated=()):
     order, and vertices without links. A link is a 2-field tuple keyed by its
     layers (`layer_for` keeps a layer name as it is) that occurs `weight`
     times; an isolated vertex is a 1-field tuple."""
-    return build_graph(
+    return tuple_graph(
         [((u, v), w) for u, v, w in links] + [((x,), 1) for x in isolated]
     )
 

@@ -669,6 +669,27 @@ def test_cli_import_leaves_scenario_out():
     assert out.stdout.strip() == "False"
 
 
+def test_train_and_score_leave_numpy_ma_out(small_streams, tmp_path):
+    """numpy 2.4 imports numpy.ma, 10-16 ms, on the first np.unique without
+    return_index or return_counts, and so through np.union1d and
+    np.quantile; neither command needs it."""
+    src = Path(artifact.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    stream, out = str(small_streams["full"]), str(tmp_path)
+    commands = [
+        ["train", "--jsonl", stream, "--out", out, "--window-hours", "8",
+         "--training-days", "2", "--origin-utc", "2021-03-01T00:00:00Z"],
+        ["score", "--jsonl", stream, "--out", out, "--model", str(tmp_path / "model")],
+    ]
+    code = ("import json, sys; from artifact.cli import main; "
+            "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+            "print(*codes, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1].split() == ["0", "0", "False"]
+
+
 def test_scenario_import_leaves_pipeline_and_scipy_out():
     """The benchmark imports the scenario before it forks its commands."""
     src = Path(artifact.__file__).resolve().parents[1]

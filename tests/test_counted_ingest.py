@@ -29,7 +29,13 @@ from artifact.pipeline import (
     training_graph,
 )
 
-from conftest import assert_same_graph, reference_adjacency
+from conftest import (
+    assert_same_graph,
+    read_registry_tsv,
+    reference_adjacency,
+    small_pipeline_config,
+    window_counts,
+)
 
 ORIGIN = 1_000_000.0
 HOUR = 3600.0
@@ -234,7 +240,7 @@ def test_equal_field_values_stay_distinct_vertices(tmp_path):
     )
     alerts, stats = load_records(PipelineConfig(jsonl_paths=[path], origin=ORIGIN))
     assert stats.parsed == 4
-    assert alerts.field_counts(0, len(alerts)) == [
+    assert window_counts(alerts, 0, len(alerts)) == [
         ((("sig_id", "1"), ("src_ip", "a")), 2),
         ((("sig_id", "1.0"), ("src_ip", "a")), 1),
         ((("sig_id", "True"), ("src_ip", "a")), 1),
@@ -257,3 +263,15 @@ def test_equal_timestamps_keep_file_order(tmp_path):
         key=lambda pair: pair[0],
     )
     assert [(r.timestamp, r.fields["sig_id"]) for r in records] == want
+
+
+def test_registry_tsv_lists_nodes_in_the_per_alert_order(small_streams, small_trained, tmp_path):
+    """`train` finds each training node's first window from the run's key
+    table; `registry.tsv` lists the nodes as one alert at a time meets them."""
+    cfg = small_pipeline_config(small_streams, tmp_path)
+    records, _ = reference_load(cfg)
+    want, _ = reference_train(records, derive_window_spec(cfg, [r.timestamp for r in records]))
+    rows = read_registry_tsv((small_trained.bundle_dir / "registry.tsv").read_text("utf-8"))
+    assert [(layer, value, window) for _, layer, value, window in rows] == [
+        (layer, value, window) for (layer, value), window in want.items()
+    ]

@@ -12,6 +12,7 @@ from artifact.features import (
     FeatureMatrix,
     FeatureSchema,
     PRIMARY_NAMES,
+    _aggregates,
     _relative_residual,
     apply_schema,
     fit_schema,
@@ -163,6 +164,38 @@ def test_kernels_match_the_loops_on_small_graphs(g):
     ref_schema, ref_values = loop_fit(g)
     assert schema.dumps() == ref_schema.dumps()
     assert np.array_equal(fm.values, ref_values)
+
+
+def hubs(degrees):
+    """Hubs of the given degrees over one pool of leaves, the leaves also
+    linked in a path, so many degrees from 2 up to the largest occur."""
+    leaves = [("leaf", str(i)) for i in range(max(degrees))]
+    links = [(leaves[i], leaves[i + 1], 1) for i in range(len(leaves) - 1)]
+    for h, d in enumerate(degrees):
+        links += [(("hub", str(h)), leaf, 1) for leaf in leaves[:d]]
+    return link_graph(links)
+
+
+# below numpy's 8-wide pairwise block, within its 128-entry block, and past it
+@pytest.mark.parametrize("degrees", [[3, 5, 7], [8, 9, 40, 128], [129, 300]])
+def test_level_aggregates_match_the_loop_bit_for_bit(degrees):
+    g = hubs(degrees)
+    nodes = g.nodes()
+    index = {v: i for i, v in enumerate(nodes)}
+    rng = np.random.default_rng(len(g))
+    # six decades of magnitude, so the order of each sum shows in its bits
+    parents = rng.random((5, len(g))) * 10.0 ** rng.integers(-3, 3, (5, len(g)))
+    got = _aggregates(g, parents)
+    for op in AGG_OPS:
+        want = [loop_aggregate(g, nodes, index, column, op) for column in parents]
+        assert np.array_equal(got[op], want)
+    if max(degrees) >= 8:
+        # the strided gather `parents[:, at]` reduces in another order
+        rows, gathers = g.degree_groups
+        strided = np.zeros_like(parents)
+        strided[:, rows] = np.concatenate(
+            [np.add.reduce(parents[:, at], axis=-1) for at in gathers], axis=1)
+        assert not np.array_equal(strided, got["neighbor_sum"])
 
 
 # --- primaries -----------------------------------------------------------
@@ -341,6 +374,21 @@ def test_values_finite_and_nonnegative_on_assorted_graphs():
 
 
 # --- schema serialization ----------------------------------------------------
+
+@pytest.mark.parametrize("deeper, message", [
+    ([FeatureDef(4, 2, op="neighbor_sum", parent=0)], "not a feature one level up"),
+    ([FeatureDef(4, 1, op="neighbor_sum", parent=0),
+      FeatureDef(5, 2, op="neighbor_sum", parent=4),
+      FeatureDef(6, 1, op="neighbor_mean", parent=1)], "comes after a deeper feature"),
+])
+def test_schema_rejects_features_out_of_level_order(deeper, message):
+    """`apply_schema` computes a level at a time from the level above, so a
+    schema must list its features by level, as `fit_schema` grows them."""
+    schema = FeatureSchema(
+        features=[FeatureDef(i, 0, base=n) for i, n in enumerate(PRIMARY_NAMES)] + deeper)
+    with pytest.raises(ValueError, match=message):
+        schema.validate()
+
 
 def test_schema_round_trip():
     schema, _ = fit_schema(graph_of(make_random_records(seed=15, count=200)))

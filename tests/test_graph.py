@@ -4,12 +4,19 @@ a dict-of-dicts reference."""
 import itertools
 import random
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from artifact.graph import build_graph, graph_summary
+from artifact.graph import build_graph, graph_summary, key_table
 from artifact.ingest import AlertRecord, layer_for
 
-from conftest import assert_same_graph, graph_of, make_random_records, reference_adjacency
+from conftest import (
+    assert_same_graph,
+    graph_of,
+    make_random_records,
+    reference_adjacency,
+    tuple_graph,
+)
 
 
 def brute_force_counts(records):
@@ -184,6 +191,33 @@ def field_counts(draw):
 @given(counts=field_counts())
 @example(counts=[])
 def test_weighted_graph_matches_dict_of_dicts_reference(counts):
-    g = build_graph(counts)
+    g = tuple_graph(counts)
     assert_same_graph(g, reference_adjacency(counts))
-    assert g == build_graph(counts[::-1])
+    assert g == tuple_graph(counts[::-1])
+
+
+# --- a window's graph from the run's key table -----------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(FIELD_TUPLES, min_size=1, max_size=10),
+    window=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 2**40)), max_size=12),
+)
+# src_ip == dst_ip, one tuple under two key ids, and single-field keys
+@example(
+    pool=[(("src_ip", "1"), ("dst_ip", "1"), ("sig_id", "1")),
+          (("sig_id", "1"), ("src_ip", "2")),
+          (("rule_id", "1"),),
+          (("sig_id", "1"), ("src_ip", "2")),
+          (("logfile", "2"),)],
+    window=[(3, 5), (0, 2), (2, 1), (1, 7)],
+)
+def test_window_graph_from_the_key_table_matches_the_reference(pool, window):
+    """The table holds every key of the run; a window's graph takes only its
+    own keys, in window order, and only their vertices."""
+    window = [(k % len(pool), n) for k, n in window]
+    table = key_table(pool)
+    assert table.vertices == sorted({(layer_for(k), v) for fields in pool for k, v in fields})
+    ids = np.array([k for k, _ in window], dtype=np.int64)
+    g = build_graph(table, ids, [n for _, n in window])
+    assert_same_graph(g, reference_adjacency([(pool[k], n) for k, n in window]))

@@ -3,6 +3,7 @@
 import ipaddress
 import json
 import math
+import re
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,7 +21,9 @@ from artifact.ingest import (
     HostMap,
     ParseStats,
     WindowSpec,
+    _JSONL_LINE_RE,
     _ossec_blocks,
+    check_fields,
     load_hostmap,
     normalize_record,
     read_jsonl_file,
@@ -589,6 +592,103 @@ def test_jsonl_skips_fields_that_do_not_encode_as_utf8(tmp_path):
     records = list(read_jsonl_file(path, stats))
     assert [r.fields["sig_id"] for r in records] == ["1", "\U0001f600"]
     assert stats.parsed == 2 and stats.skipped == 2
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sig_id", "a\tb", "tab or line break"),
+    ("sig\rid", "1", "tab or line break"),
+    ("sig_id", "\ud800", "does not encode as UTF-8"),
+    ("sig\udfffid", "1", "does not encode as UTF-8"),
+    ("sig\udfffid", "1\n", "tab or line break"),  # both: the break is named
+])
+def test_check_fields_names_what_it_found(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        check_fields({"rule_id": "1", key: value})
+
+
+# Lines one step from the canonical shape. The pattern's repeats are
+# possessive; the same pattern with backtracking repeats must reject them too.
+JSONL_NEAR_MISSES = [
+    '{"source":"snort","ts":5,"fields":{"sig_id":"1}}',     # unterminated string
+    '{"source":"snort","ts":5,"fields":{"sig_id":"1"}} x',  # text after the object
+    '{"source":"snort","ts":5,"fields":{"sig_id":"1"}',     # unterminated object
+    '{"source":"snort","ts":5,"fields":{"sig_id":"1\\"}}',   # escaped closing quote
+    '{"source":"sn\\ort","ts":5,"fields":{}}',               # no such escape
+    '{"source":"snort","ts":5,"fields":{"sig_id":"\\u12"}}', # short \u escape
+    '{"source":"snort","ts":5,"fields":{"sig_id":"a\tb"}}',  # raw tab
+    '{"source":"snort","ts":05,"fields":{}}',               # leading zero
+    '{"source":"snort","ts":5.,"fields":{}}',               # no fraction digits
+    '{"source":"snort","ts":5e+,"fields":{}}',              # no exponent digits
+    '{"source":"snort","ts":5,"fields":{"sig_id":"1",}}',   # trailing comma
+    '{"source":"snort","ts":5,"fields":{"sig_id"}}',        # key without a value
+]
+JSONL_CANONICAL = [
+    '{"source":"snort","ts":5,"fields":{}}',
+    '{"source":"snort","ts":-0.5e-3,"fields":{"sig_id":"1","src_ip":"10.0.0.1"}}',
+    '{"source":"o\\"s","ts":1614556800.25,"fields":{"k\\u00e9":"a\\\\","v":"\\/"}}',
+]
+
+
+def test_possessive_jsonl_pattern_agrees_with_a_backtracking_one():
+    backtracking = re.compile(
+        _JSONL_LINE_RE.pattern.replace("*+", "*").replace("++", "+").replace("?+", "?"),
+        _JSONL_LINE_RE.flags,
+    )
+    assert backtracking.pattern != _JSONL_LINE_RE.pattern
+    for line in JSONL_NEAR_MISSES:
+        assert backtracking.fullmatch(line) is None, line
+        assert _JSONL_LINE_RE.fullmatch(line) is None, line
+    for line in JSONL_CANONICAL:
+        json.loads(line)
+        assert _JSONL_LINE_RE.fullmatch(line).groups() == backtracking.fullmatch(line).groups()
+
+
+JSONL_INSERTS = ['"', "\n", ",", ":", "}", "{", "x", "ö", "\ud800", "\r", "\t", "\\", "\\n",
+                 '"a":"b"', '","', '":"', "5", "e3"]
+
+
+@st.composite
+def jsonl_pieces(draw):
+    """Canonical lines, each with up to two texts put in at random places."""
+    lines = []
+    for line in draw(st.lists(st.sampled_from(JSONL_CANONICAL), min_size=1, max_size=4)):
+        for text in draw(st.lists(st.sampled_from(JSONL_INSERTS), max_size=2)):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + text + line[at:]
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(jsonl_pieces())
+def test_plain_pieces_read_as_the_full_pattern_reads_them(piece):
+    """A piece without a backslash or a control character but line breaks
+    is matched with `"[^"]*+"` strings, which may run over a line break;
+    its rows are those of `_JSONL_LINE_RE`, or it is not canonical under
+    either."""
+    breaks = piece.count("\n")
+    plain = artifact.ingest._plain(piece, breaks)
+    assert plain == (re.search(r"[\\\x00-\x09\x0b-\x1f]", piece) is None)
+
+    def rows(pattern):
+        matches = pattern.findall(piece)
+        return matches if len(matches) == breaks + (not piece.endswith("\n")) else None
+
+    if plain:
+        assert rows(artifact.ingest._PLAIN_JSONL_LINE_RE) == rows(_JSONL_LINE_RE)
+
+
+def test_a_string_over_a_line_break_is_not_canonical(tmp_path):
+    """`"[^"]*+"` takes the line break in `"1\\n"`, so the piece has fewer
+    matches than lines, and its lines are scanned one at a time."""
+    piece = '{"source":"snort","ts":5,"fields":{"sig_id":"1\n"}}\n'
+    assert artifact.ingest._plain(piece, 2)
+    assert artifact.ingest._jsonl_piece(piece) is None
+    path = tmp_path / "a.jsonl"
+    path.write_text(piece)
+    stats = ParseStats()
+    assert len(read_jsonl_file(path, stats)) == 0
+    assert (stats.lines, stats.skipped) == (2, 2)
 
 
 def test_jsonl_coerces_numeric_field_values(tmp_path):

@@ -131,6 +131,18 @@ def test_quantize_matches_the_lloyd_loop(case):
     assert_same_quantization(*case)
 
 
+@given(quantizer_inputs())
+@settings(max_examples=300, deadline=None)
+def test_start_centroids_are_numpys_quantiles(case):
+    """np.quantile, which `quantize` no longer calls because it imports
+    numpy.ma, at every bit width the MDL grid may ask for."""
+    flat = case[0].ravel()
+    for bits in (case[1], 16):
+        k = 2 ** bits
+        want = np.quantile(flat, (np.arange(k) + 0.5) / k)
+        assert np.array_equal(roles._start_centroids(np.sort(flat), k), want)
+
+
 def test_quantize_matches_the_lloyd_loop_at_its_round_cap():
     """A matrix whose centroids still move after 100 rounds: the entries
     take the final centroids, not the ones the last assignment used."""

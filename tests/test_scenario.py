@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact.graph import build_graph
 from artifact.scenario import (
     AlertTemplate,
     AttackSpec,
@@ -26,6 +25,8 @@ from artifact.scenario import (
     generate_scenario,
     load_scenario_config,
 )
+
+from conftest import tuple_graph, window_counts
 
 ORIGIN = 1614556800.0  # 2021-03-01T00:00:00Z
 
@@ -265,8 +266,8 @@ def test_spike_preserves_node_and_edge_sets():
     plain_win = (plain.before(lo), plain.before(hi))
     spiked_win = (spiked.before(lo), spiked.before(hi))
     assert spiked_win[1] - spiked_win[0] == 10 * (plain_win[1] - plain_win[0])
-    g_plain = build_graph(plain.field_counts(*plain_win))
-    g_spiked = build_graph(spiked.field_counts(*spiked_win))
+    g_plain = tuple_graph(window_counts(plain, *plain_win))
+    g_spiked = tuple_graph(window_counts(spiked, *spiked_win))
     assert g_plain.nodes() == g_spiked.nodes()
     plain_edges = {(u, v): w_ for u, v, w_ in g_plain.edges()}
     spiked_edges = {(u, v): w_ for u, v, w_ in g_spiked.edges()}

@@ -13,9 +13,10 @@ import pytest
 import artifact.cli
 import artifact.pipeline
 from artifact.dynamics import MembershipSeries
+from artifact.graph import key_table
 from artifact.roles import Membership
 
-from conftest import small_pipeline_config
+from conftest import small_pipeline_config, tuple_graph
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,16 +55,17 @@ def test_graph_build_result_has_the_counts_the_tracer_reads(spans):
         ((("sig_id", "1"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.2")), 1),
         ((("rule_id", "5503"), ("src_ip", "10.0.0.1")), 1),
     ]
-    graph = artifact.pipeline.build_graph(counts)
+    args = (key_table([fields for fields, _ in counts]), np.arange(2), [1, 1])
+    graph = artifact.pipeline.build_graph(*args)
     tracer = spans.Tracer()
-    spans.observe(tracer, spans.STAGES[artifact.pipeline]["build_graph"], (counts,), graph)
+    spans.observe(tracer, spans.STAGES[artifact.pipeline]["build_graph"], args, graph)
     assert tracer.counters["graph.build_calls"] == 1
     assert tracer.counters["graph.nodes"] == len(graph) == 4
     assert tracer.counters["graph.edges"] == graph.edge_count == 4
 
 
 def test_feature_and_role_results_have_the_counts_the_tracer_reads(spans):
-    graph = artifact.pipeline.build_graph([
+    graph = tuple_graph([
         ((("sig_id", "1"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.2")), 1),
         ((("sig_id", "2"), ("src_ip", "10.0.0.1"), ("dst_ip", "10.0.0.3")), 1),
         ((("rule_id", "5503"), ("src_ip", "10.0.0.1")), 1),
