@@ -228,13 +228,25 @@ def _offsets(sizes: list[int]) -> np.ndarray:
     return ptr
 
 
-def key_spans(ptr: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _key_spans(ptr: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions `ptr[k]:ptr[k + 1]` of each of `keys`, one after the
     other, and how many each key has."""
     starts, sizes = ptr[keys], ptr[keys + 1] - ptr[keys]
     # each key's start, less where its positions begin in the result
     shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
     return np.arange(len(shift)) + shift, sizes
+
+
+def first_vertices(table: KeyTable, key_ids: np.ndarray) -> tuple[list[Vertex], np.ndarray]:
+    """The vertices of the keys `key_ids` in the order they first come,
+    each key's in field order, and for each the position in `key_ids` of
+    the key it first came in."""
+    at, sizes = _key_spans(table.vertex_ptr, np.asarray(key_ids, dtype=np.int64))
+    vertex_ids = table.vertex_ids[at]
+    _, seen = np.unique(vertex_ids, return_index=True)
+    seen.sort()
+    key_of = np.repeat(np.arange(len(sizes)), sizes)
+    return [table.vertices[v] for v in vertex_ids[seen].tolist()], key_of[seen]
 
 
 def build_graph(table: KeyTable, key_ids: np.ndarray, counts: np.ndarray) -> ArtifactGraph:
@@ -250,14 +262,14 @@ def build_graph(table: KeyTable, key_ids: np.ndarray, counts: np.ndarray) -> Art
     recursive features depend on.
     """
     key_ids = np.asarray(key_ids, dtype=np.int64)
-    at, _ = key_spans(table.vertex_ptr, key_ids)
+    at, _ = _key_spans(table.vertex_ptr, key_ids)
     present = np.zeros(len(table.vertices), dtype=bool)
     present[table.vertex_ids[at]] = True
     row_of = np.cumsum(present) - 1  # a present vertex id's row
     vertices = [table.vertices[i] for i in np.flatnonzero(present).tolist()]
     n_vertices = len(vertices)
 
-    at, sizes = key_spans(table.pair_ptr, key_ids)
+    at, sizes = _key_spans(table.pair_ptr, key_ids)
     linked = row_of[table.pairs[at]]
     rows = linked.ravel()           # a, b of each pair in turn
     cols = linked[:, ::-1].ravel()  # b, a

@@ -697,40 +697,29 @@ def _jsonl_key(raw: JsonlKey) -> tuple[str, dict[str, str]]:
 # leaves no place to backtrack to.
 _JSON_STR = (r'(?:"[^"\\\x00-\x1f]*+"'
              r'|"[^"\\\x00-\x1f]*+(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*+)*+")')
-# The same strings in a piece without a backslash or a control character
-# other than line breaks. A string that runs into the next line makes one
-# match of two lines, so the piece has fewer matches than lines and is not
-# canonical; on every other piece the two patterns find the same matches.
-_PLAIN_STR = r'"[^"]*+"'
+# The canonical JSONL line, the shape `write_jsonl` writes: a source, a JSON
+# number token and fields whose keys and values are all strings, with no
+# space and no other key, so the token is the "ts" json.loads keeps. Its
+# groups are the source text, the token and the fields text. ASCII digits
+# only, as json.loads takes them. The number's digits and the list of fields
+# are possessive too, as what must follow each cannot continue it: `findall`
+# then took 0.19 s on the paper workload's file against 0.25 s with
+# backtracking repeats (seed 2027, best of 9).
+_JSONL_LINE_RE = re.compile(
+    rf'^\{{"source":({_JSON_STR}),"ts":(-?(?:0|[1-9]\d*+)(?:\.\d++)?(?:[eE][-+]?\d++)?),'
+    rf'"fields":(\{{(?:{_JSON_STR}:{_JSON_STR}(?:,{_JSON_STR}:{_JSON_STR})*+)?+\}})\}}$',
+    re.ASCII | re.M,
+)
 
 
-def _jsonl_line_re(string: str) -> re.Pattern:
-    """The canonical JSONL line, the shape `write_jsonl` writes: a source, a
-    JSON number token and fields whose keys and values are all strings, with
-    no space and no other key, so the token is the "ts" json.loads keeps.
-    Its groups are the source text, the token and the fields text. ASCII
-    digits only, as json.loads takes them. The number's digits and the list
-    of fields are possessive too, as what must follow each cannot continue
-    it: `findall` then took 0.19 s on the paper workload's file against
-    0.25 s with backtracking repeats (seed 2027, best of 9)."""
-    return re.compile(
-        rf'^\{{"source":({string}),"ts":(-?(?:0|[1-9]\d*+)(?:\.\d++)?(?:[eE][-+]?\d++)?),'
-        rf'"fields":(\{{(?:{string}:{string}(?:,{string}:{string})*+)?+\}})\}}$',
-        re.ASCII | re.M,
-    )
+class _JsonlKeys(dict):
+    """The raw key of each (source text, fields text) of canonical lines,
+    decoded once: the key `_scan_jsonl` gives a line with those texts."""
 
-
-_JSONL_LINE_RE = _jsonl_line_re(_JSON_STR)
-# sre scans `[^"]` as one literal, not a class: `findall` took 0.14 s on the
-# paper workload's file against 0.21 s with `_JSONL_LINE_RE`.
-_PLAIN_JSONL_LINE_RE = _jsonl_line_re(_PLAIN_STR)
-
-
-def _decode_jsonl(texts: tuple[str, str]) -> JsonlKey:
-    """The raw key of a canonical line's (source text, fields text): the key
-    `_scan_jsonl` gives the line."""
-    source, fields = map(json.loads, texts)
-    return (source, *fields, *fields.values())
+    def __missing__(self, texts: tuple[str, str]) -> JsonlKey:
+        source, fields = map(json.loads, texts)
+        raw = self[texts] = (source, *fields, *fields.values())
+        return raw
 
 
 # Alerts `write_jsonl` takes out of the columns at a time.
@@ -876,8 +865,7 @@ def _lines(piece: str) -> Iterator[str]:
 
 
 # A piece read as rows: each row's timestamp, whether it is valid, and a
-# function from the kept rows' indices to their keys: raw keys, or for a
-# canonical piece whatever `decode` turns into raw keys (see `_read`).
+# function from the kept rows' indices to their raw keys.
 Rows = tuple[np.ndarray, np.ndarray, Callable[[list[int]], Iterable]]
 
 
@@ -906,28 +894,16 @@ def _ossec_piece(piece: str) -> Rows | None:
 _JSONL_TS, _JSONL_TEXTS = itemgetter(1), itemgetter(0, 2)  # of a line match
 
 
-def _plain(piece: str, breaks: int) -> bool:
-    """Whether `piece`, with `breaks` line breaks, has no backslash and no
-    other control character. Each is one byte of its UTF-8 form, and no other
-    code point has a byte below 0x20."""
-    if "\\" in piece:
-        return False
-    data = np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8)
-    return int(np.count_nonzero(data < 0x20)) == breaks
-
-
-def _jsonl_piece(piece: str) -> Rows | None:
-    breaks = piece.count("\n")
-    line = _PLAIN_JSONL_LINE_RE if _plain(piece, breaks) else _JSONL_LINE_RE
-    matches = line.findall(piece)
-    if len(matches) != breaks + (not piece.endswith("\n")):
+def _jsonl_piece(piece: str, decoded: _JsonlKeys) -> Rows | None:
+    matches = _JSONL_LINE_RE.findall(piece)
+    if len(matches) != _line_count(piece):
         return None
     # `float(token)` equals `float()` of the int or float json.loads makes
     # of it, and is infinite where that int would overflow or pass the
     # digit limit, which json.loads and `_scan_jsonl` reject.
     times = np.fromiter(map(float, map(_JSONL_TS, matches)), np.float64, len(matches))
     return times, valid_timestamp(times), lambda kept: map(
-        _JSONL_TEXTS, map(matches.__getitem__, kept)
+        decoded.__getitem__, map(_JSONL_TEXTS, map(matches.__getitem__, kept))
     )
 
 
@@ -939,7 +915,6 @@ def _read(
     *,
     cut: Callable[[str], int],
     canonical: Callable[[str], Rows | None],
-    decode: Callable | None = None,
     split: Callable[[str], Iterable],
     scan: Callable,
     build: Callable,
@@ -957,9 +932,7 @@ def _read(
     cutoff are appended; the other valid rows are training-span lines, the
     invalid ones skips. `build` checks a raw key and makes its (source,
     fields); it runs once per distinct raw key of the file, in the order
-    they first appear, and each gets the next key id. The keys of a
-    canonical piece are raw keys, or with `decode` what it makes raw keys
-    of; each of those is decoded once, and its id then found in one lookup.
+    they first appear, and each gets the next key id.
     """
     alerts = Alerts() if alerts is None else alerts
     limit = -math.inf if cutoff is None else cutoff
@@ -978,16 +951,6 @@ def _read(
                 logger.debug("skipping every %s with fields %r (%s)", what, raw, exc)
             key_ids[raw] = kid
         return kid
-
-    canonical_ids, canonical_id = key_ids, key_id
-    if decode is not None:
-        canonical_ids = {}
-
-        def canonical_id(key) -> int:
-            kid = canonical_ids.get(key)
-            if kid is None:
-                kid = canonical_ids[key] = key_id(decode(key))
-            return kid
 
     def scanned(piece: str) -> Rows:
         times, raws = array("d"), []
@@ -1008,13 +971,12 @@ def _read(
         if read is None:
             rows = scanned
             read = scanned(piece)
-        times, valid, keys_of = read
-        ids_of, new_id = (key_ids, key_id) if rows is scanned else (canonical_ids, canonical_id)
+        times, valid, raws_of = read
         kept = np.flatnonzero(valid & (times >= limit))
-        keys = list(keys_of(kept.tolist()))
-        kids = list(map(ids_of.get, keys))
+        raws = list(raws_of(kept.tolist()))
+        kids = list(map(key_ids.get, raws))
         if None in kids:  # new keys, built in the order they first appear
-            kids = [new_id(key) if kid is None else kid for key, kid in zip(keys, kids)]
+            kids = [key_id(raw) if kid is None else kid for raw, kid in zip(raws, kids)]
         ids = np.array(kids, dtype=np.int64)
         good = ids != _INVALID
         alerts.times.frombytes(times[kept[good]].tobytes())
@@ -1073,7 +1035,7 @@ def read_jsonl_file(
     JSON object with a source, a valid timestamp and non-empty string-able
     fields is skipped."""
     return _read(path, stats, alerts, cutoff, cut=_after_last_line,
-                 canonical=_jsonl_piece, decode=_decode_jsonl, split=_lines,
+                 canonical=partial(_jsonl_piece, decoded=_JsonlKeys()), split=_lines,
                  scan=_scan_jsonl, build=_jsonl_key,
                  errors=(ValueError, KeyError, TypeError, OverflowError), what="jsonl line")
 

@@ -41,8 +41,8 @@ from artifact.graph import (
     ArtifactGraph,
     Vertex,
     build_graph,
+    first_vertices,
     graph_summary,
-    key_spans,
     key_table,
 )
 from artifact.ingest import (
@@ -260,16 +260,9 @@ def training_graph(
     table = key_table([fields for _, fields in alerts.keys])
     start, stop = alerts.before(spec.origin), alerts.before(spec.training_cutoff)
     ids, first, counts = alerts.key_counts(start, stop)
-    windows = [spec.window_of(ts) for ts in alerts.times[start + first].tolist()]
-    # each key's vertices in field order, the keys in order of first alert
-    at, sizes = key_spans(table.vertex_ptr, ids)
-    vertex_ids = table.vertex_ids[at]
-    _, seen = np.unique(vertex_ids, return_index=True)
-    seen.sort()
-    first_seen = dict(zip(
-        [table.vertices[v] for v in vertex_ids[seen].tolist()],
-        np.repeat(windows, sizes)[seen].tolist(),
-    ))
+    vertices, key_at = first_vertices(table, ids)
+    windows = [spec.window_of(ts) for ts in alerts.times[start + first[key_at]].tolist()]
+    first_seen = dict(zip(vertices, windows))
     return first_seen, build_graph(table, ids, counts)
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from artifact.graph import build_graph, graph_summary, key_table
+from artifact.graph import build_graph, first_vertices, graph_summary, key_table
 from artifact.ingest import AlertRecord, layer_for
 
 from conftest import (
@@ -221,3 +221,21 @@ def test_window_graph_from_the_key_table_matches_the_reference(pool, window):
     ids = np.array([k for k, _ in window], dtype=np.int64)
     g = build_graph(table, ids, [n for _, n in window])
     assert_same_graph(g, reference_adjacency([(pool[k], n) for k, n in window]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(FIELD_TUPLES, min_size=1, max_size=10),
+    keys=st.lists(st.integers(0, 9), max_size=12),
+)
+@example(pool=[(("src_ip", "1"), ("dst_ip", "1")), (("dst_ip", "1"), ("sig_id", "2"))],
+         keys=[1, 0])
+def test_first_vertices_meet_the_keys_one_field_at_a_time(pool, keys):
+    keys = [k % len(pool) for k in keys]
+    want: dict = {}
+    for at, k in enumerate(keys):
+        for key, value in pool[k]:
+            want.setdefault((layer_for(key), value), at)
+    vertices, key_at = first_vertices(key_table(pool), np.array(keys, dtype=np.int64))
+    assert dict(zip(vertices, key_at.tolist())) == want
+    assert vertices == list(want)

@@ -629,11 +629,16 @@ JSONL_CANONICAL = [
 ]
 
 
-def test_possessive_jsonl_pattern_agrees_with_a_backtracking_one():
-    backtracking = re.compile(
-        _JSONL_LINE_RE.pattern.replace("*+", "*").replace("++", "+").replace("?+", "?"),
-        _JSONL_LINE_RE.flags,
+def _backtracking(pattern: re.Pattern) -> re.Pattern:
+    """`pattern` with its possessive repeats made backtracking ones."""
+    return re.compile(
+        pattern.pattern.replace("*+", "*").replace("++", "+").replace("?+", "?"),
+        pattern.flags,
     )
+
+
+def test_possessive_jsonl_pattern_agrees_with_a_backtracking_one():
+    backtracking = _backtracking(_JSONL_LINE_RE)
     assert backtracking.pattern != _JSONL_LINE_RE.pattern
     for line in JSONL_NEAR_MISSES:
         assert backtracking.fullmatch(line) is None, line
@@ -661,34 +666,8 @@ def jsonl_pieces(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(jsonl_pieces())
-def test_plain_pieces_read_as_the_full_pattern_reads_them(piece):
-    """A piece without a backslash or a control character but line breaks
-    is matched with `"[^"]*+"` strings, which may run over a line break;
-    its rows are those of `_JSONL_LINE_RE`, or it is not canonical under
-    either."""
-    breaks = piece.count("\n")
-    plain = artifact.ingest._plain(piece, breaks)
-    assert plain == (re.search(r"[\\\x00-\x09\x0b-\x1f]", piece) is None)
-
-    def rows(pattern):
-        matches = pattern.findall(piece)
-        return matches if len(matches) == breaks + (not piece.endswith("\n")) else None
-
-    if plain:
-        assert rows(artifact.ingest._PLAIN_JSONL_LINE_RE) == rows(_JSONL_LINE_RE)
-
-
-def test_a_string_over_a_line_break_is_not_canonical(tmp_path):
-    """`"[^"]*+"` takes the line break in `"1\\n"`, so the piece has fewer
-    matches than lines, and its lines are scanned one at a time."""
-    piece = '{"source":"snort","ts":5,"fields":{"sig_id":"1\n"}}\n'
-    assert artifact.ingest._plain(piece, 2)
-    assert artifact.ingest._jsonl_piece(piece) is None
-    path = tmp_path / "a.jsonl"
-    path.write_text(piece)
-    stats = ParseStats()
-    assert len(read_jsonl_file(path, stats)) == 0
-    assert (stats.lines, stats.skipped) == (2, 2)
+def test_possessive_jsonl_pattern_finds_what_a_backtracking_one_finds(piece):
+    assert _JSONL_LINE_RE.findall(piece) == _backtracking(_JSONL_LINE_RE).findall(piece)
 
 
 def test_jsonl_coerces_numeric_field_values(tmp_path):
