@@ -10,7 +10,9 @@ five-minute budget covers generation, training, and scoring for the unfiltered
 run only, matching how the pipeline is actually invoked.
 """
 
+import hashlib
 import itertools
+import platform
 import time
 
 import numpy as np
@@ -442,4 +444,75 @@ def test_criterion_7_single_source_robustness(e2e):
         f"criterion 7 (single source: snort flags {per_source['snort']}, "
         f"ossec flags {per_source['ossec']})",
         failures, time.perf_counter() - t0, budget=None,
+    )
+
+
+# --- every output, pinned ------------------------------------------------------------
+
+# The sha256 of every file that the conftest's `small_trained` run and the
+# three criterion 5-7 runs write: each bundle file, SHA256SUMS included, and
+# each run's scores.csv and anomalies.json. Taken with these versions; another
+# numpy or BLAS may move the last bits of the linear algebra.
+PINNED_WITH = "Python 3.11.7, numpy 2.4.6"
+PINNED_OUTPUTS = {
+    "small/model/SHA256SUMS": "71bccd795a92a94dcae29d9452aa87337f33b271644fd40df96e2983e225f9ea",
+    "small/model/grid.csv": "7e4506dc8f23c895f507c3e2cef4e634d0e153f8cb9ab3e63e36a2ca2c5fc35d",
+    "small/model/metadata.txt": "2b85c464c074924b8c9c50a740741e9bb07c638fb8c04d8c77a38f72a71104b4",
+    "small/model/registry.tsv": "c8b70722c765288508b15fceb5629d07a531c3ffdfa5a66fcac65dfaa47ec9b3",
+    "small/model/role_descriptions.csv": "f01798a33d12a266da3d8082a0209d3f2e059313fd887f003a68de139599861c",
+    "small/model/role_features.csv": "2d5e187ba8a44745f16397b8b623189a3be7f8061e7926492ab81f6ade42adcf",
+    "small/model/schema.txt": "a48d8fc7fc79f85737b2de31a48ed80ca09a99caa7ffc8d7b06007a0225f1d41",
+    "small/model/training_summary.txt": "9c8de43551ccc88dc4e02e9f521d35ab645e155f89f6fa21a51a32a0949df2aa",
+    "both/anomalies.json": "dbf60964d1d119cf6f13990312a2e5f7f1ebf9a581bfcf69ee7a03888701ce88",
+    "both/model/SHA256SUMS": "2874de0e97c71ef56d5ae564e52286e4be8dc40534901422641188639abbd52a",
+    "both/model/grid.csv": "962c90df048e22b1dd009fed6242c2244b1402ee32bc9b7685f348d750f5a4da",
+    "both/model/metadata.txt": "467cc3118944c897a6df9f97fd2101649f22b8c2b6519b206ac40795f43742aa",
+    "both/model/registry.tsv": "ffa53635ec49ca34b65d19b5866a5dd538f77060d9bb453d008b4e6a74bce54a",
+    "both/model/role_descriptions.csv": "4b286aa8fe4862597b3b6637138642e1b3e0c3a26dcc061ee85d51dffd9e9415",
+    "both/model/role_features.csv": "73965888a1fa636f61991fd6335ad53b238f35cf7e29d263738193ad8c9d34e3",
+    "both/model/schema.txt": "a48d8fc7fc79f85737b2de31a48ed80ca09a99caa7ffc8d7b06007a0225f1d41",
+    "both/model/training_summary.txt": "211dceb90b62bf73f6023fe6a7226051a54a1d80dbe7199ef3d3c49d28def87b",
+    "both/scores.csv": "965dee251ba23fe4c4b082da10fe9dd1d4db487e470b55fa977cabad6652be2e",
+    "snort/anomalies.json": "18cc3af76a2a2abe66e4258f466316a296aadf9ec3beea74ae7f84f7bebec877",
+    "snort/model/SHA256SUMS": "ca4329ddd87a49b5ec704a28bd1da616f807ee2d2f9c8755d88df9b384afb93a",
+    "snort/model/grid.csv": "e5ee5d684b1a5d75ddc7cf79f96cfc6e4752d6e645e3ba9d16529cc79151ec7a",
+    "snort/model/metadata.txt": "6cb218bb770a5da56b51b3e0bcd923b1fc0d13a8fa4c3fed19239eb3e22ca2b8",
+    "snort/model/registry.tsv": "d3ce45bb2cf55d0a556aaa37b5e89c1a186d72bf9aa131d7343ab77f24702ea1",
+    "snort/model/role_descriptions.csv": "f2d219dbccffea792a8ebc3fe68860ccfc138d8110045a24fa2dcb4949d311f2",
+    "snort/model/role_features.csv": "5454921eeb6275354856d974539e1095f1f376b6f2c9142a7ea5b01db1a9e210",
+    "snort/model/schema.txt": "05ddccbbb0c044360d508db2458631771352f788e8e5b6d3200d8a30ecd6ecf0",
+    "snort/model/training_summary.txt": "a9f99bf178a83e2219f54c09aea1111fafdbb7199f01473b31c8aab0fabfc4c0",
+    "snort/scores.csv": "84126c879b2ec76ca65b081fcd2b27022978513dd33fcd9e420147158a7a2162",
+    "ossec/anomalies.json": "f1c085cffccce071c593bdcff6dce41cdcce008d1695c2c3cccd8643e9bcff31",
+    "ossec/model/SHA256SUMS": "8caa811ccd8d3c7cc9b077efd8288cf88df4af2ca1747b569c07b1ecf614fa2d",
+    "ossec/model/grid.csv": "85b1af47f688030bb3be33bbf192424834b08d9e72d121b1c25559ce4b431465",
+    "ossec/model/metadata.txt": "0c54a4cec093edd2b0c85f67d8de7999d2c71ad61cb6cd0dc47d676b0772e36f",
+    "ossec/model/registry.tsv": "93e50d7f900caaec1f7892645346b56f60ec15c3287ade6a98beb3742c13559b",
+    "ossec/model/role_descriptions.csv": "de07499dc7fb6baaa5bc11e5bfe5a245b93fdc10f3630bc7bab2c3883da16f19",
+    "ossec/model/role_features.csv": "a083e8f6810855dffe51a413f3e3899054607929d9592281e87611b29e3c3767",
+    "ossec/model/schema.txt": "6e2acfb98d99ae6aced941e0379abefcd96727fea8bc828925525b0ff3e930dd",
+    "ossec/model/training_summary.txt": "756eaaf247419c701a1368ea96c198255f9cc13922a0e1c9f25f661a4e092db0",
+    "ossec/scores.csv": "86db13275562202fcdf04a728c42198572f865c458fe4147305968b1f7198cfd",
+}
+
+
+def output_digests(small_trained, e2e) -> dict[str, str]:
+    """The sha256 of each output file, keyed "<run>/<path in its out dir>"."""
+    outs = {"small": small_trained.bundle_dir.parent,
+            **{name: run.csv_path.parent for name, run in e2e["runs"].items()}}
+    return {
+        f"{name}/{path.relative_to(out).as_posix()}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, out in outs.items()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+
+
+def test_every_output_keeps_its_pinned_bytes(small_trained, e2e):
+    got = output_digests(small_trained, e2e)
+    changed = sorted(name for name in got.keys() | PINNED_OUTPUTS.keys()
+                     if got.get(name) != PINNED_OUTPUTS.get(name))
+    assert not changed, (
+        f"outputs differ from the pinned bytes: {changed}. The digests were taken with "
+        f"{PINNED_WITH}; this run has Python {platform.python_version()}, numpy "
+        f"{np.__version__}, and another numpy or BLAS may move last bits."
     )
