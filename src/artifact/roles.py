@@ -72,26 +72,28 @@ def _check_nonnegative(V: np.ndarray) -> None:
 
 # -- factorization ---------------------------------------------------------
 
-def _divergence_from(V: np.ndarray) -> Callable[[np.ndarray], float]:
+def _divergence_from(V: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """`generalized_kl(V, .)` for one V, with V's masks and entries taken
-    once. Where V has no zero entry, the terms are summed over the whole
-    C-ordered matrix, in the order of the masked gather, without it."""
+    once, and its buffers allocated once. Each call also gives the quotient
+    V / max(W, EPS) that `nmf_kl`'s next F-update takes, in a buffer the next
+    call overwrites. Where V has no zero entry, the terms are summed over the
+    whole C-ordered matrix, in the order of the masked gather, without it."""
+    V = np.ascontiguousarray(V)
+    clamped, quotient = np.empty_like(V), np.empty_like(V)
     pos = V > 0
-    if pos.all():
-        V = np.ascontiguousarray(V)
+    nonpos = None if pos.all() else ~pos
+    gather = (lambda x: x) if nonpos is None else (lambda x: x[pos])
+    V_pos = gather(V)
+    terms = np.empty_like(V_pos)
 
-        def divergence(W: np.ndarray) -> float:
-            W = np.maximum(W, EPS, order="C")
-            return float(np.sum(V * np.log(V / W) - V + W))
-
-        return divergence
-    nonpos = ~pos
-    V_pos = V[pos]
-
-    def divergence(W: np.ndarray) -> float:
-        W_pos = np.maximum(W[pos], EPS)
-        total = float(np.sum(V_pos * np.log(V_pos / W_pos) - V_pos + W_pos))
-        return total + float(np.sum(W[nonpos]))
+    def divergence(W: np.ndarray) -> tuple[float, np.ndarray]:
+        np.divide(V, np.maximum(W, EPS, out=clamped), out=quotient)
+        np.log(gather(quotient), out=terms)
+        np.multiply(terms, V_pos, out=terms)
+        np.subtract(terms, V_pos, out=terms)
+        np.add(terms, gather(clamped), out=terms)
+        total = float(np.sum(terms))
+        return (total if nonpos is None else total + float(np.sum(W[nonpos]))), quotient
 
     return divergence
 
@@ -102,7 +104,7 @@ def generalized_kl(V: np.ndarray, W: np.ndarray) -> float:
     W = np.asarray(W, dtype=float)
     if V.shape != W.shape:
         raise DimensionError(f"shape mismatch {V.shape} vs {W.shape}")
-    return _divergence_from(V)(W)
+    return _divergence_from(V)(W)[0]
 
 
 class NMFResult(NamedTuple):
@@ -129,25 +131,24 @@ def nmf_kl(V, r: int, seed: int = 0, max_iter: int = 200,
         raise DimensionError(f"rank {r} invalid for a {n}x{f} matrix")
 
     if V.sum() == 0.0:
-        zero = NMFResult(np.zeros((n, r)), np.zeros((r, f)), [0.0], 0)
-        return zero
+        return NMFResult(np.zeros((n, r)), np.zeros((r, f)), [0.0], 0)
 
     rng = np.random.default_rng(seed)
     avg = math.sqrt(V.mean() / r)
     G = avg * np.abs(rng.standard_normal((n, r)))
     F = avg * np.abs(rng.standard_normal((r, f)))
 
+    # The n x f products reuse one buffer, and the quotient an objective is
+    # taken with is the one the next F-update starts from.
     divergence = _divergence_from(V)
-    # the product an objective is taken at is the one the next step starts from
     GF = G @ F
-    history = [divergence(GF)]
+    d, quotient = divergence(GF)
+    history = [d]
     for _ in range(max_iter):
-        W = np.maximum(GF, EPS)
-        F *= (G.T @ (V / W)) / np.maximum(G.sum(axis=0)[:, None], EPS)
-        W = np.maximum(G @ F, EPS)
-        G *= ((V / W) @ F.T) / np.maximum(F.sum(axis=1)[None, :], EPS)
-        GF = G @ F
-        d = divergence(GF)
+        F *= (G.T @ quotient) / np.maximum(G.sum(axis=0)[:, None], EPS)
+        np.divide(V, np.maximum(np.matmul(G, F, out=GF), EPS, out=GF), out=GF)
+        G *= (GF @ F.T) / np.maximum(F.sum(axis=1)[None, :], EPS)
+        d, quotient = divergence(np.matmul(G, F, out=GF))
         history.append(d)
         if history[-2] - d < tol * max(history[-2], EPS):
             break
