@@ -26,8 +26,8 @@ Three input formats are supported:
 * A JSONL interchange format, one record per line:
   ``{"source": ..., "ts": ..., "fields": {...}}``. Sources other than
   snort/ossec are accepted as-is so third-party IDSs can feed the pipeline.
-  The canonical line is the one `write_jsonl` writes: those three keys in
-  that order, no space, and string field values.
+  The canonical line has those three keys in that order and no other, with
+  any spaces or tabs around them and field values of any JSON type.
 
 Every reader takes a file 256 KiB at a time and reads a piece whose lines or
 blocks are all canonical with one match, timestamps in numpy. From the first
@@ -689,36 +689,31 @@ def _jsonl_key(raw: JsonlKey) -> tuple[str, dict[str, str]]:
     return source, fields
 
 
-# A JSON string as json.dumps writes it: no control character, and only
-# JSON's escapes. Its first branch, a string without escapes, is the same
-# strings' common case without the escape loop: `findall` took a fifth less
-# time on the paper workload's file. Each repeat stops only at a character
-# it cannot take, which must follow it anyway, so it is possessive and
-# leaves no place to backtrack to.
-_JSON_STR = (r'(?:"[^"\\\x00-\x1f]*+"'
-             r'|"[^"\\\x00-\x1f]*+(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*+)*+")')
-# The canonical JSONL line, the shape `write_jsonl` writes: a source, a JSON
-# number token and fields whose keys and values are all strings, with no
-# space and no other key, so the token is the "ts" json.loads keeps. Its
-# groups are the source text, the token and the fields text. ASCII digits
-# only, as json.loads takes them. The number's digits and the list of fields
-# are possessive too, as what must follow each cannot continue it: `findall`
-# then took 0.19 s on the paper workload's file against 0.25 s with
-# backtracking repeats (seed 2027, best of 9).
+# The canonical JSONL line in shape only: a source string, a JSON number
+# token and a fields object, in that key order and with no other key, spaces
+# and tabs (`_WS`; the text-mode read made each "\r" a line end) around each
+# outer token. Its groups are the source, the token and the fields text, which
+# ends at the "}" before the object's own. Only the token is strict, ASCII
+# digits as json.loads takes them, so that `float(token)` is the "ts" it keeps.
+# Each possessive repeat stops only at a character that must follow it anyway.
+_WS = r"[ \t]*+"
 _JSONL_LINE_RE = re.compile(
-    rf'^\{{"source":({_JSON_STR}),"ts":(-?(?:0|[1-9]\d*+)(?:\.\d++)?(?:[eE][-+]?\d++)?),'
-    rf'"fields":(\{{(?:{_JSON_STR}:{_JSON_STR}(?:,{_JSON_STR}:{_JSON_STR})*+)?+\}})\}}$',
+    rf'^{_WS}\{{{_WS}"source"{_WS}:{_WS}("[^"\\\n]*+(?:\\.[^"\\\n]*+)*+"){_WS},'
+    rf'{_WS}"ts"{_WS}:{_WS}(-?(?:0|[1-9]\d*+)(?:\.\d++)?(?:[eE][-+]?\d++)?){_WS},'
+    rf'{_WS}"fields"{_WS}:{_WS}(\{{[^\n]*\}}){_WS}\}}{_WS}$',
     re.ASCII | re.M,
 )
 
 
 class _JsonlKeys(dict):
     """The raw key of each (source text, fields text) of canonical lines,
-    decoded once: the key `_scan_jsonl` gives a line with those texts."""
+    decoded once: the key `_scan_jsonl` gives a line with those texts. This
+    json.loads is the texts' one grammar check: it raises ValueError or
+    RecursionError on a text it rejects."""
 
     def __missing__(self, texts: tuple[str, str]) -> JsonlKey:
         source, fields = map(json.loads, texts)
-        raw = self[texts] = (source, *fields, *fields.values())
+        raw = self[texts] = (source, *fields, *map(str, fields.values()))
         return raw
 
 
@@ -795,13 +790,14 @@ def normalize_record(
 # lines or blocks all have the canonical shape of their format
 # (`_SNORT_LINE_RE`, `_OSSEC_BLOCK_RE`, `_JSONL_LINE_RE`) is read with one
 # match: its timestamps, their validity and the cutoff in numpy, then a dict
-# lookup per kept key. From the first piece that is not all canonical to the
-# end of the file, the format's per-line scanner reads each line or block;
-# a file that mixes shapes would otherwise pay the match and the scan on
-# most of its pieces. Both paths give the same timestamps, key ids and
-# counts. Bytes that are not UTF-8 decode to U+FFFD, so a damaged byte costs
-# at most the line or block it sits in. A byte-order mark that starts a file
-# is dropped, as are those of hostmaps and INI files.
+# lookup per kept key; a JSONL piece looks up every line's texts, and one
+# that json.loads rejects makes the piece not canonical. From the first such
+# piece to the end of the file, the format's per-line scanner reads each
+# line or block; a file that mixes shapes would otherwise pay the match and
+# the scan on most of its pieces. Both paths give the same timestamps, key
+# ids and counts. Bytes that are not UTF-8 decode to U+FFFD, so a damaged
+# byte costs at most the line or block it sits in. A byte-order mark that
+# starts a file is dropped, as are those of hostmaps and INI files.
 
 _INVALID = -1
 
@@ -898,13 +894,15 @@ def _jsonl_piece(piece: str, decoded: _JsonlKeys) -> Rows | None:
     matches = _JSONL_LINE_RE.findall(piece)
     if len(matches) != _line_count(piece):
         return None
+    try:
+        raws = list(map(decoded.__getitem__, map(_JSONL_TEXTS, matches)))
+    except (ValueError, RecursionError):
+        return None
     # `float(token)` equals `float()` of the int or float json.loads makes
     # of it, and is infinite where that int would overflow or pass the
     # digit limit, which json.loads and `_scan_jsonl` reject.
     times = np.fromiter(map(float, map(_JSONL_TS, matches)), np.float64, len(matches))
-    return times, valid_timestamp(times), lambda kept: map(
-        decoded.__getitem__, map(_JSONL_TEXTS, map(matches.__getitem__, kept))
-    )
+    return times, valid_timestamp(times), partial(map, raws.__getitem__)
 
 
 def _read(
@@ -1033,11 +1031,12 @@ def read_jsonl_file(
 ) -> Alerts:
     """Append the alerts of a JSONL file to `alerts`. A line that is not a
     JSON object with a source, a valid timestamp and non-empty string-able
-    fields is skipped."""
+    fields is skipped, and so is one nested past the recursion limit."""
     return _read(path, stats, alerts, cutoff, cut=_after_last_line,
                  canonical=partial(_jsonl_piece, decoded=_JsonlKeys()), split=_lines,
                  scan=_scan_jsonl, build=_jsonl_key,
-                 errors=(ValueError, KeyError, TypeError, OverflowError), what="jsonl line")
+                 errors=(ValueError, KeyError, TypeError, OverflowError, RecursionError),
+                 what="jsonl line")
 
 
 # --- Windowing ---------------------------------------------------------------

@@ -280,6 +280,26 @@ def test_report_reads_a_scores_csv_with_a_byte_order_mark(cli_scores, tmp_path):
             (tmp_path / "marked" / name).read_bytes(), name
 
 
+def test_jsonl_line_nested_past_the_recursion_limit_is_a_skip(tmp_path, capsys, caplog):
+    """json.loads raises RecursionError on a fields value nested 200,000
+    deep. `train` and `score` count that line as a skip and go on."""
+    good = [json.dumps({"source": "snort", "ts": SMALL_ORIGIN + t,
+                        "fields": {"sig_id": "1", "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}})
+            for t in (0.0, 200_000.0)]
+    deep = '{"source":"snort","ts":%r,"fields":{"sig_id":%s}}' % (
+        SMALL_ORIGIN + 100.0, "[" * 200_000 + "]" * 200_000)
+    jsonl = tmp_path / "deep.jsonl"
+    jsonl.write_text("\n".join([good[0], deep, good[1]]) + "\n")
+    out = tmp_path / "out"
+    assert main(["train", "--jsonl", str(jsonl), "--training-days", "1",
+                 "--out", str(out)]) == 0
+    assert "records parsed: 2 (skipped 1 of 3 lines)" in capsys.readouterr().out
+    caplog.set_level("INFO", logger="artifact.pipeline")
+    assert main(["score", "--jsonl", str(jsonl), "--model", str(out / "model"),
+                 "--out", str(out)]) == 0
+    assert "read 3 lines: 1 parsed, 1 skipped, 1 in the training span" in caplog.text
+
+
 def test_report_reads_a_cell_longer_than_the_csv_default_field_limit(
     small_streams, cli_bundle, tmp_path, capsys
 ):

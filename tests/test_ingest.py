@@ -22,7 +22,9 @@ from artifact.ingest import (
     ParseStats,
     WindowSpec,
     _JSONL_LINE_RE,
+    _jsonl_key,
     _ossec_blocks,
+    _scan_jsonl,
     check_fields,
     load_hostmap,
     normalize_record,
@@ -606,8 +608,8 @@ def test_check_fields_names_what_it_found(key, value, message):
         check_fields({"rule_id": "1", key: value})
 
 
-# Lines one step from the canonical shape. The pattern's repeats are
-# possessive; the same pattern with backtracking repeats must reject them too.
+# Lines one step from a canonical one, each of which json.loads rejects, and
+# canonical lines.
 JSONL_NEAR_MISSES = [
     '{"source":"snort","ts":5,"fields":{"sig_id":"1}}',     # unterminated string
     '{"source":"snort","ts":5,"fields":{"sig_id":"1"}} x',  # text after the object
@@ -637,15 +639,26 @@ def _backtracking(pattern: re.Pattern) -> re.Pattern:
     )
 
 
-def test_possessive_jsonl_pattern_agrees_with_a_backtracking_one():
-    backtracking = _backtracking(_JSONL_LINE_RE)
-    assert backtracking.pattern != _JSONL_LINE_RE.pattern
-    for line in JSONL_NEAR_MISSES:
-        assert backtracking.fullmatch(line) is None, line
-        assert _JSONL_LINE_RE.fullmatch(line) is None, line
-    for line in JSONL_CANONICAL:
-        json.loads(line)
-        assert _JSONL_LINE_RE.fullmatch(line).groups() == backtracking.fullmatch(line).groups()
+def scan_reference(line: str) -> list[AlertRecord]:
+    """The record `_scan_jsonl` and `_jsonl_key` make of a line, if any."""
+    try:
+        ts, raw = _scan_jsonl(line)
+        source, fields = _jsonl_key(raw)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return []
+    return [AlertRecord(source, ts, fields)]
+
+
+def test_jsonl_lines_near_the_canonical_shape_read_like_the_scanner(tmp_path):
+    for n, line in enumerate(JSONL_NEAR_MISSES + JSONL_CANONICAL):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text(line + "\n")
+        stats = ParseStats()
+        want = scan_reference(line)
+        assert list(read_jsonl_file(path, stats)) == want, line
+        assert (stats.lines, stats.parsed, stats.skipped) == (1, len(want), 1 - len(want))
+    assert not any(map(scan_reference, JSONL_NEAR_MISSES))
+    assert scan_reference(JSONL_CANONICAL[-1])
 
 
 JSONL_INSERTS = ['"', "\n", ",", ":", "}", "{", "x", "ö", "\ud800", "\r", "\t", "\\", "\\n",

@@ -126,7 +126,7 @@ def reference_read(items, scan, build, errors):
     return alerts, stats
 
 
-JSONL_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+JSONL_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 YEAR = 2021
 
 
@@ -293,6 +293,55 @@ def test_jsonl_escapes_take_the_block_path(tmp_path, scanner_calls):
     alerts = read_jsonl_file(path, ParseStats())
     assert alerts.ids[1] == alerts.ids[2]
     assert alerts.keys[0] == ('sn"ort', (("sig\\id", "1/2"), ("src_ip", "ö")))
+
+
+# Lines that json.loads reads as the object `write_jsonl` writes, each written
+# another way, by the fields text of its object.
+JSONL_SHAPES = {
+    "default separators": '{"sig_id": "1", "src_ip": "10.0.0.1"}',
+    "integer": '{"sig_id":215,"src_ip":"10.0.0.1"}',
+    "float": '{"sig_id":2.5e3,"src_ip":"10.0.0.1"}',
+    "bool": '{"sig_id":true,"src_ip":"10.0.0.1"}',
+    "null": '{"sig_id":null,"src_ip":"10.0.0.1"}',
+    "nested": '{"sig_id":{"a":[1,"b",{"c":[]}]},"src_ip":"10.0.0.1"}',
+    "whitespace in fields": '{ "sig_id" :\t"1" ,  "src_ip":"10.0.0.1" }',
+    "crlf": '{"sig_id":"1","src_ip":"10.0.0.1"}',
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JSONL_SHAPES))
+def test_jsonl_shapes_json_reads_alike_take_the_block_path(tmp_path, scanner_calls, shape):
+    """Default separators, CRLF line ends, values that are not strings and
+    whitespace inside the fields read like the reference without the
+    per-line scanner."""
+    fields = JSONL_SHAPES[shape]
+    sep, colon = (", ", ": ") if shape == "default separators" else (",", ":")
+    end = "\r" if shape == "crlf" else ""
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(
+        f'{{"source"{colon}"snort"{sep}"ts"{colon}{T0 + 1800 * i}{sep}"fields"{colon}{fields}}}'
+        f'{end}\n' for i in range(4)
+    ))
+    for cutoff in (None, T0 + 3600):
+        stats = assert_reads_like_reference("jsonl", path, cutoff)
+        assert scanner_calls == []
+        assert stats.parsed == (4 if cutoff is None else 2)
+
+
+@pytest.mark.parametrize("odd", [
+    '"fields":{"sig_id":"1"},"other":{"a":"b"}',  # a second key with an object value
+    '"fields":{"sig_id":%s}' % ("[" * 100_000 + "]" * 100_000),  # past the recursion limit
+])
+def test_jsonl_text_json_rejects_leaves_its_piece_to_the_scanner(tmp_path, scanner_calls, odd):
+    """A line of the canonical shape whose fields text json.loads rejects
+    sends its piece to the scanner, which reads the line as json.loads reads
+    it."""
+    lines = [RENDERED["jsonl"][0], RENDERED["jsonl"][1].replace('"fields":{', '"fields":{"x":"y",'),
+             '{"source":"snort","ts":1614556900,%s}' % odd, RENDERED["jsonl"][2]]
+    path = write_lines(tmp_path, "a.jsonl", [line.encode() for line in lines])
+    stats = assert_reads_like_reference("jsonl", path, None)
+    assert scanner_calls == lines
+    assert stats.parsed == 3 + odd.startswith('"fields":{"sig_id":"1"}')
 
 
 # --- Snort fast ------------------------------------------------------------------
@@ -603,7 +652,7 @@ ODD = {
                ""],
               ["a stray line between two blocks of the log", ""],
               RENDERED["ossec"][5][:3] + ["Src IP: (none)", "x", ""]],
-    "jsonl": ['{"source": "snort", "ts": 1614556800, "fields": {"sig_id": "1"}}',
+    "jsonl": ['{"ts":1614556800,"source":"snort","fields":{"sig_id":"1"}}',
               "garbage: no JSON object on this line at all",
               RENDERED["jsonl"][3].replace('"fields"', '"ts":1614556801,"fields"')],
 }

@@ -10,7 +10,10 @@ workload's inputs with its own generator and renderer, then runs its own
 does, ``score`` with ``-v``. The two trees must agree byte for byte on the
 rendered inputs' digest, ``scores.csv``, ``anomalies.json``, every bundle
 file, the stdout and exit code of both commands, and the parse counts
-``score`` logs (``read N lines: ... in the training span``). At every
+``score`` logs (``read N lines: ... in the training span``). A workload
+read from JSONL is also rewritten line by line through ``json.loads`` and
+``json.dumps`` with its default ``", "`` and ``": "`` separators, and both
+commands are compared on that stream as well. At every
 input seed each tree also runs ``artifact simulate --config
 configs/default.ini --seed S``, the full 21-day scenario of its own config,
 then ``train`` and ``score`` on that stream with the same config and model
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -70,9 +74,25 @@ def outputs(root: Path, work: Path, workload: str, seed: int) -> dict[str, str |
     rendered = run(root, work, [sys.executable, "-c", RENDER, workload, str(seed)])
     if rendered.returncode:
         raise SystemExit(f"{root}: rendering {workload} failed:\n{rendered.stderr}")
-    digest, *commands = rendered.stdout.splitlines()
-    return {"inputs digest": digest,
-            **detect(root, work, [line.split("\t") for line in commands], workload)}
+    digest, *lines = rendered.stdout.splitlines()
+    commands = [line.split("\t") for line in lines]
+    found = {"inputs digest": digest, **detect(root, work, commands, workload)}
+    if "--jsonl" in commands[0]:
+        found.update(respaced(root, work, commands, workload))
+    return found
+
+
+def respaced(root: Path, work: Path, commands: list[list[str]], what: str) -> dict[str, str | bytes]:
+    """`detect` in ./respaced on the JSONL input rewritten through
+    json.loads and json.dumps with its default separators; the outputs by
+    name, each prefixed "respaced"."""
+    path = commands[0][commands[0].index("--jsonl") + 1]
+    where = work / "respaced"
+    (where / path).parent.mkdir(parents=True)
+    with open(work / path) as src, open(where / path, "w") as dst:
+        dst.writelines(json.dumps(json.loads(line)) + "\n" for line in src)
+    found = detect(root, where, commands, f"{what} with default JSON separators")
+    return {f"respaced {name}": value for name, value in found.items()}
 
 
 def detect(root: Path, work: Path, commands: list[list[str]], what: str) -> dict[str, str | bytes]:
