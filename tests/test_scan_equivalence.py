@@ -329,9 +329,9 @@ def test_jsonl_shapes_json_reads_alike_take_the_block_path(tmp_path, scanner_cal
 
 
 @pytest.mark.parametrize("odd", [
-    '"fields":{"sig_id":"1"},"other":{"a":"b"}',  # a second key with an object value
-    '"fields":{"sig_id":%s}' % ("[" * 100_000 + "]" * 100_000),  # past the recursion limit
-])
+    '"fields":{"sig_id":"1"},"other":{"a":"b"}',
+    '"fields":{"sig_id":%s}' % ("[" * 100_000 + "]" * 100_000),
+], ids=["second key with an object value", "past the recursion limit"])
 def test_jsonl_text_json_rejects_leaves_its_piece_to_the_scanner(tmp_path, scanner_calls, odd):
     """A line of the canonical shape whose fields text json.loads rejects
     sends its piece to the scanner, which reads the line as json.loads reads
